@@ -49,10 +49,17 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _int_arg(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {token!r}") from None
+
+
 def _resolve_edge(G, spec: str) -> int:
     parts = spec.split(",")
     if len(parts) == 3:
-        u, w, idx = parts[0], parts[1], int(parts[2])
+        u, w, idx = parts[0], parts[1], _int_arg(parts[2], "parallel index")
     elif len(parts) == 2:
         u, w, idx = parts[0], parts[1], None
     else:
@@ -144,11 +151,13 @@ def cmd_verify(args):
         G, _ = _read_graph(args.graph)
         edges = []
         with open(args.cert, "r", encoding="utf-8") as fh:
-            for raw in fh.read().splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    u, w = line.split()
-                    edges.append((u, w))
+            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+                pair = raw.split("#", 1)[0].split()
+                if not pair:
+                    continue
+                if len(pair) != 2:
+                    raise InputError(f"{args.cert}: line {lineno}: expected two vertex ids")
+                edges.append(tuple(pair))
         rep = quadform.phi3_certificate(G, edges)
         print(rep.text(), end="")
         return EXIT_OK if rep.passed else EXIT_FAIL
@@ -197,7 +206,10 @@ def _load_word(args):
         raise InputError("need --in FILE or --word TOKENS")
     m = args.m
     if m is None:
-        colors = [int(x) for tok in args.word.split() for x in tok.lstrip("-").split(".")]
+        colors = [_int_arg(x, "word color") for tok in args.word.split()
+                  for x in tok.lstrip("-").split(".")]
+        if not colors:
+            raise InputError("empty word needs --m")
         m = max(colors)
     return semifree.parse_word_text(f"kneser {m} 2\n{args.word}\n")
 
@@ -208,7 +220,7 @@ def cmd_group(args):
         print(rep.text(), end="")
         return EXIT_OK if rep.passed else EXIT_FAIL
     if args.gcmd == "walk-label":
-        colors = [int(x) for x in args.colors.split(",")]
+        colors = [_int_arg(x, "walk color") for x in args.colors.split(",")]
         m = args.m if args.m else max(colors)
         w = semifree.walk_label(colors, m)
         red = semifree.reduce_word(w)

@@ -13,6 +13,7 @@ four types PHI0..PHI3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     CertificateMismatchError,
@@ -31,6 +32,7 @@ from .surface_map import (
     classify_surface,
     delete_edge,
     insert_chord,
+    _merged_walk,
     _pairing_map,
     _reassemble,
     _vertex_map,
@@ -48,17 +50,6 @@ def require_quadrangulation(G: EmbeddedGraph):
         raise NotQuadrangulationError(f"face of length {bad[0]} present")
 
 
-def _edge_slot_tails(G: EmbeddedGraph):
-    """Edge index -> the two tail darts with which its slots traverse it."""
-    tails = [[] for _ in range(G.n_edges)]
-    for f in G.faces:
-        for d in f.tails:
-            tails[G.edge_of[d]].append(d)
-    if any(len(t) != 2 for t in tails):
-        raise InternalConsistencyError("every edge must carry exactly two face slots")
-    return tails
-
-
 def quad_parity(G: EmbeddedGraph) -> str:
     """Parity of the number of consistency-breaking edges.
 
@@ -67,7 +58,10 @@ def quad_parity(G: EmbeddedGraph) -> str:
     were oriented.
     """
     require_quadrangulation(G)
-    breaking = sum(1 for t1, t2 in _edge_slot_tails(G) if t1 == t2)
+    faces = G.faces
+    breaking = sum(
+        1 for (f1, p1), (f2, p2) in G.edge_slots if faces[f1].tails[p1] == faces[f2].tails[p2]
+    )
     return ODD if breaking % 2 else EVEN
 
 
@@ -364,28 +358,24 @@ def excess_report(G: EmbeddedGraph) -> ExcessReport:
 # -- surgeries -------------------------------------------------------------------
 
 
+def _face_colors(G: EmbeddedGraph, c: Coloring, i: int):
+    return {c.assignment[v] for v in G.face_vertex_walk(G.faces[i])}
+
+
+def _is_crosscap_site(G: EmbeddedGraph, k: int, colors_of) -> bool:
+    """Edge ``k`` bounds two distinct quadrilaterals with a two-colored
+    union; ``colors_of(i)`` is the color set of face ``i``."""
+    (fa, _), (fb, _) = G.edge_slots[k]
+    if fa == fb or len(G.faces[fa]) != 4 or len(G.faces[fb]) != 4:
+        return False
+    return len(colors_of(fa) | colors_of(fb)) == 2
+
+
 def find_crosscap_candidates(G: EmbeddedGraph, c: Coloring):
     """Edges whose two incident faces are distinct quadrilaterals with a
     two-colored union, in canonical edge order."""
-    faces_of_edge = [[] for _ in range(G.n_edges)]
-    for i, f in enumerate(G.faces):
-        for d in f.tails:
-            faces_of_edge[G.edge_of[d]].append(i)
-    out = []
-    for k in range(G.n_edges):
-        fa, fb = faces_of_edge[k]
-        if fa == fb:
-            continue
-        if len(G.faces[fa]) != 4 or len(G.faces[fb]) != 4:
-            continue
-        cols = {
-            c.assignment[v]
-            for i in (fa, fb)
-            for v in G.face_vertex_walk(G.faces[i])
-        }
-        if len(cols) == 2:
-            out.append(k)
-    return out
+    face_colors = [_face_colors(G, c, i) for i in range(len(G.faces))]
+    return [k for k in range(G.n_edges) if _is_crosscap_site(G, k, face_colors.__getitem__)]
 
 
 def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
@@ -399,7 +389,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     require_quadrangulation(G)
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
         raise ColoringError("crosscap surgery needs a proper coloring")
-    if shared_edge not in find_crosscap_candidates(G, c):
+    if not (0 <= shared_edge < G.n_edges
+            and _is_crosscap_site(G, shared_edge, partial(_face_colors, G, c))):
         raise SurgeryRejectedError(
             "shared edge must bound two distinct quadrilaterals with a two-colored union"
         )
@@ -409,20 +400,7 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
 
     # merge the two quadrilaterals into a hexagon walk
     a = G.edge_reps[shared_edge]
-    locs = []
-    for fi, f in enumerate(G.faces):
-        for pos, d in enumerate(f.tails):
-            if G.edge_of[d] == shared_edge:
-                locs.append((fi, pos))
-    (f1, p1), (f2, p2) = locs
-    w1 = list(G.faces[f1].tails)
-    w2 = list(G.faces[f2].tails)
-    a1 = w1[p1 + 1:] + w1[:p1]
-    a2 = w2[p2 + 1:] + w2[:p2]
-    if w1[p1] == G.pairing[w2[p2]]:
-        hexagon = a1 + a2
-    else:
-        hexagon = a1 + [G.pairing[d] for d in reversed(a2)]
+    f1, f2, hexagon = _merged_walk(G, shared_edge)
 
     # three diagonals through the crosscap: diagonal j joins walk positions
     # j and j+3, with dart (x, j, 0) at position j and (x, j, 1) at j+3.
@@ -460,7 +438,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
         raise InternalConsistencyError("crosscap lost the odd parity")
     if was_local3 and not is_local_coloring(G2, c, 3):
         raise InternalConsistencyError("crosscap broke the local 3-coloring")
-    if not find_crosscap_candidates(G2, c):
+    colors2 = partial(_face_colors, G2, c)
+    if not any(_is_crosscap_site(G2, k, colors2) for k in range(G2.n_edges)):
         raise InternalConsistencyError("crosscap left no two-colored face pair to repeat on")
     return G2, c
 

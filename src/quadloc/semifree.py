@@ -303,7 +303,10 @@ def parse_word_text(text: str):
         tokens.extend(raw.split("#", 1)[0].split())
     if len(tokens) < 3 or tokens[0] != "kneser" or tokens[2] != "2":
         raise InputError("word file needs a 'kneser m 2' header")
-    m = int(tokens[1])
+    try:
+        m = int(tokens[1])
+    except ValueError:
+        raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
     H = kneser_graph(m)
     letters = []
     for tok in tokens[3:]:

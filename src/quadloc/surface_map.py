@@ -10,6 +10,11 @@ Faces are traced with a sign accumulator: a walk state is ``(dart, side)``,
 crossing a negative edge flips the side, and the side decides whether the
 walk turns by ``rotation`` or its inverse.  Each face is kept once (its
 reversed traversal is discarded), so face lengths sum to ``2 * n_edges``.
+Tracing is linear in the number of darts: every state records the walk
+that owns it, so recognising a reversed traversal is a single lookup.
+``EmbeddedGraph.edge_slots`` indexes, once per map, the two face slots of
+every edge; surgeries and checks look an edge up there instead of scanning
+the faces.
 
 The module also provides the inverse direction: :func:`assemble_from_slots`
 rebuilds a rotation system with signature from an explicit face structure.
@@ -66,7 +71,7 @@ class FaceWalk:
     def __len__(self):
         return len(self.slots)
 
-    @property
+    @cached_property
     def tails(self):
         return tuple(d for d, _ in self.slots)
 
@@ -236,33 +241,45 @@ class EmbeddedGraph:
     @cached_property
     def faces(self):
         """All facial walks, each kept in one traversal direction."""
-        n2 = 2 * self.n_darts
-        seen = [False] * n2
-
-        def state_id(d, s):
-            return 2 * d + (s < 0)
-
+        # owner[2 * d + (s < 0)]: index of the walk that traverses state
+        # (d, s) or its reversal, -1 while untraced
+        owner = [-1] * (2 * self.n_darts)
         walks = []
-        for start in range(n2):
-            if seen[start]:
+        for start in range(len(owner)):
+            if owner[start] >= 0:
                 continue
+            k = len(walks)
             d0, s0 = start >> 1, -1 if start & 1 else 1
             walk = [(d0, s0)]
-            seen[start] = True
+            owner[start] = k
             cur = self._next_slot(d0, s0)
             while cur != (d0, s0):
                 walk.append(cur)
-                seen[state_id(*cur)] = True
+                owner[2 * cur[0] + (cur[1] < 0)] = k
                 cur = self._next_slot(*cur)
+            # reversal is an involution, so owner[mirror] == k here only
+            # when the mirror state lies on this walk itself
             for st in walk:
-                mirror = self._reversed_slot(*st)
-                if mirror in walk and len(walk) > 1:
+                md, ms = self._reversed_slot(*st)
+                mirror = 2 * md + (ms < 0)
+                if owner[mirror] == k and len(walk) > 1:
                     raise InternalConsistencyError("facial walk coincides with its own reversal")
-                seen[state_id(*mirror)] = True
+                owner[mirror] = k
             walks.append(FaceWalk(tuple(walk)))
         if sum(len(w) for w in walks) != 2 * self.n_edges:
             raise InternalConsistencyError("face lengths do not sum to twice the edge count")
         return tuple(walks)
+
+    @cached_property
+    def edge_slots(self):
+        """Edge index -> its two face slots ``(face, pos)``, in face order."""
+        slots = [[] for _ in range(self.n_edges)]
+        for fi, face in enumerate(self.faces):
+            for pos, d in enumerate(face.tails):
+                slots[self.edge_of[d]].append((fi, pos))
+        if any(len(s) != 2 for s in slots):
+            raise InternalConsistencyError("edge not covered by exactly two slots")
+        return tuple(tuple(s) for s in slots)
 
     def face_vertex_walk(self, face: FaceWalk):
         return tuple(self.vertex_of[d] for d in face.tails)
@@ -337,14 +354,12 @@ def trace_faces(G: EmbeddedGraph):
 
 
 def _canonical_cycle(seq):
-    """Canonical form of a cyclic sequence, up to rotation only."""
-    best = None
-    n = len(seq)
-    for i in range(n):
-        cand = tuple(seq[i:] + seq[:i])
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Canonical form of a cyclic sequence, up to rotation only.
+
+    The least rotation starts at an occurrence of the minimum, so only
+    those rotations are compared: O(len * occurrences of the minimum)."""
+    low = min(seq)
+    return min(tuple(seq[i:] + seq[:i]) for i, x in enumerate(seq) if x == low)
 
 
 def _canonical_dart_face(tails, pairing):
@@ -482,7 +497,8 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
     want = sorted(
         _canonical_dart_face([dart_ids[d] for d in face], pair_list) for face in slot_faces
     )
-    got = sorted(_canonical_dart_face(list(f.tails), pair_list) for f in G.faces)
+    # tails from the slots, so the check leaves no cached tails on every face
+    got = sorted(_canonical_dart_face([d for d, _ in f.slots], pair_list) for f in G.faces)
     if want != got:
         raise InternalConsistencyError("assembled map does not reproduce the input faces")
     return G, dict(dart_ids)
@@ -562,10 +578,6 @@ def assemble_embedding(complex_: FaceListComplex):
 # -- editing operations ------------------------------------------------------
 
 
-def _slot_faces_of(G: EmbeddedGraph):
-    return [list(f.tails) for f in G.faces]
-
-
 def _pairing_map(G: EmbeddedGraph):
     return {d: G.pairing[d] for d in range(G.n_darts)}
 
@@ -586,31 +598,29 @@ def _reassemble(slot_faces, pairing, vertex_of):
     return G, {d: dart_map[keyed[d]] for d in pairing}
 
 
+def _merged_walk(G: EmbeddedGraph, edge_index: int):
+    """The walk left when an edge between two distinct faces is erased.
+
+    Returns ``(f1, f2, tails)``: the indices of the two faces and the tail
+    darts of their union, which no longer traverses the edge."""
+    (f1, p1), (f2, p2) = G.edge_slots[edge_index]
+    if f1 == f2:
+        raise UnsupportedInputError("edge borders a single face; deletion unsupported")
+    w1 = G.faces[f1].tails
+    w2 = G.faces[f2].tails
+    a1 = list(w1[p1 + 1:] + w1[:p1])  # walk 1 without its edge slot
+    a2 = list(w2[p2 + 1:] + w2[:p2])
+    if w1[p1] == G.pairing[w2[p2]]:
+        return f1, f2, a1 + a2
+    # both slots traverse the edge the same way: reverse one side
+    return f1, f2, a1 + [G.pairing[d] for d in reversed(a2)]
+
+
 def delete_edge(G: EmbeddedGraph, edge_index: int) -> EmbeddedGraph:
     """Remove an edge bordering two distinct faces, merging them."""
     a = G.edge_reps[edge_index]
     b = G.pairing[a]
-    locs = []
-    for fi, face in enumerate(G.faces):
-        for pos, d in enumerate(face.tails):
-            if G.edge_of[d] == edge_index:
-                locs.append((fi, pos))
-    if len(locs) != 2:
-        raise InternalConsistencyError("edge not covered by exactly two slots")
-    (f1, p1), (f2, p2) = locs
-    if f1 == f2:
-        raise UnsupportedInputError("edge borders a single face; deletion unsupported")
-
-    w1 = list(G.faces[f1].tails)
-    w2 = list(G.faces[f2].tails)
-    a1 = w1[p1 + 1:] + w1[:p1]  # walk 1 without its edge slot
-    a2 = w2[p2 + 1:] + w2[:p2]
-    if w1[p1] == G.pairing[w2[p2]]:
-        merged = a1 + a2
-    else:
-        # both slots traverse the edge the same way: reverse one side
-        merged = a1 + [G.pairing[d] for d in reversed(a2)]
-
+    f1, f2, merged = _merged_walk(G, edge_index)
     faces = [list(f.tails) for i, f in enumerate(G.faces) if i not in (f1, f2)]
     faces.append(merged)
     pairing = _pairing_map(G)

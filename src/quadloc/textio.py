@@ -30,11 +30,11 @@ def parse_graph(text: str):
         kind = parts[0]
         try:
             if kind == "vertex":
-                if parts[2] != ":":
+                if len(parts) < 3 or parts[2] != ":":
                     raise FormatError(f"line {lineno}: expected ':' after vertex id")
                 rot_lines.append((lineno, parts[1], [int(t) for t in parts[3:]]))
             elif kind == "edge":
-                if parts[2] != ":" or len(parts) != 6 or parts[5] not in "+-":
+                if len(parts) != 6 or parts[2] != ":" or parts[5] not in ("+", "-"):
                     raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
                 edge_lines.append((lineno, parts[1], int(parts[3]), int(parts[4]), 1 if parts[5] == "+" else -1))
             elif kind == "color":

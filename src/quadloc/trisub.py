@@ -97,7 +97,8 @@ def face_subdivision(Q: EmbeddedGraph):
         raise InternalConsistencyError("subdivision counts V+F / E+4F / 4F violated")
     if classify_surface(G) != classify_surface(Q):
         raise InternalConsistencyError("face subdivision changed the surface")
-    origin = {v: ("hub" if v in set(hubs.values()) else "base") for v in G.vertices}
+    hub_names = set(hubs.values())
+    origin = {v: ("hub" if v in hub_names else "base") for v in G.vertices}
     return Triangulation.wrap(G), origin
 
 
@@ -282,9 +283,7 @@ def _flippable(G: EmbeddedGraph, k: int):
     u, w = G.vertex_of[d], G.vertex_of[G.pairing[d]]
     if u == w or G.degree(u) <= 3 or G.degree(w) <= 3:
         return None
-    locs = [(i, pos) for i, f in enumerate(G.faces) for pos, t in enumerate(f.tails)
-            if G.edge_of[t] == k]
-    (f1, _), (f2, _) = locs
+    (f1, _), (f2, _) = G.edge_slots[k]
     if f1 == f2 or len(G.faces[f1]) != 3 or len(G.faces[f2]) != 3:
         return None
     opp1 = next(v for v in G.face_vertex_walk(G.faces[f1]) if v not in (u, w))

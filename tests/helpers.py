@@ -102,3 +102,40 @@ def bipyramid_over_c5():
     G = assemble_embedding(FaceListComplex.from_lists(faces))
     c = Coloring({"v0": 1, "v1": 2, "v2": 1, "v3": 2, "v4": 3, "a": 4, "b": 4}, 4)
     return G, c
+
+
+def cycle_graph(n: int, signs=None) -> EmbeddedGraph:
+    """The cycle C_n; vertex i holds dart 2i toward i+1 and 2i+1 toward
+    i-1.  ``signs`` gives the signature (all positive: the sphere)."""
+    rotation = [0] * (2 * n)
+    pairing = [0] * (2 * n)
+    for i in range(n):
+        rotation[2 * i], rotation[2 * i + 1] = 2 * i + 1, 2 * i
+        fwd, back = 2 * i, 2 * ((i + 1) % n) + 1
+        pairing[fwd], pairing[back] = back, fwd
+    signature = list(signs) if signs is not None else [1] * n
+    return EmbeddedGraph(rotation, pairing, signature, [f"v{d // 2}" for d in range(2 * n)])
+
+
+def random_rotation_system(rng: random.Random, n_vertices: int, n_edges: int) -> EmbeddedGraph:
+    """A connected map with random rotations and signs: a random spanning
+    tree plus random extra edges, loops and parallels allowed."""
+    ends = [(i, rng.randrange(i)) for i in range(1, n_vertices)]
+    ends += [(rng.randrange(n_vertices), rng.randrange(n_vertices))
+             for _ in range(n_edges - len(ends))]
+    rng.shuffle(ends)
+    at = [[] for _ in range(n_vertices)]
+    pairing = [0] * (2 * len(ends))
+    for k, (u, w) in enumerate(ends):
+        at[u].append(2 * k)
+        at[w].append(2 * k + 1)
+        pairing[2 * k], pairing[2 * k + 1] = 2 * k + 1, 2 * k
+    rotation = [0] * len(pairing)
+    vertex_of = [""] * len(pairing)
+    for v, darts in enumerate(at):
+        rng.shuffle(darts)
+        for i, d in enumerate(darts):
+            rotation[d] = darts[(i + 1) % len(darts)]
+            vertex_of[d] = f"v{v}"
+    signature = [rng.choice((1, -1)) for _ in ends]
+    return EmbeddedGraph(rotation, pairing, signature, vertex_of)

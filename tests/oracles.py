@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to cross-check the main algorithms.
 
 These deliberately avoid the production code paths: the coloring oracle
-enumerates raw (non-canonical) colorings, and the word oracle explores the
-full rewriting orbit instead of scanning for cancellable pairs.
+enumerates raw (non-canonical) colorings, the word oracle explores the
+full rewriting orbit instead of scanning for cancellable pairs, the face
+tracer steps through the raw rotation system and finds reversed walks by
+list membership, and the least rotation tries every rotation.
 """
 from __future__ import annotations
 
@@ -76,3 +78,51 @@ def orbit_is_identity(letters, commutes_gens) -> bool:
                     seen.add(nw)
                     stack.append(nw)
     return False
+
+
+def brute_faces(rotation, pairing, signature):
+    """Facial walks of a rotation system with signature, as lists of
+    ``(dart, side)`` states, in the order of their least starting state.
+
+    Each face is kept in the traversal found first; its reversal is
+    recognised by searching the states covered so far (quadratic).
+    """
+    n = len(rotation)
+    rotation_inv = [0] * n
+    for d, e in enumerate(rotation):
+        rotation_inv[e] = d
+    reps = [d for d in range(n) if d < pairing[d]]
+    sign = [0] * n
+    for k, d in enumerate(reps):
+        sign[d] = sign[pairing[d]] = signature[k]
+
+    def step(d, s):
+        s2 = s * sign[d]
+        return (rotation[pairing[d]] if s2 > 0 else rotation_inv[pairing[d]]), s2
+
+    def reverse(d, s):
+        return pairing[d], -s * sign[d]
+
+    covered = []
+    walks = []
+    for d in range(n):
+        for s in (1, -1):
+            if (d, s) in covered:
+                continue
+            walk = [(d, s)]
+            cur = step(d, s)
+            while cur != (d, s):
+                walk.append(cur)
+                cur = step(*cur)
+            mirrors = [reverse(*st) for st in walk]
+            if len(walk) > 1 and any(m in walk for m in mirrors):
+                raise AssertionError("facial walk coincides with its own reversal")
+            covered.extend(walk + mirrors)
+            walks.append(walk)
+    return walks
+
+
+def brute_least_rotation(seq):
+    """The lexicographically least rotation of a sequence, as a tuple."""
+    seq = list(seq)
+    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))

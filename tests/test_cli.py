@@ -195,3 +195,54 @@ def test_build_u_lists_triangle_edges(tmp_path):
     assert rc == 0
     assert out.count("triangle") == 30
     assert out.count("adj ") == 30
+
+
+def invoke_err(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    return rc, err.getvalue()
+
+
+def assert_input_error(argv):
+    rc, err = invoke_err(argv)
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "vertex a\n",
+    "vertex u : 0\nvertex w : 1\nedge e0\n",
+    "vertex u : 0\nvertex w : 1\nedge e0 : 0 1 +-\n",
+])
+def test_truncated_graph_lines_are_exit_two(tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert_input_error(["verify", "surface", str(bad)])
+
+
+def test_malformed_crosscap_edge_spec_is_exit_two(tmp_path):
+    g = str(tmp_path / "g1p.txt")
+    invoke(["build", "g1p", "--out", g])
+    assert_input_error(["surgery", "crosscap", "u,v,x", g])
+
+
+def test_malformed_phi3_cert_line_is_exit_two(tmp_path):
+    g = str(tmp_path / "g1p.txt")
+    cert = tmp_path / "cert.txt"
+    invoke(["build", "g1p", "--out", g])
+    cert.write_text("# one vertex only\n0\n")
+    assert_input_error(["verify", "phi3-cert", str(cert), g])
+
+
+def test_malformed_word_without_m_is_exit_two(tmp_path):
+    assert_input_error(["group", "is-identity", "--word", "1.x"])
+    assert_input_error(["group", "is-identity", "--word", ""])
+    bad = tmp_path / "word.txt"
+    bad.write_text("kneser x 2\n1.2\n")
+    assert_input_error(["group", "reduce", "--in", str(bad)])
+
+
+def test_malformed_walk_label_is_exit_two():
+    assert_input_error(["group", "walk-label", "1,a,2"])

@@ -368,8 +368,9 @@ def test_crosscap_rejects_bad_edge(g1p):
     G, c = g1p
     candidates = set(find_crosscap_candidates(G, c))
     bad = next(k for k in range(G.n_edges) if k not in candidates)
-    with pytest.raises(SurgeryRejectedError):
-        crosscap_hexagon(G, c, bad)
+    for k in (bad, -1, G.n_edges):
+        with pytest.raises(SurgeryRejectedError):
+            crosscap_hexagon(G, c, k)
 
 
 def test_two_crosscaps_reach_genus_seven():

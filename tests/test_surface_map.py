@@ -8,9 +8,11 @@ from quadloc.errors import (
     StructureError,
     UnsupportedInputError,
 )
+from quadloc.quadform import refine_3x3
 from quadloc.surface_map import (
     EmbeddedGraph,
     FaceListComplex,
+    _canonical_cycle,
     assemble_embedding,
     classify_surface,
     delete_edge,
@@ -19,7 +21,15 @@ from quadloc.surface_map import (
     orientation_double_cover,
     trace_faces,
 )
-from helpers import klein_bottle_grid, relabel_darts, torus_grid, two_squares_sphere
+from helpers import (
+    cycle_graph,
+    klein_bottle_grid,
+    random_rotation_system,
+    relabel_darts,
+    torus_grid,
+    two_squares_sphere,
+)
+from oracles import brute_faces, brute_least_rotation
 
 
 def single_edge_sphere():
@@ -167,3 +177,50 @@ def test_delete_edge_then_chord_restores_sphere():
     H2, _ = insert_chord(H, hexagon, 0, 3)
     assert sorted(len(f) for f in H2.faces) == [4, 4]
     assert classify_surface(H2).euler_characteristic == 2
+
+
+# -- fast paths against brute-force oracles ---------------------------------------
+
+
+def assert_faces_match_oracle(G):
+    walks = brute_faces(G.rotation, G.pairing, G.signature)
+    assert [list(f.slots) for f in G.faces] == walks
+    assert [f.tails for f in G.faces] == [tuple(d for d, _ in w) for w in walks]
+    scan = [[] for _ in range(G.n_edges)]
+    for fi, walk in enumerate(walks):
+        for pos, (d, _) in enumerate(walk):
+            scan[G.edge_of[d]].append((fi, pos))
+    assert [list(s) for s in G.edge_slots] == scan
+
+
+def test_fast_paths_match_oracles_on_golden_maps_and_refinements(g0, g1, g0p, g1p, k4p):
+    for G, _ in (g0, g1, g0p, g1p, k4p):
+        assert_faces_match_oracle(G)
+    for G, c in (g0p, g1p, k4p):
+        assert_faces_match_oracle(refine_3x3(G, c)[0])
+
+
+def test_fast_paths_match_oracles_on_cycles():
+    rng = random.Random(3)
+    for n in (1, 2, 3, 8, 101, 640):
+        assert_faces_match_oracle(cycle_graph(n))
+        assert_faces_match_oracle(cycle_graph(n, [rng.choice((1, -1)) for _ in range(n)]))
+
+
+def test_fast_paths_match_oracles_on_random_rotation_systems():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n_vertices = rng.randint(1, 7)
+        n_edges = rng.randint(max(1, n_vertices - 1), n_vertices + 8)
+        assert_faces_match_oracle(random_rotation_system(rng, n_vertices, n_edges))
+
+
+def test_canonical_cycle_matches_every_rotation():
+    fixed = ([0], [3, 3, 3], [1, 0, 1, 0], [2, 0, 1, 0, 0, 1], ["b", "a", "c", "a", "b"],
+             [("d", 1, 0), ("d", 0, 1), ("d", 0, 1)])
+    for seq in fixed:
+        assert _canonical_cycle(list(seq)) == brute_least_rotation(seq)
+    rng = random.Random(5)
+    for _ in range(2000):
+        seq = [rng.randrange(3) for _ in range(rng.randint(1, 12))]
+        assert _canonical_cycle(seq) == brute_least_rotation(seq)

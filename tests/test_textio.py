@@ -70,3 +70,12 @@ def test_parser_rejects_partial_coloring():
     text = "\n".join(line for line in text.splitlines() if not line.startswith("color 4")) + "\n"
     with pytest.raises(FormatError, match="not total"):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("line", [
+    "vertex a", "vertex", "edge e0", "edge e0 :", "edge e0 : 0 1 +-",
+])
+def test_parser_rejects_truncated_or_malformed_lines(line):
+    text = "vertex u : 0\nvertex w : 1\nedge e0 : 0 1 +\n" + line + "\n"
+    with pytest.raises(FormatError, match="line 4"):
+        parse_graph(text)
