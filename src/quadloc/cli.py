@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 verified/found, 1 property fails or NONE, 2 malformed input,
-3 search budget exceeded.  Reports go to standard output; certificates to
-``--out``.  Identical arguments (and seed) produce byte-identical output.
+3 search budget exceeded, 4 internal consistency violated (a bug, never the
+input's fault).  Reports go to standard output; certificates to ``--out``.
+Identical arguments produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -10,12 +11,7 @@ import argparse
 import sys
 
 from . import constructions, quadform, semifree, trisub
-from .errors import (
-    AlreadyOrientableError,
-    InputError,
-    InternalConsistencyError,
-    QuadlocError,
-)
+from .errors import InputError, InternalConsistencyError, QuadlocError
 from .localcolor import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -31,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_graph(path, need_coloring=False):
@@ -54,6 +51,13 @@ def _int_arg(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise InputError(f"{what} must be an integer, got {token!r}") from None
+
+
+def _budget(budget):
+    """``--budget`` is optional, and positive when given."""
+    if budget is not None and budget <= 0:
+        raise InputError(f"--budget must be positive, got {budget}")
+    return budget
 
 
 def _resolve_edge(G, spec: str) -> int:
@@ -176,8 +180,9 @@ def cmd_classify(args):
 
 
 def cmd_search(args):
+    budget = _budget(args.budget)
     G, _ = _read_graph(args.graph)
-    out = search_local_coloring(G, args.r, args.m, args.budget)
+    out = search_local_coloring(G, args.r, args.m, budget)
     if args.out:
         _emit(out.certificate_text(), args.out)
     print(f"{out.status} nodes={out.nodes}")
@@ -189,8 +194,9 @@ def cmd_search(args):
 
 
 def cmd_psi(args):
+    budget = _budget(args.budget)
     G, _ = _read_graph(args.graph)
-    res = local_chromatic_number(G, args.budget)
+    res = local_chromatic_number(G, budget)
     if res.value is None:
         print(f"budget exceeded: psi >= {res.lower}")
         return EXIT_BUDGET
@@ -274,8 +280,9 @@ def cmd_tri(args):
         print("winding parity verified at every vertex")
         return EXIT_OK
     if args.tcmd == "tq-bound":
+        budget = _budget(args.budget)
         G, c = _read_graph(args.graph)
-        rep = trisub.tq_lower_bound_check(G, c, args.budget)
+        rep = trisub.tq_lower_bound_check(G, c, budget)
         print(rep.text(), end="")
         if rep.search_status == BUDGET_EXCEEDED:
             return EXIT_BUDGET
@@ -288,7 +295,6 @@ def build_parser():
         prog="quadloc",
         description="exact toolkit for quadrangulations, local colorings and group certificates",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build", help="construct a named embedded graph")
@@ -389,15 +395,12 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except AlreadyOrientableError as exc:
-        print(str(exc))
-        return EXIT_OK
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalConsistencyError as exc:
         print(f"internal consistency violated: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INTERNAL
     except QuadlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

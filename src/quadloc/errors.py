@@ -2,7 +2,7 @@
 
 InputError and its subclasses mean the caller handed us something malformed
 or unsupported (CLI exit code 2).  InternalConsistencyError means a proven
-identity failed, i.e. the toolkit itself has a bug.
+identity failed, i.e. the toolkit itself has a bug (CLI exit code 4).
 """
 
 

@@ -4,16 +4,20 @@ Generators are the vertices of a commutation graph; two generators commute
 exactly when they are adjacent.  The empty edge set gives a free group, the
 complete graph a free abelian one.
 
-The identity problem is decided by a cancellation fixpoint: repeatedly
-delete a pair of mutually inverse letters whenever every letter between
-them commutes with (or equals) their generator.  A nontrivial product equal
-to the identity always contains such a pair, so reaching a nonempty
-fixpoint certifies a non-identity element.  Equality of u and v is decided
-as ``is_identity(u * v.inverse())``.
+The identity problem is decided by a single-pass stack reduction: each
+letter scans down the stack through letters that commute with it or share
+its generator, and cancels the deepest inverse it reaches, or else is
+pushed.  Every letter above the cancelled one commutes with it, so removing
+it cannot unblock a pair; the stack therefore never holds a cancellable
+pair (mutually inverse letters with only commuting or equal letters
+between them).  A nontrivial product equal to the identity always contains
+such a pair, so a nonempty reduction certifies a non-identity element.
+Equality of u and v is decided as ``is_identity(u * v.inverse())``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ColoringError, InputError
@@ -25,14 +29,24 @@ class CommutationGraph:
     edges: frozenset  # frozensets of two generator names
 
     def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+        gens = set(self.generators)
+        if len(gens) != len(self.generators):
             raise InputError("generator names must be unique")
         for e in self.edges:
-            if len(e) != 2 or not e <= set(self.generators):
+            if len(e) != 2 or not e <= gens:
                 raise InputError("commutation edges must join two distinct generators")
 
+    @cached_property
+    def neighbours(self) -> dict:
+        """Generator -> the set of the other generators it commutes with."""
+        out = {g: [] for g in self.generators}
+        for a, b in self.edges:
+            out[a].append(b)
+            out[b].append(a)
+        return {g: frozenset(nb) for g, nb in out.items()}
+
     def commutes(self, a, b) -> bool:
-        return a == b or frozenset((a, b)) in self.edges
+        return a == b or b in self.neighbours.get(a, ())
 
 
 @dataclass(frozen=True)
@@ -41,7 +55,7 @@ class GroupWord:
     letters: tuple  # (generator, +1 | -1)
 
     def __post_init__(self):
-        gens = set(self.graph.generators)
+        gens = self.graph.neighbours
         for g, e in self.letters:
             if g not in gens or e not in (1, -1):
                 raise InputError(f"invalid letter ({g!r}, {e})")
@@ -68,27 +82,25 @@ def word(graph: CommutationGraph, letters) -> GroupWord:
 
 
 def reduce_word(w: GroupWord) -> GroupWord:
-    """Cancellation fixpoint; scans for the leftmost cancellable pair."""
-    letters = list(w.letters)
-    commutes = w.graph.commutes
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for p in range(n - 1):
-            g, e = letters[p]
-            for q in range(p + 1, n):
-                h, d = letters[q]
-                if h == g and d == -e:
-                    del letters[q]
-                    del letters[p]
-                    changed = True
-                    break
-                if not commutes(h, g):
-                    break
-            if changed:
+    """Single-pass stack reduction (see the module docstring); the result
+    is the one the leftmost-pair cancellation fixpoint reaches."""
+    neighbours = w.graph.neighbours
+    out = []
+    for g, e in w.letters:
+        passes = neighbours[g]
+        hit = -1
+        for p in range(len(out) - 1, -1, -1):
+            h, d = out[p]
+            if h == g:
+                if d != e:
+                    hit = p
+            elif h not in passes:
                 break
-    return GroupWord(w.graph, tuple(letters))
+        if hit < 0:
+            out.append((g, e))
+        else:
+            del out[hit]
+    return GroupWord(w.graph, tuple(out))
 
 
 def is_identity(w: GroupWord) -> bool:
@@ -115,18 +127,33 @@ def pair_name(i: int, j: int) -> str:
     return f"{a}.{b}"
 
 
-def kneser_graph(m: int, k: int = 2) -> CommutationGraph:
-    """KG(m, k): k-subsets of 1..m, adjacent iff disjoint (k = 2 here)."""
+def _check_kneser(m: int, k: int) -> None:
     if k != 2:
         raise InputError("only KG(m, 2) is supported")
     if m < 2 * k:
         raise InputError("kneser_graph needs m >= 2k")
-    gens = tuple(pair_name(i, j) for i, j in combinations(range(1, m + 1), 2))
-    edges = set()
-    for (i, j), (a, b) in combinations(list(combinations(range(1, m + 1), 2)), 2):
-        if not ({i, j} & {a, b}):
-            edges.add(frozenset((pair_name(i, j), pair_name(a, b))))
-    return CommutationGraph(gens, frozenset(edges))
+
+
+def kneser_graph(m: int, k: int = 2, colors=None) -> CommutationGraph:
+    """KG(m, k): k-subsets of 1..m, adjacent iff disjoint (k = 2 here).
+
+    With ``colors`` (each in 1..m), the induced subgraph on the pairs of
+    those colors: all that a word over these colors needs."""
+    _check_kneser(m, k)
+    if colors is None:
+        cols = range(1, m + 1)
+    else:
+        cols = sorted(set(colors))
+        if cols and not (1 <= cols[0] and cols[-1] <= m):
+            raise InputError(f"colors must lie in 1..{m}")
+    name = {pair: pair_name(*pair) for pair in combinations(cols, 2)}
+    # the disjoint pairs inside each 4-subset a < b < c < d are its three matchings
+    edges = frozenset(
+        frozenset((name[p], name[q]))
+        for a, b, c, d in combinations(cols, 4)
+        for p, q in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+    )
+    return CommutationGraph(tuple(name.values()), edges)
 
 
 def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> GroupWord:
@@ -142,7 +169,8 @@ def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> Gro
 
 def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """Label of a properly colored closed walk: the product of the
-    color-pair elements of each step's flanking colors."""
+    color-pair elements of each step's flanking colors.  Without ``graph``
+    the word lives on the Kneser graph induced by the walk's colors."""
     colors = list(colors)
     t = len(colors)
     if t < 1:
@@ -150,11 +178,11 @@ def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWo
     for a in range(t):
         if colors[a] == colors[(a + 1) % t]:
             raise ColoringError("consecutive walk colors must differ")
-    H = graph if graph is not None else kneser_graph(m)
-    out = GroupWord(H, ())
+    H = graph if graph is not None else kneser_graph(m, colors=colors)
+    letters = []
     for idx in range(1, t + 1):
-        out = out * x_pair(colors[(idx - 2) % t], colors[idx % t], m, H)
-    return out
+        letters.extend(x_pair(colors[(idx - 2) % t], colors[idx % t], m, H).letters)
+    return GroupWord(H, tuple(letters))
 
 
 # -- labels on medial graphs ---------------------------------------------------
@@ -307,8 +335,8 @@ def parse_word_text(text: str):
         m = int(tokens[1])
     except ValueError:
         raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
-    H = kneser_graph(m)
-    letters = []
+    _check_kneser(m, 2)
+    pairs = []
     for tok in tokens[3:]:
         sign = 1
         if tok.startswith("-"):
@@ -316,11 +344,13 @@ def parse_word_text(text: str):
             tok = tok[1:]
         try:
             i, j = tok.split(".")
-            name = pair_name(int(i), int(j))
+            pairs.append((int(i), int(j), sign))
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
-        letters.append((name, sign))
-    return GroupWord(H, tuple(letters)), m
+    # letters with a color outside 1..m, or i.i, are left for GroupWord to reject
+    used = {c for i, j, _ in pairs for c in (i, j) if 1 <= c <= m}
+    H = kneser_graph(m, colors=used)
+    return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
 
 
 def format_word(w: GroupWord, m: int) -> str:

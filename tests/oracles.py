@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to cross-check the main algorithms.
 
-These deliberately avoid the production code paths: the coloring oracle
-enumerates raw (non-canonical) colorings, the word oracle explores the
-full rewriting orbit instead of scanning for cancellable pairs, the face
-tracer steps through the raw rotation system and finds reversed walks by
-list membership, and the least rotation tries every rotation.
+These deliberately avoid the production code paths.  The coloring oracle
+enumerates raw (non-canonical) colorings.  Where the reducer makes one pass
+over one stack, the word oracles explore the full rewriting orbit, keep one
+pile per generator (piling), or rescan for the leftmost cancellable pair
+after every cancellation (fixpoint).  The face tracer steps through the raw
+rotation system and finds reversed walks by list membership, and the least
+rotation tries every rotation.
 """
 from __future__ import annotations
 
@@ -78,6 +80,66 @@ def orbit_is_identity(letters, commutes_gens) -> bool:
                     seen.add(nw)
                     stack.append(nw)
     return False
+
+
+def piling_is_identity(letters, commutes_gens) -> bool:
+    """Piling test (Crisp, Godelle and Wiest, J. Topology 2009): one pile
+    per generator.  A letter whose own pile has its inverse on top pops it,
+    together with the marker that inverse left on the pile of every
+    generator it does not commute with; otherwise it pushes itself and
+    those markers.  The word is the identity iff every pile ends empty.
+    """
+    gens = sorted({g for g, _ in letters})
+    blockers = {a: [b for b in gens if b != a and not commutes_gens(a, b)] for a in gens}
+    piles = {g: [] for g in gens}
+    for g, e in letters:
+        pile = piles[g]
+        if pile and pile[-1] == -e:
+            pile.pop()
+            for b in blockers[g]:
+                piles[b].pop()
+        else:
+            pile.append(e)
+            for b in blockers[g]:
+                piles[b].append(0)  # marker
+    return not any(piles.values())
+
+
+def fixpoint_reduce(letters, commutes_gens):
+    """Cancellation fixpoint: delete the leftmost cancellable pair (its
+    letters mutually inverse, every letter between them commuting with or
+    equal to their generator) and rescan from the start, until none is left.
+    Returns the reduced letters as a tuple."""
+    letters = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        n = len(letters)
+        for p in range(n - 1):
+            g, e = letters[p]
+            for q in range(p + 1, n):
+                h, d = letters[q]
+                if h == g and d == -e:
+                    del letters[q]
+                    del letters[p]
+                    changed = True
+                    break
+                if not commutes_gens(h, g):
+                    break
+            if changed:
+                break
+    return tuple(letters)
+
+
+def brute_kneser_edges(m):
+    """Edges of KG(m, 2) by testing every pair of 2-subsets of 1..m."""
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return {
+        frozenset((f"{i}.{j}", f"{a}.{b}"))
+        for x, (i, j) in enumerate(pairs)
+        for a, b in pairs[x + 1:]
+        if not {i, j} & {a, b}
+    }
 
 
 def brute_faces(rotation, pairing, signature):

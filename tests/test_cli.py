@@ -246,3 +246,40 @@ def test_malformed_word_without_m_is_exit_two(tmp_path):
 
 def test_malformed_walk_label_is_exit_two():
     assert_input_error(["group", "walk-label", "1,a,2"])
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_budget_is_exit_two(tmp_path, budget):
+    g = str(tmp_path / "k4p.txt")
+    invoke(["build", "k4p", "--out", g])
+    assert_input_error(["search", "local-coloring", "3", "3", g, "--budget", budget])
+    assert_input_error(["psi", g, "--budget", budget])
+    assert_input_error(["tri", "tq-bound", g, "--budget", budget])
+
+
+def test_internal_consistency_is_exit_four(tmp_path, monkeypatch):
+    from quadloc import quadform
+    from quadloc.errors import InternalConsistencyError
+
+    def broken(G, c):
+        raise InternalConsistencyError("refinement changed the surface")
+
+    g = str(tmp_path / "g1p.txt")
+    invoke(["build", "g1p", "--out", g])
+    monkeypatch.setattr(quadform, "refine_3x3", broken)
+    rc, err = invoke_err(["surgery", "refine3", g])
+    assert rc == 4
+    assert err == "internal consistency violated: refinement changed the surface\n"
+
+
+def test_walk_label_with_large_m_builds_only_the_used_colors():
+    rc4, out4 = invoke(["group", "walk-label", "1,2,1,2", "--m", "4"])
+    rc, out = invoke(["group", "walk-label", "1,2,1,2", "--m", "30000"])
+    assert rc == rc4 == 0
+    assert out.splitlines()[0] == "kneser 30000 2"
+    assert out.splitlines()[1:] == out4.splitlines()[1:]
+
+
+def test_invalid_word_letters_are_exit_two():
+    for word in ("1.2 1.1", "1.2 1.7", "0.1"):
+        assert_input_error(["group", "reduce", "--word", word, "--m", "6"])

@@ -23,7 +23,8 @@ from quadloc.semifree import (
     x_pair,
 )
 from quadloc.surface_map import medial_graph
-from oracles import orbit_is_identity
+from hypothesis import given, settings, strategies as st
+from oracles import brute_kneser_edges, fixpoint_reduce, orbit_is_identity, piling_is_identity
 
 
 def test_kneser_graph_counts():
@@ -230,3 +231,97 @@ def test_labels_require_local_three(k4p):
     G, c = k4p  # the proper 4-coloring shows three colors in every neighborhood
     with pytest.raises(ColoringError):
         medial_edge_label(G, c, 0)
+
+
+def _graph_of_density(rng, n, p):
+    gens = tuple(f"g{i}" for i in range(n))
+    return CommutationGraph(gens, frozenset(
+        frozenset(pair) for pair in combinations(gens, 2) if rng.random() < p))
+
+
+def _random_letters(rng, gens, n, mirrored):
+    letters = tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(n))
+    if mirrored:  # u * u^-1, the identity by construction
+        letters = letters[: (n + 1) // 2]
+        letters += tuple((g, -e) for g, e in reversed(letters))
+    return letters
+
+
+@pytest.mark.parametrize("density", ["free", "abelian", "random"])
+def test_reduce_matches_fixpoint_letter_for_letter(density):
+    rng = random.Random(f"reduce-{density}")
+    for case in range(1500):
+        n = rng.randint(1, 7)
+        p = {"free": 0.0, "abelian": 1.0, "random": rng.random()}[density]
+        H = _graph_of_density(rng, n, p)
+        letters = _random_letters(rng, H.generators, rng.randint(0, 80), case % 2 == 1)
+        got = reduce_word(GroupWord(H, letters)).letters
+        assert got == fixpoint_reduce(letters, H.commutes), (H.edges, letters)
+        assert (len(got) == 0) == piling_is_identity(letters, H.commutes)
+
+
+@st.composite
+def graph_and_letters(draw):
+    n = draw(st.integers(1, 6))
+    gens = tuple(f"g{i}" for i in range(n))
+    pairs = list(combinations(gens, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    H = CommutationGraph(gens, frozenset(frozenset(e) for e, k in zip(pairs, keep) if k))
+    letters = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                            max_size=40))
+    if draw(st.booleans()):
+        letters = letters + [(g, -e) for g, e in reversed(letters)]
+    return H, tuple(letters)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(graph_and_letters())
+def test_reduce_matches_fixpoint_property(case):
+    H, letters = case
+    red = reduce_word(GroupWord(H, letters))
+    assert red.letters == fixpoint_reduce(letters, H.commutes)
+    assert reduce_word(red).letters == red.letters
+    assert is_identity(GroupWord(H, letters)) == piling_is_identity(letters, H.commutes)
+
+
+def test_kneser_graph_matches_pair_of_pairs_oracle():
+    for m in range(4, 10):
+        H = kneser_graph(m)
+        assert H.generators == tuple(pair_name(i, j) for i, j in combinations(range(1, m + 1), 2))
+        assert set(H.edges) == brute_kneser_edges(m)
+
+
+def test_parsed_word_reduces_as_over_the_full_kneser_graph():
+    rng = random.Random(23)
+    for m in (4, 5, 6, 9):
+        H = kneser_graph(m)
+        for case in range(150):
+            letters = _random_letters(rng, H.generators, rng.randint(0, 30), case % 2 == 1)
+            w, m2 = parse_word_text(format_word(GroupWord(H, letters), m))
+            assert m2 == m and w.letters == letters
+            assert set(w.graph.generators) <= set(H.generators)
+            assert reduce_word(w).letters == reduce_word(GroupWord(H, letters)).letters
+
+
+def test_walk_label_on_used_colors_matches_full_kneser_graph():
+    rng = random.Random(29)
+    for m in (4, 6, 8):
+        H = kneser_graph(m)
+        for _ in range(60):
+            t = rng.randint(2, 20)
+            cols = [rng.randint(1, m)]
+            while len(cols) < t or cols[-1] == cols[0]:
+                cols.append(rng.choice([x for x in range(1, m + 1) if x != cols[-1]]))
+            own, full = walk_label(cols, m), walk_label(cols, m, H)
+            assert own.letters == full.letters
+            assert reduce_word(own).letters == reduce_word(full).letters
+
+
+def test_invalid_letters_rejected_on_used_colors():
+    for text in ("kneser 6 2\n1.2 1.1\n", "kneser 6 2\n1.2 1.7\n", "kneser 6 2\n0.3\n"):
+        with pytest.raises(InputError, match=r"^invalid letter \("):
+            parse_word_text(text)
+    with pytest.raises(InputError, match="colors must lie in 1..4"):
+        walk_label([1, 2, 5, 2], 4)
+    with pytest.raises(InputError, match="m >= 2k"):
+        parse_word_text("kneser 3 2\n1.2\n")
