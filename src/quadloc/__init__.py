@@ -41,7 +41,6 @@ from .surface_map import (
     classify_surface,
     medial_graph,
     orientation_double_cover,
-    trace_faces,
 )
 from .textio import parse_graph, write_graph
 from .trisub import Triangulation, face_subdivision, fisk_check, link_winding, tq_lower_bound_check
@@ -58,7 +57,7 @@ __all__ = [
     "reduce_word", "verify_table", "walk_label", "x_pair",
     "EmbeddedGraph", "FaceListComplex", "FaceWalk", "SurfaceClass",
     "assemble_embedding", "classify_surface", "medial_graph",
-    "orientation_double_cover", "trace_faces",
+    "orientation_double_cover",
     "parse_graph", "write_graph",
     "Triangulation", "face_subdivision", "fisk_check", "link_winding",
     "tq_lower_bound_check",

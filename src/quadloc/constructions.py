@@ -15,7 +15,7 @@ censuses) so the assembler's disk checks certify the embeddings.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring, build_U, is_local_coloring, u_vertex_name
@@ -255,8 +255,6 @@ def build_K4_projective():
         for i, (_, d) in enumerate(inc):
             rotation[d] = inc[(i + 1) % 3][1]
     pairing = [d ^ 1 for d in range(12)]
-
-    from itertools import product
 
     for sig in product((1, -1), repeat=6):
         G = EmbeddedGraph(rotation, pairing, list(sig), vertex_of)

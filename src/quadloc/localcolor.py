@@ -34,9 +34,6 @@ class Coloring:
             if not 1 <= c <= self.m:
                 raise ColoringError(f"color {c} of {v!r} outside 1..{self.m}")
 
-    def colors_used(self):
-        return sorted(set(self.assignment.values()))
-
 
 def neighbor_sets(G):
     """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict."""
@@ -66,10 +63,6 @@ def coloring_violation(G, c: Coloring, r: int):
 
 def is_local_coloring(G, c: Coloring, r: int) -> bool:
     return coloring_violation(G, c, r) is None
-
-
-def is_proper(G, c: Coloring) -> bool:
-    return coloring_violation(G, c, len(neighbor_sets(G)) + 2) is None
 
 
 # -- universal graphs --------------------------------------------------------

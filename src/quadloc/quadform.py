@@ -29,13 +29,11 @@ from .errors import (
 from .localcolor import Coloring, coloring_violation, is_local_coloring
 from .surface_map import (
     EmbeddedGraph,
+    FaceListComplex,
+    assemble_embedding,
     classify_surface,
-    delete_edge,
-    insert_chord,
-    _merged_walk,
-    _pairing_map,
-    _reassemble,
-    _vertex_map,
+    merge_faces,
+    rebuild,
 )
 
 EVEN = "even"
@@ -399,18 +397,16 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     sc_before = classify_surface(G)
 
     # merge the two quadrilaterals into a hexagon walk
-    a = G.edge_reps[shared_edge]
-    f1, f2, hexagon = _merged_walk(G, shared_edge)
+    f1, f2, hexagon = merge_faces(G, shared_edge)
 
     # three diagonals through the crosscap: diagonal j joins walk positions
-    # j and j+3, with dart (x, j, 0) at position j and (x, j, 1) at j+3.
+    # j and j+3, with dart n+2j at position j and n+2j+1 at j+3.
     # The region between consecutive diagonals glues across the crosscap
     # into the quadrilateral x_i, x_{i+1}, x_{i+4}, x_{i+3}: rim slot i,
     # then the position-(i+1) diagonal, rim slot i+3 reversed, diagonal i.
-    new = {j: (("x", j, 0), ("x", j, 1)) for j in range(3)}
-    diag_tail_at = {j: new[j][0] for j in range(3)}
-    diag_tail_at.update({j + 3: new[j][1] for j in range(3)})
-    faces = [list(f.tails) for i, f in enumerate(G.faces) if i not in (f1, f2)]
+    n = G.n_darts
+    diag_tail_at = (n, n + 2, n + 4, n + 1, n + 3, n + 5)
+    faces = [f.tails for i, f in enumerate(G.faces) if i not in (f1, f2)]
     for i in range(3):
         faces.append([
             hexagon[i],
@@ -418,17 +414,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
             G.pairing[hexagon[i + 3]],
             diag_tail_at[(i + 3) % 6],
         ])
-
-    pairing = _pairing_map(G)
-    vertex_of = _vertex_map(G)
-    for d in (a, G.pairing[a]):
-        del pairing[d], vertex_of[d]
-    for i in range(3):
-        p, q = new[i]
-        pairing[p], pairing[q] = q, p
-        vertex_of[p] = G.vertex_of[hexagon[i]]
-        vertex_of[q] = G.vertex_of[hexagon[i + 3]]
-    G2, _ = _reassemble(faces, pairing, vertex_of)
+    ends = [(G.vertex_of[hexagon[j]], G.vertex_of[hexagon[j + 3]]) for j in range(3)]
+    G2 = rebuild(G, faces, drop=[shared_edge], new_ends=ends)
 
     require_quadrangulation(G2)
     sc_after = classify_surface(G2)
@@ -514,8 +501,6 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
             for s in range(3):
                 faces.append((grid(r, s), grid(r, s + 1), grid(r + 1, s + 1), grid(r + 1, s)))
 
-    from .surface_map import FaceListComplex, assemble_embedding
-
     G2 = assemble_embedding(FaceListComplex.from_lists(faces))
     c2 = Coloring({v: colors[v] for v in G2.vertices}, c.m)
 
@@ -572,22 +557,13 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
-    pairing = _pairing_map(G)
-    remap = {
-        D[1]: pairing[D[0]],
-        pairing[D[1]]: D[0],
-        D[2]: pairing[D[3]],
-        pairing[D[2]]: D[3],
-    }
-    faces = []
-    for i, f in enumerate(G.faces):
-        if i == face_index:
-            continue
-        faces.append([remap.get(d, d) for d in f.tails])
-    for d in (D[1], pairing[D[1]], D[2], pairing[D[2]]):
-        del pairing[d]
-    vertex_of = {d: (x if G.vertex_of[d] == z else G.vertex_of[d]) for d in pairing}
-    G2, _ = _reassemble(faces, pairing, vertex_of)
+    P = G.pairing
+    remap = {D[1]: P[D[0]], P[D[1]]: D[0], D[2]: P[D[3]], P[D[2]]: D[3]}
+    faces = [[remap.get(d, d) for d in f.tails] for i, f in enumerate(G.faces) if i != face_index]
+    G2 = rebuild(
+        G, faces, drop=[G.edge_of[D[1]], G.edge_of[D[2]]],
+        vertex_of=[x if v == z else v for v in G.vertex_of],
+    )
 
     if len(G2.faces) != len(G.faces) - 1:
         raise InternalConsistencyError("identification must remove exactly one face")

@@ -21,6 +21,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ColoringError, InputError
+from .localcolor import coloring_violation
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,20 @@ def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWo
 
 
 def _check_local3(G, c):
-    from .localcolor import coloring_violation
-
     violation = coloring_violation(G, c, 3)
     if violation is not None:
         raise ColoringError(f"labels need a local 3-coloring, got violation {violation}")
+
+
+def _edge_label(G, c, medial_dart: int, graph: CommutationGraph | None) -> GroupWord:
+    d, side = divmod(medial_dart, 2)
+    b = G.vertex_of[G.pairing[d]]
+    d2 = G.rotation[d]
+    b2 = G.vertex_of[G.pairing[d2]]
+    i, j = c.assignment[b], c.assignment[b2]
+    if side == 1:
+        i, j = j, i
+    return x_pair(i, j, c.m, graph)
 
 
 def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = None) -> GroupWord:
@@ -205,14 +215,7 @@ def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = N
     is the color-pair element of the two far endpoints; reversal inverts it.
     """
     _check_local3(G, c)
-    d, side = divmod(medial_dart, 2)
-    b = G.vertex_of[G.pairing[d]]
-    d2 = G.rotation[d]
-    b2 = G.vertex_of[G.pairing[d2]]
-    i, j = c.assignment[b], c.assignment[b2]
-    if side == 1:
-        i, j = j, i
-    return x_pair(i, j, c.m, graph)
+    return _edge_label(G, c, medial_dart, graph)
 
 
 def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> GroupWord:
@@ -221,7 +224,7 @@ def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> Grou
     H = graph if graph is not None else kneser_graph(c.m)
     out = GroupWord(H, ())
     for md in medial_face.tails:
-        out = out * medial_edge_label(G, c, md, H)
+        out = out * _edge_label(G, c, md, H)
     return out
 
 

@@ -17,9 +17,13 @@ every edge; surgeries and checks look an edge up there instead of scanning
 the faces.
 
 The module also provides the inverse direction: :func:`assemble_from_slots`
-rebuilds a rotation system with signature from an explicit face structure.
-Every construction and surgery in the package funnels through it, and it
-verifies its own output by re-tracing the faces.
+rebuilds a rotation system with signature from an explicit face structure
+on integer darts, and verifies its own output by re-tracing the faces.
+:func:`rebuild` is the one edit path on top of it: a surgery lists the
+faces of its result in the darts of the old map, drops edges and appends
+new ones (darts ``n + 2j`` and ``n + 2j + 1``), and every surgery in the
+package goes through it.  :func:`merge_faces` and :func:`split_face` are
+the face edits the surgeries share.
 """
 from __future__ import annotations
 
@@ -345,11 +349,6 @@ def classify_surface(G: EmbeddedGraph) -> SurfaceClass:
     return SurfaceClass(False, chi, 2 - chi)
 
 
-def trace_faces(G: EmbeddedGraph):
-    """All facial walks of the embedding (cached on the graph)."""
-    return G.faces
-
-
 # -- assembling maps from face structures -----------------------------------
 
 
@@ -374,9 +373,8 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
     """Build an :class:`EmbeddedGraph` realizing an explicit face structure.
 
     ``slot_faces``: faces as cyclic sequences of tail darts; every edge must
-    be traversed exactly twice in total.  ``pairing`` and ``vertex_of`` are
-    mappings on arbitrary sortable dart keys.  Returns ``(graph, dart_map)``
-    where ``dart_map`` sends input keys to the dense dart ids of the result.
+    be traversed exactly twice in total.  ``pairing`` and ``vertex_of`` map
+    integer darts; the result numbers them densely in increasing order.
 
     The vertex links implied by the faces must close into a single cycle per
     vertex (disk condition); otherwise :class:`AssemblyError` names the
@@ -384,124 +382,89 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
     input before returning.
     """
     darts = sorted(pairing)
-    if len(darts) != len(set(darts)):
-        raise AssemblyError("duplicate dart keys")
-    dartset = set(darts)
+    ids = {d: i for i, d in enumerate(darts)}
     for d in darts:
         e = pairing[d]
-        if e not in dartset or e == d or pairing[e] != d:
+        if e not in ids or e == d or pairing[e] != d:
             raise AssemblyError("pairing is not a fixed-point-free involution")
         if d not in vertex_of:
-            raise AssemblyError(f"dart {d!r} has no vertex")
+            raise AssemblyError(f"dart {d} has no vertex")
+    n = len(darts)
+    pair = [ids[pairing[d]] for d in darts]
+    names = [vertex_of[d] for d in darts]
 
-    # two traversals per edge
-    per_edge = {}
-    for f, face in enumerate(slot_faces):
+    # slots are numbered face by face; flag 2s is the tail end of slot s and
+    # 2s + 1 its head end.  corner[fl] is the flag of the neighbouring slot
+    # at the same corner of the face.
+    faces = []
+    corner = []
+    for face in slot_faces:
         if not face:
             raise AssemblyError("empty face")
         for d in face:
-            if d not in dartset:
-                raise AssemblyError(f"unknown dart {d!r} in a face")
-            rep = min(d, pairing[d])
-            per_edge[rep] = per_edge.get(rep, 0) + 1
-    for d in darts:
-        rep = min(d, pairing[d])
-        if per_edge.get(rep, 0) != 2:
-            raise AssemblyError(f"edge of dart {d!r} is covered {per_edge.get(rep, 0)} times, need 2")
+            if d not in ids:
+                raise AssemblyError(f"unknown dart {d} in a face")
+        o, L = len(corner) // 2, len(face)
+        for i in range(L):
+            corner += (2 * (o + (i - 1) % L) + 1, 2 * (o + (i + 1) % L))
+        faces.append([ids[d] for d in face])
+    covered = [0] * n
+    for face in faces:
+        for d in face:
+            covered[min(d, pair[d])] += 1
+    for d in range(n):
+        count = covered[min(d, pair[d])]
+        if count != 2:
+            raise AssemblyError(f"edge of dart {darts[d]} is covered {count} times, need 2")
 
-    # flags: (face, position, end); end 0 = tail of the slot, 1 = head
-    def flag_dart(fl):
-        f, i, end = fl
-        d = slot_faces[f][i]
-        return d if end == 0 else pairing[d]
+    # every dart owns exactly two flags (one per traversal of its edge);
+    # mate[fl] is the other flag of the same dart
+    flag_dart = [x for face in faces for d in face for x in (d, pair[d])]
+    first = [-1] * n
+    mate = [0] * len(flag_dart)
+    for fl, d in enumerate(flag_dart):
+        if first[d] < 0:
+            first[d] = fl
+        else:
+            mate[fl], mate[first[d]] = first[d], fl
 
-    def flag_vertex(fl):
-        return vertex_of[flag_dart(fl)]
-
-    flags_of_dart = {}
-    for f, face in enumerate(slot_faces):
-        for i in range(len(face)):
-            for end in (0, 1):
-                fl = (f, i, end)
-                flags_of_dart.setdefault(flag_dart(fl), []).append(fl)
-    for d, fls in flags_of_dart.items():
-        if len(fls) != 2:
-            raise AssemblyError(f"dart {d!r} appears in {len(fls)} slots, need 2")
-
-    def sigma2(fl):
-        a, b = flags_of_dart[flag_dart(fl)]
-        return b if fl == a else a
-
-    def sigma1(fl):
-        f, i, end = fl
-        L = len(slot_faces[f])
-        return (f, (i - 1) % L, 1) if end == 0 else (f, (i + 1) % L, 0)
-
-    def sigma0(fl):
-        f, i, end = fl
-        return (f, i, 1 - end)
-
-    # vertex links -> rotation cycles, with in/out flag per dart passage
-    flags_at = {}
-    for d in darts:
-        for fl in flags_of_dart[d]:
-            flags_at.setdefault(vertex_of[d], []).append(fl)
-
-    rotation_cycles = {}
-    flag_io = {}  # dart key -> (in_flag, out_flag) along its vertex link walk
-    for v in sorted(flags_at):
-        fls = flags_at[v]
-        start = min(fls)
-        walk_darts = []
-        cur = start
-        count = 0
+    # vertex links -> rotation cycles, started at each vertex's least flag,
+    # with the in/out flag of every dart passage
+    start, size = {}, {}
+    for d, v in enumerate(names):
+        start[v] = min(start.get(v, first[d]), first[d])
+        size[v] = size.get(v, 0) + 2
+    rotation = [0] * n
+    flag_in = [0] * n
+    flag_out = [0] * n
+    for v in sorted(start):
+        cyc = []
+        cur = start[v]
         while True:
-            nxt = sigma2(cur)
-            d = flag_dart(cur)
-            walk_darts.append(d)
-            flag_io[d] = (cur, nxt)
-            cur = sigma1(nxt)
-            count += 2
-            if cur == start:
+            d = flag_dart[cur]
+            cyc.append(d)
+            flag_in[d], flag_out[d] = cur, mate[cur]
+            cur = corner[mate[cur]]
+            if cur == start[v]:
                 break
-            if count > len(fls):
+            if 2 * len(cyc) > size[v]:
                 raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
-        if count != len(fls):
+        if 2 * len(cyc) != size[v]:
             raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
-        rotation_cycles[v] = walk_darts
+        for i, d in enumerate(cyc):
+            rotation[cyc[i - 1]] = d
 
     # signatures from how the two link walks meet across each edge
-    dart_ids = {d: i for i, d in enumerate(darts)}
-    n = len(darts)
-    rotation = [0] * n
-    for cyc in rotation_cycles.values():
-        for i, d in enumerate(cyc):
-            rotation[dart_ids[d]] = dart_ids[cyc[(i + 1) % len(cyc)]]
-    pair_list = [0] * n
-    for d in darts:
-        pair_list[dart_ids[d]] = dart_ids[pairing[d]]
-
-    signature = []
-    for di in range(n):
-        if di < pair_list[di]:
-            a = darts[di]
-            b = pairing[a]
-            in_a, _out_a = flag_io[a]
-            _in_b, out_b = flag_io[b]
-            signature.append(1 if sigma0(in_a) == out_b else -1)
-
-    vof = [vertex_of[d] for d in darts]
-    G = EmbeddedGraph(rotation, pair_list, signature, vof)
+    signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]
+    G = EmbeddedGraph(rotation, pair, signature, names)
 
     # the assembled map must reproduce the requested faces exactly
-    want = sorted(
-        _canonical_dart_face([dart_ids[d] for d in face], pair_list) for face in slot_faces
-    )
+    want = sorted(_canonical_dart_face(face, pair) for face in faces)
     # tails from the slots, so the check leaves no cached tails on every face
-    got = sorted(_canonical_dart_face([d for d, _ in f.slots], pair_list) for f in G.faces)
+    got = sorted(_canonical_dart_face([d for d, _ in f.slots], pair) for f in G.faces)
     if want != got:
         raise InternalConsistencyError("assembled map does not reproduce the input faces")
-    return G, dict(dart_ids)
+    return G
 
 
 @dataclass(frozen=True)
@@ -536,31 +499,26 @@ def assemble_embedding(complex_: FaceListComplex):
 
     edges = sorted(pair_count)
     edge_idx = {e: i for i, e in enumerate(edges)}
-    pairing = {}
-    vertex_of = {}
-    for i, (u, w) in enumerate(edges):
-        pairing[("d", i, 0)] = ("d", i, 1)
-        pairing[("d", i, 1)] = ("d", i, 0)
-        vertex_of[("d", i, 0)] = u
-        vertex_of[("d", i, 1)] = w
-
-    used = {e: 0 for e in edges}
+    loops_used = {}
     slot_faces = []
     for face in complex_.faces:
         tails = []
         for i, u in enumerate(face):
             w = face[(i + 1) % len(face)]
             key = tuple(sorted((u, w)))
-            k = edge_idx[key]
             if u == w:
                 # loop: use each dart once as tail
-                end = used[key]
+                end = loops_used.get(key, 0)
+                loops_used[key] = end + 1
             else:
                 end = 0 if u == key[0] else 1
-            used[key] += 1
-            tails.append(("d", k, end))
+            tails.append(2 * edge_idx[key] + end)
         slot_faces.append(tails)
-    G, _ = assemble_from_slots(slot_faces, pairing, vertex_of)
+    # edge i has dart 2i at its smaller end and 2i + 1 at the other
+    darts = range(2 * len(edges))
+    G = assemble_from_slots(
+        slot_faces, {d: d ^ 1 for d in darts}, {d: edges[d >> 1][d & 1] for d in darts}
+    )
     # re-traced vertex walks must reproduce the input up to rotation/reflection
     want = sorted(min(_canonical_cycle(list(f)), _canonical_cycle(list(reversed(f)))) for f in complex_.faces)
     got = sorted(
@@ -578,27 +536,27 @@ def assemble_embedding(complex_: FaceListComplex):
 # -- editing operations ------------------------------------------------------
 
 
-def _pairing_map(G: EmbeddedGraph):
-    return {d: G.pairing[d] for d in range(G.n_darts)}
+def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> EmbeddedGraph:
+    """The one edit path: the map with the given faces, built from ``G``.
+
+    ``faces`` lists every face of the result as tail darts.  Darts of ``G``
+    keep their numbers, except those of the edges in ``drop``, which
+    disappear.  New edge ``j`` has darts ``n + 2j`` and ``n + 2j + 1``
+    (``n = G.n_darts``) at the two vertices ``new_ends[j]``.  ``vertex_of``
+    optionally renames the vertices of the darts of ``G``.  The result is
+    numbered densely in dart order and re-traced by the assembler.
+    """
+    names = list(G.vertex_of if vertex_of is None else vertex_of)
+    pairing = list(G.pairing)
+    for u, w in new_ends:
+        pairing += (len(pairing) + 1, len(pairing))
+        names += (u, w)
+    gone = {d for k in drop for d in (G.edge_reps[k], G.pairing[G.edge_reps[k]])}
+    keep = [d for d in range(len(pairing)) if d not in gone]
+    return assemble_from_slots(faces, {d: pairing[d] for d in keep}, {d: names[d] for d in keep})
 
 
-def _vertex_map(G: EmbeddedGraph):
-    return {d: G.vertex_of[d] for d in range(G.n_darts)}
-
-
-def _reassemble(slot_faces, pairing, vertex_of):
-    # dart keys may mix ints (inherited) and tuples (new); normalize
-    keyed = {}
-    for d in pairing:
-        keyed[d] = (0, d) if isinstance(d, int) else (1,) + tuple(d)
-    faces2 = [[keyed[d] for d in f] for f in slot_faces]
-    pairing2 = {keyed[d]: keyed[e] for d, e in pairing.items()}
-    vof2 = {keyed[d]: v for d, v in vertex_of.items()}
-    G, dart_map = assemble_from_slots(faces2, pairing2, vof2)
-    return G, {d: dart_map[keyed[d]] for d in pairing}
-
-
-def _merged_walk(G: EmbeddedGraph, edge_index: int):
+def merge_faces(G: EmbeddedGraph, edge_index: int):
     """The walk left when an edge between two distinct faces is erased.
 
     Returns ``(f1, f2, tails)``: the indices of the two faces and the tail
@@ -616,19 +574,19 @@ def _merged_walk(G: EmbeddedGraph, edge_index: int):
     return f1, f2, a1 + [G.pairing[d] for d in reversed(a2)]
 
 
+def split_face(walk, i: int, j: int, dart: int):
+    """The two walks a face walk splits into along a chord from corner
+    ``i`` to corner ``j > i``; the chord has dart ``dart`` at corner ``i``
+    and ``dart + 1`` at corner ``j``."""
+    walk = list(walk)
+    return walk[i:j] + [dart + 1], walk[j:] + walk[:i] + [dart]
+
+
 def delete_edge(G: EmbeddedGraph, edge_index: int) -> EmbeddedGraph:
     """Remove an edge bordering two distinct faces, merging them."""
-    a = G.edge_reps[edge_index]
-    b = G.pairing[a]
-    f1, f2, merged = _merged_walk(G, edge_index)
-    faces = [list(f.tails) for i, f in enumerate(G.faces) if i not in (f1, f2)]
-    faces.append(merged)
-    pairing = _pairing_map(G)
-    vertex_of = _vertex_map(G)
-    for d in (a, b):
-        del pairing[d], vertex_of[d]
-    G2, _ = _reassemble(faces, pairing, vertex_of)
-    return G2
+    f1, f2, merged = merge_faces(G, edge_index)
+    faces = [f.tails for i, f in enumerate(G.faces) if i not in (f1, f2)]
+    return rebuild(G, faces + [merged], drop=[edge_index])
 
 
 def insert_chord(G: EmbeddedGraph, face_index: int, pos_i: int, pos_j: int):
@@ -637,25 +595,14 @@ def insert_chord(G: EmbeddedGraph, face_index: int, pos_i: int, pos_j: int):
     Corners are walk positions; the face splits in two.  Returns the new
     graph and the endpoints of the inserted edge.
     """
-    face = G.faces[face_index]
-    L = len(face)
-    if pos_i == pos_j or not (0 <= pos_i < L and 0 <= pos_j < L):
+    w = G.faces[face_index].tails
+    if pos_i == pos_j or not (0 <= pos_i < len(w) and 0 <= pos_j < len(w)):
         raise UnsupportedInputError("chord needs two distinct walk positions")
-    i, j = min(pos_i, pos_j), max(pos_i, pos_j)
-    w = list(face.tails)
-    u = G.vertex_of[w[i]]
-    v = G.vertex_of[w[j]]
-    p, q = ("c", 0), ("c", 1)
-
-    faces = [list(f.tails) for k, f in enumerate(G.faces) if k != face_index]
-    faces.append(w[i:j] + [q])   # closes j -> i via the chord
-    faces.append(w[j:] + w[:i] + [p])
-    pairing = _pairing_map(G)
-    vertex_of = _vertex_map(G)
-    pairing[p], pairing[q] = q, p
-    vertex_of[p], vertex_of[q] = u, v
-    G2, dart_map = _reassemble(faces, pairing, vertex_of)
-    return G2, (u, v)
+    i, j = sorted((pos_i, pos_j))
+    ends = (G.vertex_of[w[i]], G.vertex_of[w[j]])
+    faces = [f.tails for k, f in enumerate(G.faces) if k != face_index]
+    faces += split_face(w, i, j, G.n_darts)
+    return rebuild(G, faces, new_ends=[ends]), ends
 
 
 # -- medial graph ------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     ColoringError,
     InputError,
     InternalConsistencyError,
-    LoopError,
     UnsupportedInputError,
 )
 from .localcolor import (
@@ -30,12 +30,12 @@ from .localcolor import (
 from .quadform import require_quadrangulation
 from .surface_map import (
     EmbeddedGraph,
+    FaceListComplex,
+    assemble_embedding,
     classify_surface,
-    delete_edge,
-    insert_chord,
-    _pairing_map,
-    _reassemble,
-    _vertex_map,
+    merge_faces,
+    rebuild,
+    split_face,
 )
 
 
@@ -70,24 +70,18 @@ def face_subdivision(Q: EmbeddedGraph):
         taken.add(name)
         hubs[i] = name
 
-    pairing = _pairing_map(Q)
-    vertex_of = _vertex_map(Q)
+    # spoke pos of face i is new edge 4i + pos: dart n + 8i + 2pos at the
+    # rim vertex, n + 8i + 2pos + 1 at the hub
+    n = Q.n_darts
     faces = []
+    ends = []
     for i, f in enumerate(Q.faces):
-        walk = list(f.tails)
+        walk = f.tails
+        spoke = n + 8 * i
+        ends += [(Q.vertex_of[d], hubs[i]) for d in walk]
         for pos in range(4):
-            up = ("s", i, pos, 0)      # spoke dart at the rim vertex
-            down = ("s", i, pos, 1)    # spoke dart at the hub
-            pairing[up], pairing[down] = down, up
-            vertex_of[up] = Q.vertex_of[walk[pos]]
-            vertex_of[down] = hubs[i]
-        for pos in range(4):
-            faces.append([
-                walk[pos],
-                ("s", i, (pos + 1) % 4, 0),
-                ("s", i, pos, 1),
-            ])
-    G, _ = _reassemble(faces, pairing, vertex_of)
+            faces.append([walk[pos], spoke + 2 * ((pos + 1) % 4), spoke + 2 * pos + 1])
+    G = rebuild(Q, faces, new_ends=ends)
 
     if (G.n_vertices, G.n_edges, len(G.faces)) != (
         Q.n_vertices + len(Q.faces),
@@ -200,8 +194,6 @@ def fisk_check(T: Triangulation, c: Coloring) -> FiskReport:
         tri_colors.append((frozenset(c.assignment[v] for v in walk), walk))
     used = sorted(set(c.assignment.values()))
     rows = []
-    from itertools import combinations
-
     for i, j, k in combinations(used, 3):
         key = frozenset((i, j, k))
         faces_ijk = [walk for cols, walk in tri_colors if cols == key]
@@ -270,8 +262,6 @@ def torus_grid_triangulation(n: int, m: int) -> EmbeddedGraph:
             ru = f"{(i + 1) % n}.{(j + 1) % m}"
             faces.append((v, r, ru))
             faces.append((v, ru, u))
-    from .surface_map import FaceListComplex, assemble_embedding
-
     return assemble_embedding(FaceListComplex.from_lists(faces))
 
 
@@ -299,13 +289,12 @@ def flip_edge(G: EmbeddedGraph, k: int) -> EmbeddedGraph:
     opp = _flippable(G, k)
     if opp is None:
         raise UnsupportedInputError("edge is not flippable")
-    G2 = delete_edge(G, k)
-    quad = next(i for i, f in enumerate(G2.faces) if len(f) == 4)
-    walk = G2.face_vertex_walk(G2.faces[quad])
-    i = walk.index(opp[0])
-    j = walk.index(opp[1])
-    G3, _ = insert_chord(G2, quad, i, j)
-    return G3
+    f1, f2, quad = merge_faces(G, k)
+    walk = [G.vertex_of[d] for d in quad]
+    i, j = sorted((walk.index(opp[0]), walk.index(opp[1])))
+    faces = [f.tails for fi, f in enumerate(G.faces) if fi not in (f1, f2)]
+    faces += split_face(quad, i, j, G.n_darts)
+    return rebuild(G, faces, drop=[k], new_ends=[(walk[i], walk[j])])
 
 
 def find_fisk_triangulation(seed: int, n: int = 3, m: int = 4, max_steps: int = 4000):

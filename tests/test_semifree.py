@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from quadloc import semifree
 from quadloc.errors import ColoringError, InputError
 from quadloc.semifree import (
     CommutationGraph,
@@ -216,6 +217,21 @@ def test_medial_face_labels_reduce_to_identity(g0p, g1p):
         H = kneser_graph(c.m)
         for f in M.faces:
             assert is_identity(face_label(G, c, f, H))
+
+
+def test_face_label_checks_the_coloring_once(g1p, monkeypatch):
+    G, c = g1p
+    M, _ = medial_graph(G)
+    H = kneser_graph(c.m)
+    face = max(M.faces, key=len)
+    expected = GroupWord(H, ())
+    for md in face.tails:
+        expected = expected * medial_edge_label(G, c, md, H)
+    calls = []
+    real = semifree.coloring_violation
+    monkeypatch.setattr(semifree, "coloring_violation", lambda *a: calls.append(a) or real(*a))
+    assert face_label(G, c, face, H).letters == expected.letters
+    assert len(face) > 1 and len(calls) == 1
 
 
 def test_medial_edge_label_reversal_inverts(g1p):

@@ -18,8 +18,10 @@ from quadloc.surface_map import (
     delete_edge,
     insert_chord,
     medial_graph,
+    merge_faces,
     orientation_double_cover,
-    trace_faces,
+    rebuild,
+    split_face,
 )
 from helpers import (
     cycle_graph,
@@ -38,14 +40,14 @@ def single_edge_sphere():
 
 def test_single_edge_sphere_has_one_bigon():
     G = single_edge_sphere()
-    assert [len(f) for f in trace_faces(G)] == [2]
+    assert [len(f) for f in G.faces] == [2]
     sc = classify_surface(G)
     assert (sc.orientable, sc.euler_characteristic, sc.genus) == (True, 2, 0)
 
 
 def test_one_sided_loop_is_projective_plane():
     G = EmbeddedGraph([1, 0], [1, 0], [-1], ["v", "v"])
-    assert [len(f) for f in trace_faces(G)] == [2]
+    assert [len(f) for f in G.faces] == [2]
     sc = classify_surface(G)
     assert (sc.orientable, sc.euler_characteristic, sc.genus) == (False, 1, 1)
 
@@ -179,6 +181,62 @@ def test_delete_edge_then_chord_restores_sphere():
     assert classify_surface(H2).euler_characteristic == 2
 
 
+# -- the edit engine ---------------------------------------------------------------
+
+
+def random_maps(seed, count=300):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_vertices = rng.randint(1, 7)
+        n_edges = rng.randint(max(1, n_vertices - 1), n_vertices + 8)
+        yield random_rotation_system(rng, n_vertices, n_edges)
+
+
+def test_rebuild_from_own_faces_keeps_the_map():
+    for G in random_maps(31):
+        H = rebuild(G, [f.tails for f in G.faces])
+        assert classify_surface(H) == classify_surface(G)
+        assert H.edges == G.edges
+        assert H.face_lengths() == G.face_lengths()
+
+
+def test_merge_then_rebuild_removes_one_face_and_keeps_chi():
+    merges = 0
+    for G in random_maps(32):
+        chi = classify_surface(G).euler_characteristic
+        for k in range(G.n_edges):
+            (f1, _), (f2, _) = G.edge_slots[k]
+            if f1 == f2:
+                with pytest.raises(UnsupportedInputError):
+                    merge_faces(G, k)
+                continue
+            _, _, walk = merge_faces(G, k)
+            if not walk:
+                continue
+            faces = [f.tails for i, f in enumerate(G.faces) if i not in (f1, f2)]
+            H = rebuild(G, faces + [walk], drop=[k])
+            assert len(H.faces) == len(G.faces) - 1
+            assert classify_surface(H).euler_characteristic == chi
+            assert H.edges == G.edges[:k] + G.edges[k + 1:]
+            merges += 1
+    assert merges > 500
+
+
+def test_split_face_then_rebuild_adds_one_face_and_keeps_chi():
+    assert split_face([5, 6, 7, 8], 1, 3, 10) == ([6, 7, 11], [8, 5, 10])
+    for G in random_maps(33, count=100):
+        chi = classify_surface(G).euler_characteristic
+        for fi, face in enumerate(G.faces):
+            for j in range(1, len(face)):
+                faces = [f.tails for i, f in enumerate(G.faces) if i != fi]
+                faces += split_face(face.tails, 0, j, G.n_darts)
+                ends = (G.vertex_of[face.tails[0]], G.vertex_of[face.tails[j]])
+                H = rebuild(G, faces, new_ends=[ends])
+                assert len(H.faces) == len(G.faces) + 1
+                assert classify_surface(H).euler_characteristic == chi
+                assert H.edges == G.edges + (tuple(sorted(ends)),)
+
+
 # -- fast paths against brute-force oracles ---------------------------------------
 
 
@@ -208,11 +266,8 @@ def test_fast_paths_match_oracles_on_cycles():
 
 
 def test_fast_paths_match_oracles_on_random_rotation_systems():
-    rng = random.Random(2024)
-    for _ in range(300):
-        n_vertices = rng.randint(1, 7)
-        n_edges = rng.randint(max(1, n_vertices - 1), n_vertices + 8)
-        assert_faces_match_oracle(random_rotation_system(rng, n_vertices, n_edges))
+    for G in random_maps(2024):
+        assert_faces_match_oracle(G)
 
 
 def test_canonical_cycle_matches_every_rotation():
