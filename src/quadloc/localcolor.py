@@ -9,13 +9,19 @@ The search enumerates colorings with colors introduced in first-use order
 (color ``k+1`` may appear only after ``1..k``), which collapses the color
 permutation symmetry; properness and locality are color-name invariant, so
 a NONE verdict over this canonical space is a proof of nonexistence.
+Vertices are colored in breadth-first order, and a search node is one color
+tried at one vertex.  The kernel is iterative, with explicit per-level
+arrays, so graph size is not bounded by the interpreter's recursion limit.
+Its state is one bitmask per vertex of the colors on its colored
+neighbors.  A FOUND coloring is re-checked by ``coloring_violation``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import ColoringError, InputError
+from .errors import ColoringError, InputError, InternalConsistencyError, LoopError
 
 FOUND = "FOUND"
 NONE = "NONE"
@@ -180,18 +186,102 @@ def _search_order(adj):
     start = max(sorted(adj), key=lambda v: len(adj[v]))
     order = [start]
     seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
         for w in sorted(adj[v]):
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
-    for v in sorted(adj):
-        if v not in seen:
-            raise InputError("search requires a connected graph")
+    if len(order) < len(adj):
+        raise InputError("search requires a connected graph")
     return tuple(order)
+
+
+def _search_space(G):
+    """The search order and, per position, the positions of its neighbors."""
+    adj = neighbor_sets(G)
+    order = _search_order(adj)
+    for v in order:
+        if v in adj[v]:
+            raise LoopError(f"local colorings need a loopless graph, {v!r} has a loop")
+    pos = {v: i for i, v in enumerate(order)}
+    return order, tuple(tuple(pos[w] for w in adj[v]) for v in order)
+
+
+def _walk(nbrs, r: int, m: int, budget: int | None):
+    """Depth-first walk of the canonical tree; returns (status, nodes, colors).
+
+    Level ``i`` colors position ``i``.  ``seen[v]`` has bit ``k`` set when a
+    colored neighbor of ``v`` has color ``k``.  A level computes its allowed
+    colors once, on entry: not seen at its vertex, seen at every neighbor
+    that already shows ``r - 1`` colors, and at most ``min(used + 1, m)``.
+    It keeps its neighbors' masks from before its placement and restores
+    them on backtrack.  Every color tried is one node, the skipped infeasible
+    ones included, so a budget stops at exactly ``budget + 1`` nodes.
+    """
+    n = len(nbrs)
+    limit = budget if budget is not None else math.inf
+    full = r - 1
+    seen = [0] * n
+    color = [0] * n
+    used = [0] * n  # colors in use before each level
+    allowed = [0] * n
+    saved = [()] * n  # the neighbors' masks before each level's placement
+    nodes = 0
+    i = u = 0
+    while True:
+        nb = nbrs[i]
+        masks = saved[i] = [seen[w] for w in nb]
+        used[i] = u
+        top = u + 1 if u < m else m
+        a = ((2 << top) - 2) & ~seen[i]
+        for s in masks:
+            if s.bit_count() >= full:
+                a &= s
+        allowed[i] = a
+        k = 0
+        while True:
+            rest = a >> (k + 1)
+            if rest:
+                step = (rest & -rest).bit_length()
+                nodes += step
+                if nodes > limit:
+                    return BUDGET_EXCEEDED, budget + 1, None
+                k += step
+                low = 1 << k
+                for w, s in zip(nb, masks):
+                    seen[w] = s | low
+                color[i] = k
+                break
+            nodes += top - k
+            if nodes > limit:
+                return BUDGET_EXCEEDED, budget + 1, None
+            i -= 1
+            if i < 0:
+                return NONE, nodes, None
+            nb, masks, a, k, u = nbrs[i], saved[i], allowed[i], color[i], used[i]
+            for w, s in zip(nb, masks):
+                seen[w] = s
+            top = u + 1 if u < m else m
+        i += 1
+        if i == n:
+            return FOUND, nodes, color
+        if k > u:
+            u = k
+
+
+def _search(G, space, r: int, m: int, budget: int | None) -> SearchOutcome:
+    order, nbrs = space
+    status, nodes, colors = _walk(nbrs, r, m, budget)
+    if status != FOUND:
+        return SearchOutcome(status, None, nodes, r, m, order)
+    c = Coloring(dict(zip(order, colors)), m)
+    violation = coloring_violation(G, c, r)
+    if violation is not None:
+        raise InternalConsistencyError(f"search produced an invalid coloring: {violation}")
+    return SearchOutcome(FOUND, c, nodes, r, m, order)
 
 
 def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> SearchOutcome:
@@ -202,68 +292,7 @@ def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> Searc
     """
     if m < r:
         raise InputError("search needs m >= r")
-    adj = neighbor_sets(G)
-    order = _search_order(adj)
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [tuple(sorted(adj[v])) for v in order]
-
-    color = [0] * n
-    nbr_colors = {v: {} for v in order}  # vertex -> color -> count among colored neighbors
-    nodes = 0
-
-    def place(i, k):
-        color[i] = k
-        for w in nbrs[i]:
-            cnt = nbr_colors[w]
-            cnt[k] = cnt.get(k, 0) + 1
-
-    def unplace(i, k):
-        color[i] = 0
-        for w in nbrs[i]:
-            cnt = nbr_colors[w]
-            cnt[k] -= 1
-            if cnt[k] == 0:
-                del cnt[k]
-
-    def feasible(i, k):
-        for w in nbrs[i]:
-            j = pos[w]
-            if j < i and color[j] == k:
-                return False
-            cnt = nbr_colors[w]
-            if k not in cnt and len(cnt) >= r - 1:
-                return False
-        return True
-
-    def rec(i, used):
-        nonlocal nodes
-        if i == n:
-            return True
-        top = min(used + 1, m)
-        for k in range(1, top + 1):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return None
-            if feasible(i, k):
-                place(i, k)
-                res = rec(i + 1, max(used, k))
-                if res:
-                    return True
-                if res is None:
-                    return None
-                unplace(i, k)
-        return False
-
-    res = rec(0, 0)
-    if res is None:
-        return SearchOutcome(BUDGET_EXCEEDED, None, nodes, r, m, order)
-    if not res:
-        return SearchOutcome(NONE, None, nodes, r, m, order)
-    c = Coloring({order[i]: color[i] for i in range(n)}, m)
-    if coloring_violation(G, c, r) is not None:
-        raise InputError("search produced an invalid coloring")  # pragma: no cover
-    return SearchOutcome(FOUND, c, nodes, r, m, order)
+    return _search(G, _search_space(G), r, m, budget)
 
 
 @dataclass
@@ -279,17 +308,17 @@ def local_chromatic_number(G, budget: int | None = None) -> PsiResult:
 
     Restriction to used colors preserves locality, so m = |V| loses nothing.
     """
-    adj = neighbor_sets(G)
-    n = len(adj)
+    space = _search_space(G)
+    n = len(space[0])
     outcomes = []
     for r in range(1, n + 2):
-        out = search_local_coloring(G, r, max(n, r), budget)
+        out = _search(G, space, r, max(n, r), budget)
         outcomes.append(out)
         if out.status == FOUND:
             return PsiResult(r, r, r, tuple(outcomes))
         if out.status == BUDGET_EXCEEDED:
             return PsiResult(None, r, None, tuple(outcomes))
-    raise InputError("no local coloring found with m = |V|")  # pragma: no cover
+    raise InternalConsistencyError("no local coloring found with m = |V|")
 
 
 def find_four_chromatic_face(G, c: Coloring):

@@ -139,3 +139,12 @@ def random_rotation_system(rng: random.Random, n_vertices: int, n_edges: int) ->
             vertex_of[d] = f"v{v}"
     signature = [rng.choice((1, -1)) for _ in ends]
     return EmbeddedGraph(rotation, pairing, signature, vertex_of)
+
+
+def random_maps(seed, count=300):
+    """``count`` seeded random connected maps on 1-7 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_vertices = rng.randint(1, 7)
+        n_edges = rng.randint(max(1, n_vertices - 1), n_vertices + 8)
+        yield random_rotation_system(rng, n_vertices, n_edges)

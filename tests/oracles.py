@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to cross-check the main algorithms.
 
 These deliberately avoid the production code paths.  The coloring oracle
-enumerates raw (non-canonical) colorings.  Where the reducer makes one pass
+enumerates raw (non-canonical) colorings.  The recursive search walks the
+canonical search tree with per-color neighbor counts and one feasibility
+scan per color tried, where the production kernel is iterative with bitmask
+state.  Where the reducer makes one pass
 over one stack, the word oracles explore the full rewriting orbit, keep one
 pile per generator (piling), or rescan for the leftmost cancellable pair
 after every cancellation (fixpoint).  The face tracer steps through the raw
@@ -9,6 +12,10 @@ rotation system and finds reversed walks by list membership, and the least
 rotation tries every rotation.
 """
 from __future__ import annotations
+
+from collections import deque
+
+from quadloc.localcolor import BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome
 
 
 def brute_local_coloring_exists(adj, r: int, m: int) -> bool:
@@ -39,6 +46,80 @@ def brute_local_coloring_exists(adj, r: int, m: int) -> bool:
         return False
 
     return rec(0)
+
+
+def recursive_search(G, r: int, m: int, budget: int | None = None) -> SearchOutcome:
+    """The canonical search as a recursion: same breadth-first order (from a
+    maximum-degree vertex, ties by name), first-use colors and one node per
+    color tried, so it gives the same outcome and node count as
+    ``search_local_coloring``.  Recursion depth is the vertex count."""
+    adj = {v: frozenset(ns) for v, ns in getattr(G, "adjacency", G).items()}
+    start = max(sorted(adj), key=lambda v: len(adj[v]))
+    order, reached, queue = [start], {start}, deque([start])
+    while queue:
+        for w in sorted(adj[queue.popleft()]):
+            if w not in reached:
+                reached.add(w)
+                order.append(w)
+                queue.append(w)
+    order = tuple(order)
+    n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [tuple(sorted(adj[v])) for v in order]
+
+    color = [0] * n
+    nbr_colors = {v: {} for v in order}  # vertex -> color -> count among colored neighbors
+    nodes = 0
+
+    def place(i, k):
+        color[i] = k
+        for w in nbrs[i]:
+            cnt = nbr_colors[w]
+            cnt[k] = cnt.get(k, 0) + 1
+
+    def unplace(i, k):
+        color[i] = 0
+        for w in nbrs[i]:
+            cnt = nbr_colors[w]
+            cnt[k] -= 1
+            if cnt[k] == 0:
+                del cnt[k]
+
+    def feasible(i, k):
+        for w in nbrs[i]:
+            j = pos[w]
+            if j < i and color[j] == k:
+                return False
+            cnt = nbr_colors[w]
+            if k not in cnt and len(cnt) >= r - 1:
+                return False
+        return True
+
+    def rec(i, used):
+        nonlocal nodes
+        if i == n:
+            return True
+        top = min(used + 1, m)
+        for k in range(1, top + 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return None
+            if feasible(i, k):
+                place(i, k)
+                res = rec(i + 1, max(used, k))
+                if res:
+                    return True
+                if res is None:
+                    return None
+                unplace(i, k)
+        return False
+
+    res = rec(0, 0)
+    if res is None:
+        return SearchOutcome(BUDGET_EXCEEDED, None, nodes, r, m, order)
+    if not res:
+        return SearchOutcome(NONE, None, nodes, r, m, order)
+    return SearchOutcome(FOUND, Coloring(dict(zip(order, color)), m), nodes, r, m, order)
 
 
 def orbit_is_identity(letters, commutes_gens) -> bool:

@@ -283,3 +283,54 @@ def test_walk_label_with_large_m_builds_only_the_used_colors():
 def test_invalid_word_letters_are_exit_two():
     for word in ("1.2 1.1", "1.2 1.7", "0.1"):
         assert_input_error(["group", "reduce", "--word", word, "--m", "6"])
+
+
+@pytest.fixture(scope="module")
+def g1p_refined_twice(tmp_path_factory):
+    """G1' after two refine3 rounds: 3,156 vertices, more search levels
+    than the interpreter's default recursion limit."""
+    d = tmp_path_factory.mktemp("refined")
+    paths = [str(d / f"L{k}.txt") for k in range(3)]
+    assert invoke(["build", "g1p", "--out", paths[0]])[0] == 0
+    for k in (1, 2):
+        assert invoke(["surgery", "refine3", paths[k - 1], "--out", paths[k]])[0] == 0
+    return paths[2]
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["search", "local-coloring", "3", "3", "{}", "--budget", "100000"],
+     "BUDGET-EXCEEDED nodes=100001\n"),
+    (["psi", "{}", "--budget", "100000"], "budget exceeded: psi >= 3\n"),
+    (["tri", "tq-bound", "{}", "--budget", "5000"],
+     "local 4-coloring search: BUDGET-EXCEEDED (5001 nodes)\n"
+     "hub-extension witness local-5: True\n"),
+], ids=["search", "psi", "tq-bound"])
+def test_searches_on_large_graphs_reach_the_budget(g1p_refined_twice, argv, stdout):
+    argv = [a.format(g1p_refined_twice) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert (rc, out.getvalue(), err.getvalue()) == (3, stdout, "")
+
+
+@pytest.mark.parametrize("argv", [["search", "local-coloring", "2", "3"], ["psi"]])
+def test_search_on_a_graph_with_a_loop_is_exit_two(tmp_path, argv):
+    from quadloc.surface_map import EmbeddedGraph
+    from quadloc.textio import write_graph
+
+    g = tmp_path / "loop.txt"
+    g.write_text(write_graph(EmbeddedGraph([1, 0], [1, 0], [1], ["u", "u"])))
+    assert_input_error(argv + [str(g)])
+
+
+@pytest.mark.parametrize("argv", [["search", "local-coloring", "4", "4"], ["psi"]])
+def test_invalid_search_coloring_is_exit_four(tmp_path, monkeypatch, argv):
+    from quadloc import localcolor
+
+    g = str(tmp_path / "k4p.txt")
+    invoke(["build", "k4p", "--out", g])
+    monkeypatch.setattr(localcolor, "coloring_violation", lambda G, c, r: ("vertex", "0"))
+    rc, err = invoke_err(argv + [g])
+    assert rc == 4
+    assert err == ("internal consistency violated: search produced an invalid coloring:"
+                   " ('vertex', '0')\n")

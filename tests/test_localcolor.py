@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from quadloc.errors import ColoringError, InputError
+from quadloc.constructions import build_high_genus_family
+from quadloc.errors import ColoringError, InputError, LoopError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -18,8 +19,9 @@ from quadloc.localcolor import (
     search_local_coloring,
     u_vertex_name,
 )
-from helpers import klein_bottle_grid, two_squares_sphere
-from oracles import brute_local_coloring_exists
+from quadloc.trisub import face_subdivision
+from helpers import klein_bottle_grid, random_maps, two_squares_sphere
+from oracles import brute_local_coloring_exists, recursive_search
 
 
 def cycle_adjacency(n):
@@ -155,7 +157,79 @@ def test_budget_exhaustion_reported_distinctly(g1p):
     G, _ = g1p
     out = search_local_coloring(G, 3, 4, budget=5)
     assert out.status == BUDGET_EXCEEDED
-    assert out.nodes > 5 or out.nodes == 6
+    assert out.nodes == 6
+
+
+def test_budget_at_a_verdicts_node_count_keeps_the_verdict(k4p, g1p):
+    # the kernel skips infeasible colors in bulk; every one still counts
+    cases = [(k4p[0], 3, 4), (k4p[0], 4, 4), (g1p[0], 3, 3), (g1p[0], 2, 36),
+             (cycle_adjacency(7), 2, 7), (cycle_adjacency(7), 3, 3)]
+    for G, r, m in cases:
+        out = search_local_coloring(G, r, m)
+        assert out.status in (FOUND, NONE)
+        at = search_local_coloring(G, r, m, budget=out.nodes)
+        assert at.certificate_text() == out.certificate_text()
+        below = search_local_coloring(G, r, m, budget=out.nodes - 1)
+        assert (below.status, below.nodes) == (BUDGET_EXCEEDED, out.nodes)
+
+
+def relabelled(G, seed):
+    """The adjacency of ``G`` under a seeded shuffle of its vertex names,
+    which changes the search order (ties are broken by name)."""
+    names = sorted(G.adjacency)
+    shuffled = list(names)
+    random.Random(seed).shuffle(shuffled)
+    new = dict(zip(names, shuffled))
+    return {new[v]: {new[w] for w in ns} for v, ns in G.adjacency.items()}
+
+
+def assert_same_as_recursive_search(adj, r, m, budget, label):
+    want = recursive_search(adj, r, m, budget).certificate_text()
+    assert search_local_coloring(adj, r, m, budget).certificate_text() == want, label
+
+
+def test_search_matches_recursive_oracle_on_paper_graphs(g0, g1, g0p, g1p, k4p):
+    graphs = {"G0": g0[0], "G1": g1[0], "G0'": g0p[0], "G1'": g1p[0], "K4'": k4p[0]}
+    for name in ("K4'", "G0'", "G1'"):
+        graphs[f"T({name})"] = face_subdivision(graphs[name])[0].graph
+    for base, k in (("g0p", 3), ("g1p", 2), ("g1p", 6)):
+        graphs[f"{base}+{k}"] = build_high_genus_family(base, k)[0]
+    for name, G in graphs.items():
+        n = G.n_vertices
+        budgets = (None, 1, 7, 30000) if n <= 12 else (1, 7, 30000)
+        for seed in range(3):
+            adj = relabelled(G, seed)
+            for r in range(2, 6):
+                for m in sorted({r, r + 1, max(n, r)}):
+                    for budget in budgets:
+                        assert_same_as_recursive_search(adj, r, m, budget,
+                                                        (name, seed, r, m, budget))
+
+
+def test_search_matches_recursive_oracle_on_random_maps():
+    loopless = 0
+    for G in random_maps(41, count=1000):
+        if G.has_loop():
+            with pytest.raises(LoopError):
+                search_local_coloring(G, 3, G.n_vertices + 3)
+            with pytest.raises(LoopError):
+                local_chromatic_number(G)
+            continue
+        for r in range(1, 6):
+            for m in sorted({r, r + 1, max(G.n_vertices, r)}):
+                assert_same_as_recursive_search(G, r, m, None, (loopless, r, m))
+        loopless += 1
+        if loopless == 300:
+            break
+    assert loopless == 300
+
+
+def test_deep_search_needs_no_recursion():
+    # deeper than the interpreter's default recursion limit of 1000
+    odd = local_chromatic_number(cycle_adjacency(2001))
+    assert (odd.value, [o.nodes for o in odd.outcomes]) == (3, [1, 5997, 3003])
+    even = search_local_coloring(cycle_adjacency(2000), 2, 2)
+    assert even.status == FOUND and is_local_coloring(cycle_adjacency(2000), even.coloring, 2)
 
 
 def test_search_certificate_text(k4p):
@@ -196,8 +270,6 @@ def test_search_found_agrees_with_oracle_on_small_samples():
 def test_odd_quadrangulations_always_show_a_four_chromatic_face(k4p, g0p, g1p):
     # spot property: every proper coloring produced for an odd
     # quadrangulation in this repository admits a four-colored face
-    from quadloc.constructions import build_high_genus_family
-
     instances = [k4p, g0p, g1p, build_high_genus_family("g1p", 1)]
     for G, c in instances:
         assert find_four_chromatic_face(G, c) is not None

@@ -26,7 +26,7 @@ from quadloc.surface_map import (
 from helpers import (
     cycle_graph,
     klein_bottle_grid,
-    random_rotation_system,
+    random_maps,
     relabel_darts,
     torus_grid,
     two_squares_sphere,
@@ -182,14 +182,6 @@ def test_delete_edge_then_chord_restores_sphere():
 
 
 # -- the edit engine ---------------------------------------------------------------
-
-
-def random_maps(seed, count=300):
-    rng = random.Random(seed)
-    for _ in range(count):
-        n_vertices = rng.randint(1, 7)
-        n_edges = rng.randint(max(1, n_vertices - 1), n_vertices + 8)
-        yield random_rotation_system(rng, n_vertices, n_edges)
 
 
 def test_rebuild_from_own_faces_keeps_the_map():
