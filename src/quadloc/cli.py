@@ -344,7 +344,8 @@ def build_parser():
 
     ps = sub.add_parser("psi", help="local chromatic number")
     ps.add_argument("graph")
-    ps.add_argument("--budget", type=int)
+    ps.add_argument("--budget", type=int,
+                    help="search nodes allowed for each r separately, not for the whole run")
     ps.set_defaults(func=cmd_psi)
 
     g = sub.add_parser("group", help="semi-free group word calculus")

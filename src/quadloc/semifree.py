@@ -13,12 +13,17 @@ pair (mutually inverse letters with only commuting or equal letters
 between them).  A nontrivial product equal to the identity always contains
 such a pair, so a nonempty reduction certifies a non-identity element.
 Equality of u and v is decided as ``is_identity(u * v.inverse())``.
+
+Word files are parsed one distinct token at a time: a word over KG(6, 2)
+has at most 30 distinct tokens however long it is.  Words built without a
+commutation graph live on the Kneser graph induced by the colors they use,
+so multiplying two such words needs them built over one shared ``graph``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import ColoringError, InputError
 from .localcolor import coloring_violation
@@ -159,10 +164,12 @@ def kneser_graph(m: int, k: int = 2, colors=None) -> CommutationGraph:
 
 def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """The color-pair element: identity if i == j, the generator {i, j}
-    if i < j, and its inverse if j < i."""
+    if i < j, and its inverse if j < i.  Without ``graph`` the word lives
+    on the Kneser graph induced by i and j, so a product of such words
+    needs one shared ``graph``."""
     if not (1 <= i <= m and 1 <= j <= m):
         raise InputError(f"colors must lie in 1..{m}")
-    H = graph if graph is not None else kneser_graph(m)
+    H = graph if graph is not None else kneser_graph(m, colors=(i, j))
     if i == j:
         return GroupWord(H, ())
     return GroupWord(H, ((pair_name(i, j), 1 if i < j else -1),))
@@ -195,15 +202,12 @@ def _check_local3(G, c):
         raise ColoringError(f"labels need a local 3-coloring, got violation {violation}")
 
 
-def _edge_label(G, c, medial_dart: int, graph: CommutationGraph | None) -> GroupWord:
+def _edge_colors(G, c, medial_dart: int) -> tuple:
     d, side = divmod(medial_dart, 2)
     b = G.vertex_of[G.pairing[d]]
-    d2 = G.rotation[d]
-    b2 = G.vertex_of[G.pairing[d2]]
+    b2 = G.vertex_of[G.pairing[G.rotation[d]]]
     i, j = c.assignment[b], c.assignment[b2]
-    if side == 1:
-        i, j = j, i
-    return x_pair(i, j, c.m, graph)
+    return (j, i) if side == 1 else (i, j)
 
 
 def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = None) -> GroupWord:
@@ -213,19 +217,24 @@ def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = N
     ``2*d`` points from the midpoint of d's edge to the midpoint of the
     next edge around d's vertex, dart ``2*d + 1`` the other way.  The label
     is the color-pair element of the two far endpoints; reversal inverts it.
+    Without ``graph`` the label lives on the Kneser graph induced by its two
+    colors, so a product of such labels needs one shared ``graph``.
     """
     _check_local3(G, c)
-    return _edge_label(G, c, medial_dart, graph)
+    return x_pair(*_edge_colors(G, c, medial_dart), c.m, graph)
 
 
 def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> GroupWord:
-    """Product of oriented-edge labels around a face of the medial graph."""
+    """Product of oriented-edge labels around a face of the medial graph.
+    Without ``graph`` the word lives on the Kneser graph induced by the
+    face's colors."""
     _check_local3(G, c)
-    H = graph if graph is not None else kneser_graph(c.m)
-    out = GroupWord(H, ())
-    for md in medial_face.tails:
-        out = out * _edge_label(G, c, md, H)
-    return out
+    steps = [_edge_colors(G, c, md) for md in medial_face.tails]
+    H = graph if graph is not None else kneser_graph(c.m, colors=chain.from_iterable(steps))
+    letters = []
+    for i, j in steps:
+        letters.extend(x_pair(i, j, c.m, H).letters)
+    return GroupWord(H, tuple(letters))
 
 
 # -- the transcribed element tables ---------------------------------------
@@ -328,7 +337,10 @@ def verify_table(which: int, elements=None) -> TableReport:
 
 def parse_word_text(text: str):
     """Word format: a header ``kneser m 2`` then whitespace-separated tokens
-    ``i.j`` / ``-i.j``; ``#`` starts a comment."""
+    ``i.j`` / ``-i.j``; ``#`` starts a comment.
+
+    Each distinct token is parsed once, in order of first occurrence, so
+    the first bad token is the first in the word."""
     tokens = []
     for raw in text.splitlines():
         tokens.extend(raw.split("#", 1)[0].split())
@@ -339,21 +351,20 @@ def parse_word_text(text: str):
     except ValueError:
         raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
     _check_kneser(m, 2)
-    pairs = []
-    for tok in tokens[3:]:
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:]
+    body = tokens[3:]
+    pairs = {}  # distinct token -> (i, j, sign)
+    for raw in dict.fromkeys(body):
+        sign, tok = (-1, raw[1:]) if raw.startswith("-") else (1, raw)
         try:
             i, j = tok.split(".")
-            pairs.append((int(i), int(j), sign))
+            pairs[raw] = (int(i), int(j), sign)
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
     # letters with a color outside 1..m, or i.i, are left for GroupWord to reject
-    used = {c for i, j, _ in pairs for c in (i, j) if 1 <= c <= m}
+    used = {c for i, j, _ in pairs.values() for c in (i, j) if 1 <= c <= m}
     H = kneser_graph(m, colors=used)
-    return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
+    letter = {raw: (pair_name(i, j), sign) for raw, (i, j, sign) in pairs.items()}
+    return GroupWord(H, tuple(map(letter.__getitem__, body))), m
 
 
 def format_word(w: GroupWord, m: int) -> str:

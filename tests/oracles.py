@@ -9,13 +9,16 @@ over one stack, the word oracles explore the full rewriting orbit, keep one
 pile per generator (piling), or rescan for the leftmost cancellable pair
 after every cancellation (fixpoint).  The face tracer steps through the raw
 rotation system and finds reversed walks by list membership, and the least
-rotation tries every rotation.
+rotation tries every rotation.  The word-file parser converts every token
+in turn, where the production parser converts each distinct token once.
 """
 from __future__ import annotations
 
 from collections import deque
 
+from quadloc.errors import InputError
 from quadloc.localcolor import BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome
+from quadloc.semifree import GroupWord, _check_kneser, kneser_graph, pair_name
 
 
 def brute_local_coloring_exists(adj, r: int, m: int) -> bool:
@@ -210,6 +213,35 @@ def fixpoint_reduce(letters, commutes_gens):
             if changed:
                 break
     return tuple(letters)
+
+
+def token_parse_word_text(text: str):
+    """Word-file parser that converts every token in turn; same format,
+    result and messages as ``semifree.parse_word_text``."""
+    tokens = []
+    for raw in text.splitlines():
+        tokens.extend(raw.split("#", 1)[0].split())
+    if len(tokens) < 3 or tokens[0] != "kneser" or tokens[2] != "2":
+        raise InputError("word file needs a 'kneser m 2' header")
+    try:
+        m = int(tokens[1])
+    except ValueError:
+        raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
+    _check_kneser(m, 2)
+    pairs = []
+    for tok in tokens[3:]:
+        sign = 1
+        if tok.startswith("-"):
+            sign = -1
+            tok = tok[1:]
+        try:
+            i, j = tok.split(".")
+            pairs.append((int(i), int(j), sign))
+        except ValueError as exc:
+            raise InputError(f"bad word token {tok!r}") from exc
+    used = {c for i, j, _ in pairs for c in (i, j) if 1 <= c <= m}
+    H = kneser_graph(m, colors=used)
+    return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
 
 
 def brute_kneser_edges(m):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,13 @@ from quadloc.semifree import (
 )
 from quadloc.surface_map import medial_graph
 from hypothesis import given, settings, strategies as st
-from oracles import brute_kneser_edges, fixpoint_reduce, orbit_is_identity, piling_is_identity
+from oracles import (
+    brute_kneser_edges,
+    fixpoint_reduce,
+    orbit_is_identity,
+    piling_is_identity,
+    token_parse_word_text,
+)
 
 
 def test_kneser_graph_counts():
@@ -341,3 +348,116 @@ def test_invalid_letters_rejected_on_used_colors():
         walk_label([1, 2, 5, 2], 4)
     with pytest.raises(InputError, match="m >= 2k"):
         parse_word_text("kneser 3 2\n1.2\n")
+
+
+def _random_word_text(rng):
+    """A word file with a seeded mix of good and bad headers, comments,
+    repeated tokens, signs, i.i letters, colors out of range and malformed
+    tokens; about half the files draw up to three odd tokens."""
+    m = rng.choice([4, 5, 6, 6, 6, 9, 12])
+    header = rng.choice([f"kneser {m} 2"] * 12 + [
+        "kneser 3 2", "kneser x 2", f"kneser {m} 3", f"words {m} 2", f"kneser {m}", "",
+        f"kneser +{m} 2", f"kneser {m}.0 2"])
+    pool = []
+    for _ in range(rng.randint(1, 12)):
+        i, j = rng.sample(range(1, m + 1), 2)
+        pool.append(rng.choice(["", "-"]) + f"{i}.{j}")
+    odd = [f"{i}.{i}" for i in range(1, 3)] + ["0.3", f"1.{m + 1}", "-0.2", "--1.2", "+1.2",
+           "01.2", "1.2.3", "x", "1.", ".2", "1-2", "1.x", "-", "1._2", "1.2#3"]
+    if rng.random() < 0.5:
+        pool += rng.sample(odd, rng.randint(1, 3))
+    body = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+    out, line = [header], []
+    for tok in body:
+        line.append(tok)
+        if rng.random() < 0.15:
+            out.append(rng.choice([" ", "\t", "  "]).join(line) + rng.choice(["", " # note", "#1.2 x"]))
+            line = []
+    out.append(" ".join(line))
+    if rng.random() < 0.2:
+        out.insert(rng.randrange(len(out) + 1), "# a comment line")
+    return rng.choice(["\n", "\r\n", "\n\x0b"]).join(out) + rng.choice(["", "\n"])
+
+
+def _parse_outcome(parse, text):
+    try:
+        w, m = parse(text)
+    except InputError as exc:
+        return "error", type(exc), str(exc)
+    return "word", w.letters, m, w.graph.generators, w.graph.edges
+
+
+PARSE_ERRORS = ("word file needs a 'kneser m 2' header", "bad kneser parameter",
+                "kneser_graph needs m >= 2k", "bad word token", "invalid letter")
+
+
+def test_parse_matches_token_by_token_oracle():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(4000):
+        text = _random_word_text(rng)
+        got = _parse_outcome(parse_word_text, text)
+        assert got == _parse_outcome(token_parse_word_text, text), text
+        kinds.add("word" if got[0] == "word" else next(p for p in PARSE_ERRORS if got[2].startswith(p)))
+    assert kinds == {"word", *PARSE_ERRORS}  # every outcome is drawn
+
+
+def _long_case(rng, kind):
+    """A graph of the given kind and a word of about 40-600 letters over it, built
+    so that many scans run deep: long stretches of letters that commute with
+    one another or repeat, half of them followed by inverses."""
+    if kind == "kg62":
+        H = kneser_graph(6)
+        # 1.2, 3.4 and 5.6 commute with one another
+        stretch = rng.choice([("1.2", "3.4", "5.6"), ("1.3", "2.4"), ("1.2",)])
+    else:
+        n = rng.randint(1, 8)
+        p = {"free": 0.0, "abelian": 1.0, "near-complete": rng.uniform(0.75, 0.97)}[kind]
+        H = _graph_of_density(rng, n, p)
+        stretch = (rng.choice(H.generators),) if kind == "free" else H.generators
+    letters = []
+    while len(letters) < rng.randint(40, 320):
+        if rng.random() < 0.5:
+            sign = rng.choice((1, -1))
+            letters += [(rng.choice(stretch), sign) for _ in range(rng.randint(10, 120))]
+        else:
+            letters += _random_letters(rng, H.generators, rng.randint(1, 12), False)
+    if rng.random() < 0.5:
+        letters += [(g, -e) for g, e in reversed(letters[rng.randrange(len(letters)):])]
+    return H, tuple(letters)
+
+
+@pytest.mark.parametrize("kind", ["free", "abelian", "near-complete", "kg62"])
+def test_long_words_match_fixpoint(kind):
+    rng = random.Random(f"long-{kind}")
+    for _ in range(150):
+        H, letters = _long_case(rng, kind)
+        got = reduce_word(GroupWord(H, letters)).letters
+        assert got == fixpoint_reduce(letters, H.commutes), (H.edges, letters)
+
+
+def test_x_pair_without_graph_builds_only_its_colors():
+    # a small m first, so that a full build fails here instead of running for minutes
+    assert x_pair(1, 2, 30).graph.generators == ("1.2",)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        w = x_pair(1, 2, 200)
+        elapsed.append(time.perf_counter() - t0)
+    assert w.letters == (("1.2", 1),) and w.graph.generators == ("1.2",)
+    assert min(elapsed) < 0.01, elapsed  # all of KG(200, 2) has about 1.9e8 edges
+    assert x_pair(7, 7, 200).graph.generators == ()
+    with pytest.raises(InputError, match="colors must lie in 1..200"):
+        x_pair(1, 201, 200)
+
+
+def test_labels_without_graph_match_the_full_kneser_graph(g0p, g1p):
+    for G, c in (g0p, g1p):
+        M, _ = medial_graph(G)
+        H = kneser_graph(c.m)
+        for f in M.faces:
+            own = face_label(G, c, f)
+            assert own.letters == face_label(G, c, f, H).letters
+            assert set(own.graph.generators) <= set(H.generators)
+        for md in range(2 * G.n_darts):
+            assert medial_edge_label(G, c, md).letters == medial_edge_label(G, c, md, H).letters
