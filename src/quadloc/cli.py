@@ -20,7 +20,7 @@ from .localcolor import (
     local_chromatic_number,
     search_local_coloring,
 )
-from .surface_map import classify_surface
+from .surface_map import canonical_walk, classify_surface
 from .textio import parse_graph, write_graph
 
 EXIT_OK = 0
@@ -81,17 +81,12 @@ def _resolve_edge(G, spec: str) -> int:
 
 
 def _resolve_face(G, spec: str) -> int:
-    walk = tuple(spec.split(","))
+    """The first face whose boundary walk is ``spec`` up to rotation and reversal."""
+    key = canonical_walk(spec.split(","))
     for i, f in enumerate(G.faces):
-        w = G.face_vertex_walk(f)
-        if len(w) != len(walk):
-            continue
-        cands = [tuple(w[k:] + w[:k]) for k in range(len(w))]
-        rev = tuple(reversed(w))
-        cands += [tuple(rev[k:] + rev[:k]) for k in range(len(w))]
-        if walk in cands:
+        if canonical_walk(G.face_vertex_walk(f)) == key:
             return i
-    raise InputError(f"no face with boundary walk {','.join(walk)}")
+    raise InputError(f"no face with boundary walk {spec}")
 
 
 def cmd_build(args):

@@ -30,6 +30,7 @@ from .surface_map import (
     EmbeddedGraph,
     FaceListComplex,
     assemble_embedding,
+    canonical_walk,
     classify_surface,
     insert_chord,
 )
@@ -42,31 +43,21 @@ def four_cycles(adj):
     for u, w in combinations(verts, 2):
         common = sorted(adj[u] & adj[w])
         for a, b in combinations(common, 2):
-            cyc = (u, a, w, b)
-            best = min(
-                rot[i:] + rot[:i] for rot in (cyc, cyc[::-1]) for i in range(4)
-            )
-            out.add(best)
+            out.add(canonical_walk((u, a, w, b)))
     return sorted(out)
 
 
 def six_cycles_two_colored(adj, coloring):
     """All 6-cycles showing exactly two colors, as canonical vertex walks."""
     out = set()
-
-    def canon(cyc):
-        return min(rot[i:] + rot[:i] for rot in (cyc, cyc[::-1]) for i in range(6))
-
     verts = sorted(adj)
     for start in verts:
         stack = [(start, [start])]
         while stack:
             v, path = stack.pop()
             if len(path) == 6:
-                if start in adj[v]:
-                    cyc = tuple(path)
-                    if len({coloring[x] for x in cyc}) == 2:
-                        out.add(canon(cyc))
+                if start in adj[v] and len({coloring[x] for x in path}) == 2:
+                    out.add(canonical_walk(path))
                 continue
             for w in sorted(adj[v]):
                 if w in path or w < start:

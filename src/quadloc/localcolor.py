@@ -290,6 +290,8 @@ def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> Searc
     NONE is a proof: it is returned only after the whole canonical space
     is exhausted.  A budget stop is reported as a distinct status.
     """
+    if r < 1:
+        raise InputError(f"search needs r >= 1, got {r}")
     if m < r:
         raise InputError("search needs m >= r")
     return _search(G, _search_space(G), r, m, budget)

@@ -32,6 +32,7 @@ from .surface_map import (
     FaceListComplex,
     assemble_embedding,
     classify_surface,
+    fresh_name,
     merge_faces,
     rebuild,
 )
@@ -435,9 +436,10 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
     """Subdivide each edge in three and each face into nine.
 
     Parity and surface are untouched, parallel edges disappear, and the
-    coloring extends with the same color set: new vertices copy a nearby
-    corner (a graph homomorphism onto the original, so properness and
-    locality carry over verbatim).
+    coloring extends with the same color set: every new vertex copies the
+    color of the old vertex across from it, the far end of its edge or the
+    opposite corner of its face.  That makes the fold onto the original a
+    graph homomorphism, so properness and locality carry over verbatim.
     """
     require_quadrangulation(G)
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
@@ -445,61 +447,33 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
     parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
+    V, P = G.vertex_of, G.pairing
     taken = set(G.vertices)
+    side = {}  # dart -> the new vertex on its edge next to its tail
+    for k, d in enumerate(G.edge_reps):
+        side[d] = fresh_name(f"e{k}a", taken)
+        side[P[d]] = fresh_name(f"e{k}b", taken)
 
-    def fresh(base):
-        name = base
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        return name
-
-    side_name = {}
-    for k in range(G.n_edges):
-        d = G.edge_reps[k]
-        side_name[d] = fresh(f"e{k}a")
-        side_name[G.pairing[d]] = fresh(f"e{k}b")
-
+    # grid row/column 1 lies next to 0, 2 next to 3: the old vertex across
+    # from grid point (r, s) is (across[r], across[s])
+    across = (0, 3, 0, 3)
     faces = []
-    colors = dict(c.assignment)
-    for k in range(G.n_edges):
-        d = G.edge_reps[k]
-        colors[side_name[d]] = c.assignment[G.vertex_of[G.pairing[d]]]
-        colors[side_name[G.pairing[d]]] = c.assignment[G.vertex_of[d]]
-
+    colors = {}
     for fi, f in enumerate(G.faces):
-        walk = list(f.tails)
-        corner = [G.vertex_of[d] for d in walk]
-        inner = {}
-        for r in (1, 2):
-            for s in (1, 2):
-                inner[(r, s)] = fresh(f"f{fi}.{r}{s}")
-                colors[inner[(r, s)]] = c.assignment[corner[[(0, 0), (0, 1), (1, 1), (1, 0)].index((r % 2, s % 2))]]
-
-        def grid(r, s):
-            # corners
-            if (r, s) == (0, 0):
-                return corner[0]
-            if (r, s) == (0, 3):
-                return corner[1]
-            if (r, s) == (3, 3):
-                return corner[2]
-            if (r, s) == (3, 0):
-                return corner[3]
-            # sides: top = slot 0, right = slot 1, bottom = slot 2, left = slot 3
-            if r == 0:
-                return side_name[walk[0]] if s == 1 else side_name[G.pairing[walk[0]]]
-            if s == 3:
-                return side_name[walk[1]] if r == 1 else side_name[G.pairing[walk[1]]]
-            if r == 3:
-                return side_name[walk[2]] if s == 2 else side_name[G.pairing[walk[2]]]
-            if s == 0:
-                return side_name[walk[3]] if r == 2 else side_name[G.pairing[walk[3]]]
-            return inner[(r, s)]
-
+        t0, t1, t2, t3 = f.tails
+        i11, i12, i21, i22 = (fresh_name(f"f{fi}.{rs}", taken) for rs in ("11", "12", "21", "22"))
+        grid = (
+            (V[t0], side[t0], side[P[t0]], V[t1]),
+            (side[P[t3]], i11, i12, side[t1]),
+            (side[t3], i21, i22, side[P[t1]]),
+            (V[t3], side[P[t2]], side[t2], V[t2]),
+        )
+        for r in range(4):
+            for s in range(4):
+                colors[grid[r][s]] = c.assignment[grid[across[r]][across[s]]]
         for r in range(3):
             for s in range(3):
-                faces.append((grid(r, s), grid(r, s + 1), grid(r + 1, s + 1), grid(r + 1, s)))
+                faces.append((grid[r][s], grid[r][s + 1], grid[r + 1][s + 1], grid[r + 1][s]))
 
     G2 = assemble_embedding(FaceListComplex.from_lists(faces))
     c2 = Coloring({v: colors[v] for v in G2.vertices}, c.m)
@@ -537,23 +511,13 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     if len(set(names)) != 4:
         raise UnsupportedInputError("identification needs four distinct face vertices")
 
-    eq = [p for p in ((0, 2), (1, 3)) if c.assignment[names[p[0]]] == c.assignment[names[p[1]]]]
-    if not eq:
+    ends = [p for p in range(4) if c.assignment[names[p]] == c.assignment[names[p - 2]]]
+    if not ends:
         raise SurgeryRejectedError("no equal-colored diagonal on this face")
-    # rotate the walk so the identified pair sits at positions 0 and 2 with
-    # the lexicographically least vertex first
-    use13 = (0, 2) not in eq or (
-        len(eq) == 2 and min(names[1], names[3]) < min(names[0], names[2])
-    )
-    if use13:
-        walk = walk[1:] + walk[:1]
-        names = names[1:] + names[:1]
-    if names[2] < names[0]:
-        walk = walk[2:] + walk[:2]
-        names = names[2:] + names[:2]
-
-    D = walk  # D0 at x, D1 at y, D2 at z, D3 at t
-    x, y, z, t = names
+    # start the walk at the least vertex on an equal-colored diagonal
+    i = min(ends, key=names.__getitem__)
+    D = walk[i:] + walk[:i]  # D0 at x, D1 at y, D2 at z, D3 at t
+    x, y, z, t = names[i:] + names[:i]
     parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 

@@ -83,10 +83,6 @@ class GroupWord:
         return " ".join(g if e > 0 else f"-{g}" for g, e in self.letters)
 
 
-def word(graph: CommutationGraph, letters) -> GroupWord:
-    return GroupWord(graph, tuple(letters))
-
-
 def reduce_word(w: GroupWord) -> GroupWord:
     """Single-pass stack reduction (see the module docstring); the result
     is the one the leftmost-pair cancellation fixpoint reaches."""
@@ -133,19 +129,17 @@ def pair_name(i: int, j: int) -> str:
     return f"{a}.{b}"
 
 
-def _check_kneser(m: int, k: int) -> None:
-    if k != 2:
-        raise InputError("only KG(m, 2) is supported")
-    if m < 2 * k:
+def _check_kneser(m: int) -> None:
+    if m < 4:
         raise InputError("kneser_graph needs m >= 2k")
 
 
-def kneser_graph(m: int, k: int = 2, colors=None) -> CommutationGraph:
-    """KG(m, k): k-subsets of 1..m, adjacent iff disjoint (k = 2 here).
+def kneser_graph(m: int, colors=None) -> CommutationGraph:
+    """KG(m, 2): 2-subsets of 1..m, adjacent iff disjoint.
 
     With ``colors`` (each in 1..m), the induced subgraph on the pairs of
     those colors: all that a word over these colors needs."""
-    _check_kneser(m, k)
+    _check_kneser(m)
     if colors is None:
         cols = range(1, m + 1)
     else:
@@ -350,7 +344,7 @@ def parse_word_text(text: str):
         m = int(tokens[1])
     except ValueError:
         raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
-    _check_kneser(m, 2)
+    _check_kneser(m)
     body = tokens[3:]
     pairs = {}  # distinct token -> (i, j, sign)
     for raw in dict.fromkeys(body):

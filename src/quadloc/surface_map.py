@@ -361,6 +361,21 @@ def _canonical_cycle(seq):
     return min(tuple(seq[i:] + seq[:i]) for i, x in enumerate(seq) if x == low)
 
 
+def canonical_walk(seq):
+    """Least form of a cyclic sequence up to rotation and reversal."""
+    seq = list(seq)
+    return min(_canonical_cycle(seq), _canonical_cycle(seq[::-1]))
+
+
+def fresh_name(base: str, taken: set) -> str:
+    """``base`` with underscores prepended until it is not in ``taken``;
+    the name returned is added to ``taken``."""
+    while base in taken:
+        base = "_" + base
+    taken.add(base)
+    return base
+
+
 def _canonical_dart_face(tails, pairing):
     """Canonical form of a facial walk given by tail darts, up to rotation
     and reversal (the reversed walk has the paired darts in reverse order)."""
@@ -520,14 +535,8 @@ def assemble_embedding(complex_: FaceListComplex):
         slot_faces, {d: d ^ 1 for d in darts}, {d: edges[d >> 1][d & 1] for d in darts}
     )
     # re-traced vertex walks must reproduce the input up to rotation/reflection
-    want = sorted(min(_canonical_cycle(list(f)), _canonical_cycle(list(reversed(f)))) for f in complex_.faces)
-    got = sorted(
-        min(
-            _canonical_cycle(list(G.face_vertex_walk(f))),
-            _canonical_cycle(list(reversed(G.face_vertex_walk(f)))),
-        )
-        for f in G.faces
-    )
+    want = sorted(canonical_walk(f) for f in complex_.faces)
+    got = sorted(canonical_walk(G.face_vertex_walk(f)) for f in G.faces)
     if want != got:
         raise InternalConsistencyError("assembled embedding changed the vertex walks")
     return G
@@ -624,30 +633,22 @@ def medial_graph(G: EmbeddedGraph):
     def tau(d):
         return 1 if d < theta[d] else G.dart_sign[d]
 
-    # medial dart (d, 0) sits at the midpoint of d's edge, (d, 1) at rho(d)'s
+    # medial edge d joins the midpoints of the edges of d and rho(d): its
+    # dart 2d sits at d's midpoint, 2d + 1 at rho(d)'s
     n = G.n_darts
-    ids = {}
-    for d in range(n):
-        ids[(d, 0)] = 2 * d
-        ids[(d, 1)] = 2 * d + 1
     rotation = [0] * (2 * n)
     vertex_of = [""] * (2 * n)
-    for k in range(G.n_edges):
-        a = G.edge_reps[k]
+    for k, a in enumerate(G.edge_reps):
         b = theta[a]
         if G.signature[k] > 0:
-            cyc = [(b, 0), (rho_inv[b], 1), (a, 0), (rho_inv[a], 1)]
+            cyc = (2 * b, 2 * rho_inv[b] + 1, 2 * a, 2 * rho_inv[a] + 1)
         else:
-            cyc = [(rho_inv[b], 1), (b, 0), (a, 0), (rho_inv[a], 1)]
+            cyc = (2 * rho_inv[b] + 1, 2 * b, 2 * a, 2 * rho_inv[a] + 1)
         for i, md in enumerate(cyc):
-            rotation[ids[md]] = ids[cyc[(i + 1) % 4]]
-            vertex_of[ids[md]] = f"e{k}"
-    pairing = [0] * (2 * n)
-    signature = []
-    for d in range(n):
-        pairing[2 * d] = 2 * d + 1
-        pairing[2 * d + 1] = 2 * d
-        signature.append(tau(d) * tau(rho[d]))
+            rotation[md] = cyc[(i + 1) % 4]
+            vertex_of[md] = f"e{k}"
+    pairing = [md ^ 1 for md in range(2 * n)]
+    signature = [tau(d) * tau(rho[d]) for d in range(n)]
     M = EmbeddedGraph(rotation, pairing, signature, vertex_of)
 
     if any(M.degree(v) != 4 for v in M.vertices) or M.n_vertices != G.n_edges:

@@ -33,6 +33,7 @@ from .surface_map import (
     FaceListComplex,
     assemble_embedding,
     classify_surface,
+    fresh_name,
     merge_faces,
     rebuild,
     split_face,
@@ -62,13 +63,7 @@ def face_subdivision(Q: EmbeddedGraph):
     """
     require_quadrangulation(Q)
     taken = set(Q.vertices)
-    hubs = {}
-    for i in range(len(Q.faces)):
-        name = f"h{i}"
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        hubs[i] = name
+    hubs = [fresh_name(f"h{i}", taken) for i in range(len(Q.faces))]
 
     # spoke pos of face i is new edge 4i + pos: dart n + 8i + 2pos at the
     # rim vertex, n + 8i + 2pos + 1 at the hub
@@ -91,7 +86,7 @@ def face_subdivision(Q: EmbeddedGraph):
         raise InternalConsistencyError("subdivision counts V+F / E+4F / 4F violated")
     if classify_surface(G) != classify_surface(Q):
         raise InternalConsistencyError("face subdivision changed the surface")
-    hub_names = set(hubs.values())
+    hub_names = set(hubs)
     origin = {v: ("hub" if v in hub_names else "base") for v in G.vertices}
     return Triangulation.wrap(G), origin
 
@@ -297,12 +292,16 @@ def flip_edge(G: EmbeddedGraph, k: int) -> EmbeddedGraph:
     return rebuild(G, faces, drop=[k], new_ends=[(walk[i], walk[j])])
 
 
-def find_fisk_triangulation(seed: int, n: int = 3, m: int = 4, max_steps: int = 4000):
-    """Random diagonal flips from an even torus triangulation until exactly
-    two odd-degree vertices remain and they are adjacent."""
+_FISK_GRID = (3, 4)
+_FISK_MAX_FLIPS = 4000
+
+
+def find_fisk_triangulation(seed: int):
+    """Random diagonal flips from the even 3 x 4 torus grid triangulation
+    until exactly two odd-degree vertices remain and they are adjacent."""
     rng = random.Random(seed)
-    G = torus_grid_triangulation(n, m)
-    for step in range(max_steps):
+    G = torus_grid_triangulation(*_FISK_GRID)
+    for step in range(_FISK_MAX_FLIPS):
         odd = [v for v in G.vertices if G.degree(v) % 2]
         if len(odd) == 2 and odd[1] in G.adjacency[odd[0]]:
             return Triangulation.wrap(G), step
@@ -310,4 +309,4 @@ def find_fisk_triangulation(seed: int, n: int = 3, m: int = 4, max_steps: int = 
         if not ks:
             raise InternalConsistencyError("flip walk starved of flippable edges")
         G = flip_edge(G, rng.choice(ks))
-    raise InputError(f"no two-adjacent-odd-vertex triangulation within {max_steps} flips")
+    raise InputError(f"no two-adjacent-odd-vertex triangulation within {_FISK_MAX_FLIPS} flips")

@@ -227,7 +227,7 @@ def token_parse_word_text(text: str):
         m = int(tokens[1])
     except ValueError:
         raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
-    _check_kneser(m, 2)
+    _check_kneser(m)
     pairs = []
     for tok in tokens[3:]:
         sign = 1

@@ -48,7 +48,6 @@ from quadloc.semifree import (
     reduce_word,
     verify_table,
     walk_label,
-    word,
     x_pair,
 )
 from quadloc.surface_map import classify_surface
@@ -244,7 +243,7 @@ def test_criterion_11_semifree_property_suite():
     while checked < 1000:
         letters = [(rng2.choice(gens6), rng2.choice((1, -1)))
                    for _ in range(rng2.randint(1, 6))]
-        w = reduce_word(word(H6, letters))
+        w = reduce_word(GroupWord(H6, tuple(letters)))
         if len(w) == 0:
             continue
         checked += 1

@@ -257,6 +257,30 @@ def test_nonpositive_budget_is_exit_two(tmp_path, budget):
     assert_input_error(["tri", "tq-bound", g, "--budget", budget])
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_nonpositive_search_r_is_exit_two(r):
+    # r = 0 used to print "NONE nodes=0"; r = -1 ended in a traceback
+    assert_input_error(["search", "local-coloring", r, r, str(GOLDEN / "k4p.txt")])
+    assert_input_error(["search", "local-coloring", r, "3", str(GOLDEN / "k4p.txt")])
+
+
+@pytest.mark.parametrize("name", ["g0p", "k4p"])
+def test_every_rotation_and_reversal_of_a_face_walk_resolves(name):
+    from quadloc.cli import _resolve_face
+    from quadloc.textio import parse_graph
+
+    G, _ = parse_graph((GOLDEN / f"{name}.txt").read_text())
+    for i, f in enumerate(G.faces):
+        walk = list(G.face_vertex_walk(f))
+        for seq in (walk, walk[::-1]):
+            for k in range(len(seq)):
+                assert _resolve_face(G, ",".join(seq[k:] + seq[:k])) == i
+    # three corners of a face: no face of a quadrangulation has length 3
+    a, b, c, _ = G.face_vertex_walk(G.faces[0])
+    rc, err = invoke_err(["surgery", "diag-identify", f"{a},{b},{c}", str(GOLDEN / f"{name}.txt")])
+    assert rc == 2 and err == f"error: no face with boundary walk {a},{b},{c}\n"
+
+
 def test_internal_consistency_is_exit_four(tmp_path, monkeypatch):
     from quadloc import quadform
     from quadloc.errors import InternalConsistencyError

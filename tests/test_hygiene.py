@@ -1,8 +1,11 @@
-"""Source hygiene without a linter: every module uses what it imports.
+"""Source hygiene without a linter: every module uses what it imports and
+every private function or class it defines.
 
 Each ``src/quadloc/*.py`` is parsed with :mod:`ast`; an imported name that
 the module never reads is reported.  ``__init__.py`` (whose imports are
-re-exports) and ``from __future__`` imports are exempt.
+re-exports) and ``from __future__`` imports are exempt.  A module-level
+``_private`` function or class is reported when nothing outside its own
+body reads its name.
 """
 from __future__ import annotations
 
@@ -29,6 +32,21 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_defs(source: str):
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
+                   for n in ast.walk(tree)):
+            out.append((node.lineno, node.name))
+    return out
+
+
 def test_checker_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -43,3 +61,24 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_checker_flags_only_unreferenced_defs():
+    source = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _self_only(n):\n"
+        "    return _self_only(n - 1) if n else 0\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def __dunder__():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _used()\n"
+    )
+    assert unused_private_defs(source) == [(3, "_self_only"), (5, "_Unused")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_private_def(path):
+    assert unused_private_defs(path.read_text()) == []

@@ -1,17 +1,20 @@
 """Byte-identity of surgery output.
 
 The golden files cover only the builders; these sha256 digests of
-``write_graph`` text pin what the surgeries produce from them.  An error
-case is pinned by its class name and message.  Any change to a digest is a
-change of output and must be made on purpose.
+``write_graph`` text pin what the surgeries produce from them, and what
+the medial map (with its face tags) and the orientation double cover
+produce from G0', G1' and K4' before and after one ``refine_3x3``.  An
+error case is pinned by its class name and message.  Any change to a
+digest is a change of output and must be made on purpose.
 """
 from __future__ import annotations
 
 import hashlib
 
-from quadloc.constructions import build_G0_prime, build_high_genus_family
+from quadloc.constructions import build_high_genus_family
 from quadloc.errors import InputError
 from quadloc.quadform import crosscap_hexagon, find_crosscap_candidates, identify_face_diagonal, refine_3x3
+from quadloc.surface_map import medial_graph, orientation_double_cover
 from quadloc.textio import write_graph
 from quadloc.trisub import face_subdivision
 
@@ -28,18 +31,23 @@ def _outcome(fn, *args) -> str:
     return _digest(write_graph(G, c))
 
 
-def _cases(g1p, k4p):
+def _cases(g0p, g1p, k4p):
     out = {}
     G, c = g1p
     for k in find_crosscap_candidates(G, c)[:3]:
         out[f"g1p.crosscap.{k}"] = _outcome(crosscap_hexagon, G, c, k)
-    G0p, c0 = build_G0_prime()
+    G0p, c0 = g0p
     for i in range(len(G0p.faces)):
         out[f"g0p.identify.{i}"] = _outcome(identify_face_diagonal, G0p, c0, i)
     for name, (Q, cq) in (("k4p", k4p), ("g1p", g1p)):
         out[f"{name}.subdivide"] = _digest(write_graph(face_subdivision(Q)[0].graph))
         out[f"{name}.refine3"] = _outcome(refine_3x3, Q, cq)
     out["family.g1p.3"] = _outcome(build_high_genus_family, "g1p", 3)
+    for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p), ("k4p", k4p)):
+        for level, G in ((0, Q), (1, refine_3x3(Q, cq)[0])):
+            M, tags = medial_graph(G)
+            out[f"{name}.L{level}.medial"] = _digest(write_graph(M) + repr(tags))
+            out[f"{name}.L{level}.double_cover"] = _digest(write_graph(orientation_double_cover(G)))
     return out
 
 
@@ -87,11 +95,24 @@ EXPECTED = {
     "g1p.subdivide": "e81653411dd1f4bda74290e5d09d91042357bc617a9c613fd43df7e25ee2e310",
     "g1p.refine3": "e753b1cdf6b6833eeb900c436a29a66a4b9c103e8e323c2310418d7a4e1ad840",
     "family.g1p.3": "07862d48493629b57f80920ed695881b0134cfd3053ecc08770c93038360e0e1",
+    "g0p.L0.medial": "f1a2db811b50bc00e70c3f86167781b93a2e5cc1fcb8a6bc3915e4b8d4637fe4",
+    "g0p.L0.double_cover": "c2bf7e8e7a786df3f18384023fff75f1f8cefb21883322ae9d51b852bacaaf17",
+    "g0p.L1.medial": "46073f1ab1084b834e585042ae02a525a7b13f7d0ffe57989b32288b13b86bbe",
+    "g0p.L1.double_cover": "9333bc84c1a4b37d7ae1b265a7baf67902da53344759cf15b41901ca949add37",
+    "g1p.L0.medial": "e19b9a46fa223175549c7cf62c9ef641d7737ae127956b8eea12f951457b39e5",
+    "g1p.L0.double_cover": "41eeebd1be973ec2538c96ae101674b94603f1e7c79f21123106404b8e13d5b5",
+    "g1p.L1.medial": "fbd1b197c64773b3893c8a4c7f41f8aa1e90b0a7c123aa3d6b3c31b788abb685",
+    "g1p.L1.double_cover": "bcd777bd11cf2e138d84fa5d68bf680ac84c04ad4664ab8d658e792d432dd5b8",
+    "k4p.L0.medial": "fe6f2361838db62aca3d46e5adccaa8758767ea4ee11bee7260d6ab9f08f84b2",
+    "k4p.L0.double_cover": "d3e1170ff60d45c7b10154d531247fe13754b4facfbb441f371fb84518997092",
+    "k4p.L1.medial": "dc2963e5cd08e06f99cbc5e29be4ac406845cedbfa089757731946e32d85d334",
+    "k4p.L1.double_cover": "94f5d2d6dfea67d9bc6e45e96a1373db105a31748d9cf56b0730f081989df797",
 }
 
 
-def test_surgery_output_is_byte_identical(g1p, k4p):
-    got = _cases(g1p, k4p)
+def test_surgery_output_is_byte_identical(g0p, g1p, k4p):
+    got = _cases(g0p, g1p, k4p)
     assert sorted(got) == sorted(EXPECTED)
     changed = [name for name in EXPECTED if got[name] != EXPECTED[name]]
     assert not changed, f"surgery output changed: {changed}"
+
