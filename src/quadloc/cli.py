@@ -18,6 +18,7 @@ from .localcolor import (
     build_U,
     coloring_violation,
     local_chromatic_number,
+    require_positive_r,
     search_local_coloring,
 )
 from .surface_map import canonical_walk, classify_surface
@@ -139,6 +140,7 @@ def cmd_verify(args):
         print(rep.text(), end="")
         return EXIT_OK
     if args.check == "local-coloring":
+        require_positive_r(args.r)
         G, c = _read_graph(args.graph, need_coloring=True)
         violation = coloring_violation(G, c, args.r)
         if violation is None:
@@ -192,6 +194,8 @@ def cmd_psi(args):
     budget = _budget(args.budget)
     G, _ = _read_graph(args.graph)
     res = local_chromatic_number(G, budget)
+    for out in res.outcomes:
+        print(f"r={out.r} {out.status} nodes={out.nodes}")
     if res.value is None:
         print(f"budget exceeded: psi >= {res.lower}")
         return EXIT_BUDGET
@@ -337,7 +341,10 @@ def build_parser():
     sp.add_argument("--out")
     s.set_defaults(func=cmd_search)
 
-    ps = sub.add_parser("psi", help="local chromatic number")
+    ps = sub.add_parser(
+        "psi", help="local chromatic number",
+        description="Try r = 1, 2, ... with m = |V| colors and print one 'r=R STATUS nodes=N'"
+                    " line per r, then the verdict line.")
     ps.add_argument("graph")
     ps.add_argument("--budget", type=int,
                     help="search nodes allowed for each r separately, not for the whole run")

@@ -100,7 +100,9 @@ def test_psi_command(tmp_path):
     g = str(tmp_path / "k4p.txt")
     invoke(["build", "k4p", "--out", g])
     rc, out = invoke(["psi", g])
-    assert rc == 0 and out.strip() == "psi = 4"
+    assert rc == 0
+    assert out == ("r=1 NONE nodes=1\nr=2 NONE nodes=3\nr=3 NONE nodes=6\n"
+                   "r=4 FOUND nodes=10\npsi = 4\n")
 
 
 def test_group_word_commands():
@@ -264,6 +266,15 @@ def test_nonpositive_search_r_is_exit_two(r):
     assert_input_error(["search", "local-coloring", r, "3", str(GOLDEN / "k4p.txt")])
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_nonpositive_verify_r_is_exit_two(r):
+    # printed "violation: vertex 1" and exited 1, as if the coloring failed
+    k4p = str(GOLDEN / "k4p.txt")
+    want = invoke_err(["search", "local-coloring", r, "3", k4p])
+    assert want == (2, f"error: search needs r >= 1, got {r}\n")
+    assert invoke_err(["verify", "local-coloring", r, k4p]) == want
+
+
 @pytest.mark.parametrize("name", ["g0p", "k4p"])
 def test_every_rotation_and_reversal_of_a_face_walk_resolves(name):
     from quadloc.cli import _resolve_face
@@ -324,7 +335,9 @@ def g1p_refined_twice(tmp_path_factory):
 @pytest.mark.parametrize("argv, stdout", [
     (["search", "local-coloring", "3", "3", "{}", "--budget", "100000"],
      "BUDGET-EXCEEDED nodes=100001\n"),
-    (["psi", "{}", "--budget", "100000"], "budget exceeded: psi >= 3\n"),
+    (["psi", "{}", "--budget", "100000"],
+     "r=1 NONE nodes=1\nr=2 NONE nodes=4296\nr=3 BUDGET-EXCEEDED nodes=100001\n"
+     "budget exceeded: psi >= 3\n"),
     (["tri", "tq-bound", "{}", "--budget", "5000"],
      "local 4-coloring search: BUDGET-EXCEEDED (5001 nodes)\n"
      "hub-extension witness local-5: True\n"),

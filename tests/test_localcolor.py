@@ -1,5 +1,7 @@
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from quadloc.localcolor import (
     search_local_coloring,
     u_vertex_name,
 )
+from quadloc.quadform import refine_3x3
+from quadloc.textio import parse_graph
 from quadloc.trisub import face_subdivision
 from helpers import klein_bottle_grid, random_maps, two_squares_sphere
 from oracles import brute_local_coloring_exists, recursive_search
@@ -137,6 +141,20 @@ def test_psi_of_bipartite_graph_is_two():
     assert local_chromatic_number(G).value == 2
 
 
+@pytest.mark.parametrize("adj, psi", [
+    ({"a": set()}, 1),
+    ({"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}, 2),
+    ({"a": {"b", "c", "x"}, "b": {"a", "c"}, "c": {"a", "b"}, "x": {"a"}}, 3),
+], ids=["one-vertex", "path", "triangle-with-leaf"])
+def test_search_on_vertices_of_degree_zero_and_one(adj, psi):
+    # the kernel reads a level's neighbor masks with one getter, and a
+    # getter over zero or one position needs its own form
+    assert local_chromatic_number(adj).value == psi
+    for r in range(1, 4):
+        for m in (r, r + 1):
+            assert_same_as_recursive_search(adj, r, m, None, (r, m))
+
+
 def test_search_none_is_monotone_in_m(k4p):
     G, _ = k4p
     assert search_local_coloring(G, 3, 4).status == NONE
@@ -222,6 +240,36 @@ def test_search_matches_recursive_oracle_on_random_maps():
         if loopless == 300:
             break
     assert loopless == 300
+
+
+def test_search_matches_recursive_oracle_on_a_large_graph(g1p):
+    # G1' refined twice: 3,156 levels, so the oracle needs a raised recursion limit
+    G, c = g1p
+    for _ in range(2):
+        G, c = refine_3x3(G, c)
+    assert G.n_vertices == 3156
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(G.n_vertices + 1000)
+    try:
+        for r in (4, 5):
+            got = search_local_coloring(G, r, r)
+            assert (got.status, got.nodes) == (FOUND, 5009)
+            assert got.certificate_text() == recursive_search(G, r, r).certificate_text()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g0p", "g1p", "k4p"])
+def test_psi_outcomes_equal_standalone_searches(name):
+    # every r of a psi run shares one search space; each outcome must be the
+    # one a fresh search_local_coloring gives
+    G, _ = parse_graph((Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text())
+    outcomes = local_chromatic_number(G).outcomes
+    n = G.n_vertices
+    assert [o.r for o in outcomes] == list(range(1, len(outcomes) + 1))
+    for o in outcomes:
+        want = search_local_coloring(G, o.r, max(n, o.r)).certificate_text()
+        assert o.certificate_text() == want, (name, o.r)
 
 
 def test_deep_search_needs_no_recursion():
