@@ -226,7 +226,7 @@ def cmd_group(args):
         return EXIT_OK if rep.passed else EXIT_FAIL
     if args.gcmd == "walk-label":
         colors = [_int_arg(x, "walk color") for x in args.colors.split(",")]
-        m = args.m if args.m else max(colors)
+        m = args.m if args.m is not None else max(colors)
         w = semifree.walk_label(colors, m)
         red = semifree.reduce_word(w)
         print(semifree.format_word(red, m), end="")

@@ -125,18 +125,18 @@ def build_U(m: int, r: int) -> UGraph:
             verts.append((i, frozenset(A)))
     names = {v: u_vertex_name(*v) for v in verts}
     adj = {names[v]: set() for v in verts}
-    triangles = set()
     for (i, A), (j, B) in combinations(verts, 2):
         if i in B and j in A:
             nu, nw = names[(i, A)], names[(j, B)]
             adj[nu].add(nw)
             adj[nw].add(nu)
-            # an edge lies in a triangle of U(m, 3) iff A - {j} == B - {i}
-            if A - {j} == B - {i}:
-                triangles.add(frozenset((nu, nw)))
     adjacency = {v: frozenset(ns) for v, ns in adj.items()}
+    # an edge lies in a triangle iff its two ends share a neighbour
+    triangles = frozenset(
+        frozenset((u, w)) for u, ns in adjacency.items() for w in ns if ns & adjacency[w]
+    )
     return UGraph(m, r, tuple(sorted(verts, key=lambda p: (p[0], tuple(sorted(p[1]))))),
-                  adjacency, frozenset(triangles))
+                  adjacency, triangles)
 
 
 def hom_to_U(G, c: Coloring, r: int):
@@ -332,7 +332,6 @@ def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> Searc
 class PsiResult:
     value: int | None
     lower: int
-    upper: int | None
     outcomes: tuple
 
 
@@ -348,9 +347,9 @@ def local_chromatic_number(G, budget: int | None = None) -> PsiResult:
         out = _search(G, space, r, max(n, r), budget)
         outcomes.append(out)
         if out.status == FOUND:
-            return PsiResult(r, r, r, tuple(outcomes))
+            return PsiResult(r, r, tuple(outcomes))
         if out.status == BUDGET_EXCEEDED:
-            return PsiResult(None, r, None, tuple(outcomes))
+            return PsiResult(None, r, tuple(outcomes))
     raise InternalConsistencyError("no local coloring found with m = |V|")
 
 

@@ -8,7 +8,9 @@ one way, one the other); both parities agree for every edge orientation.
 
 The cycle parity map assigns each homology class the length parity of its
 closed walks; evaluated against the one-sidedness functional it yields the
-four types PHI0..PHI3.
+four types PHI0..PHI3.  Both are read off the fundamental cycles of
+:func:`~quadloc.surface_map.spanning_tree`, the one tree that the
+orientability test also propagates signs down.
 """
 from __future__ import annotations
 
@@ -35,6 +37,8 @@ from .surface_map import (
     fresh_name,
     merge_faces,
     rebuild,
+    signature_is_switching_trivial,
+    spanning_tree,
 )
 
 EVEN = "even"
@@ -149,54 +153,38 @@ class ParityProfile:
         return "\n".join(lines) + "\n"
 
 
-def _spanning_tree(G: EmbeddedGraph, order: str = "bfs"):
-    """Tree edges and parent pointers, rooted at the smallest vertex."""
-    root = G.vertices[0]
-    parent = {root: None}       # vertex -> (parent vertex, edge index)
-    tree_edges = set()
-    frontier = [root]
-    while frontier:
-        v = frontier.pop(0 if order == "bfs" else -1)
-        for d in G.darts_at[v]:
-            w = G.vertex_of[G.pairing[d]]
-            if w not in parent:
-                parent[w] = (v, G.edge_of[d])
-                tree_edges.add(G.edge_of[d])
-                frontier.append(w)
-    return tree_edges, parent
-
-
-def _fundamental_cycle(G, parent, k):
+def _fundamental_cycle(G, via, depth, k):
+    """The cycle closed by cotree edge ``k``: climb from both of its ends,
+    always from the deeper one, until they meet."""
     d = G.edge_reps[k]
     u, w = G.vertex_of[d], G.vertex_of[G.pairing[d]]
-
-    def root_path(v):
-        path = []
-        while parent[v] is not None:
-            p, e = parent[v]
-            path.append(e)
-            v = p
-        return path
-
-    pu, pw = root_path(u), root_path(w)
-    edges = set(pu) ^ set(pw)
-    edges.add(k)
+    edges = [k]
+    while u != w:
+        if depth[u] < depth[w]:
+            u, w = w, u
+        d = via[u]
+        edges.append(G.edge_of[d])
+        u = G.vertex_of[d]
     return BasisCycle(k, tuple(sorted(edges)))
 
 
-def cycle_parity_profile(G: EmbeddedGraph, tree_order: str = "bfs") -> ParityProfile:
+def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     """Length-parity and one-sidedness bits on a fundamental-cycle basis.
 
     Requires every face even (the length parity is then a homology
-    functional).  The type classification is attached for quadrangulations
-    of non-orientable surfaces; for orientable input only the parity map is
-    reported.
+    functional).  The basis is that of :func:`spanning_tree`.  The type
+    classification is attached for quadrangulations of non-orientable
+    surfaces; for orientable input only the parity map is reported.
     """
     if any(len(f) % 2 for f in G.faces):
         raise InputError("parity map undefined: odd face present")
-    tree_edges, parent = _spanning_tree(G, tree_order)
+    via = spanning_tree(G)
+    depth = {}
+    for w, d in via.items():
+        depth[w] = 0 if d is None else depth[G.vertex_of[d]] + 1
+    tree_edges = {G.edge_of[d] for d in via.values() if d is not None}
     basis = tuple(
-        _fundamental_cycle(G, parent, k) for k in range(G.n_edges) if k not in tree_edges
+        _fundamental_cycle(G, via, depth, k) for k in range(G.n_edges) if k not in tree_edges
     )
     phi = tuple(len(cyc) % 2 for cyc in basis)
     w1 = tuple(
@@ -208,22 +196,22 @@ def cycle_parity_profile(G: EmbeddedGraph, tree_order: str = "bfs") -> ParityPro
         parity = quad_parity(G)
     profile = ParityProfile(parity, sc.orientable, basis, phi, w1, None)
     if not sc.orientable and parity is not None:
-        profile.phi_type = classify_phi_type(profile, parity)
+        profile.phi_type = classify_phi_type(profile)
     return profile
 
 
-def classify_phi_type(profile: ParityProfile, parity: str) -> str:
+def classify_phi_type(profile: ParityProfile) -> str:
     """PHI0 if the parity map vanishes; PHI3 if it equals the
     one-sidedness functional (this takes precedence, covering the genus-1
     coincidence); otherwise PHI1 for odd and PHI2 for even
-    quadrangulations."""
+    quadrangulations, by ``profile.parity``."""
     if profile.orientable:
         raise UnsupportedInputError("type classification needs a non-orientable surface")
     if not any(profile.phi_values):
         return "PHI0"
     if profile.phi_values == profile.w1_values:
         return "PHI3"
-    return "PHI1" if parity == ODD else "PHI2"
+    return "PHI1" if profile.parity == ODD else "PHI2"
 
 
 @dataclass
@@ -240,8 +228,9 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     """Check a one-sided-edge list certifying type PHI3.
 
     ``negative_edges`` lists vertex pairs.  They must equal the negative
-    edges of some switching representative of ``G`` (verified on every
-    fundamental cycle); the certificate passes iff removing them leaves a
+    edges of some switching representative of ``G``, which holds exactly
+    when re-signing ``G`` by the listed edges gives a switching-trivial
+    signature; the certificate passes iff removing them leaves a
     bipartite graph in which each removed edge joins same-class vertices.
     A pass implies every one-sided closed walk has odd length, i.e. PHI3.
     """
@@ -252,17 +241,12 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
             raise CertificateMismatchError(f"edge {u}~{w} matches {len(ks)} edges of the map")
         listed.add(ks[0])
 
-    tree_edges, parent = _spanning_tree(G)
-    for k in range(G.n_edges):
-        if k in tree_edges:
-            continue
-        cyc = _fundamental_cycle(G, parent, k)
-        w1 = sum(1 for e in cyc.edges if G.signature[e] < 0) % 2
-        s1 = sum(1 for e in cyc.edges if e in listed) % 2
-        if w1 != s1:
-            raise CertificateMismatchError(
-                "listed set is not the negative edge set of any switching representative"
-            )
+    flipped = [-s if k in listed else s for k, s in enumerate(G.signature)]
+    resigned = EmbeddedGraph(G.rotation, G.pairing, flipped, G.vertex_of)
+    if not signature_is_switching_trivial(resigned):
+        raise CertificateMismatchError(
+            "listed set is not the negative edge set of any switching representative"
+        )
 
     # 2-color the graph minus the listed edges
     side = {G.vertices[0]: 0}

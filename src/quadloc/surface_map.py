@@ -313,25 +313,40 @@ class EmbeddedGraph:
 # -- classification ---------------------------------------------------------
 
 
+def spanning_tree(G: EmbeddedGraph) -> dict:
+    """The spanning tree behind every sign and parity question on a map.
+
+    Breadth-first from the least vertex, taking the darts at each vertex in
+    rotation order.  Returns a dict, in the order the vertices are reached,
+    from each vertex to the dart at its parent whose edge reaches it
+    (``None`` at the root).  Every other edge closes one fundamental cycle.
+    """
+    V, P = G.vertex_of, G.pairing
+    root = G.vertices[0]
+    via = {root: None}
+    order = [root]
+    for v in order:
+        for d in G.darts_at[v]:
+            w = V[P[d]]
+            if w not in via:
+                via[w] = d
+                order.append(w)
+    return via
+
+
 def signature_is_switching_trivial(G: EmbeddedGraph) -> bool:
     """True iff some switching makes every edge positive.
 
-    Decided by spanning-tree sign propagation: propagate a vertex sign along
-    a spanning tree, then check every remaining edge closes its fundamental
-    cycle with positive total sign.
+    Propagates a vertex sign down :func:`spanning_tree`, which makes every
+    tree edge positive, then checks that every edge is positive under that
+    switching, i.e. that every fundamental cycle is two-sided.
     """
-    sign = {G.vertices[0]: 1}
-    stack = [G.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for d in G.darts_at[v]:
-            w = G.vertex_of[G.pairing[d]]
-            if w not in sign:
-                sign[w] = sign[v] * G.dart_sign[d]
-                stack.append(w)
-    for k, d in enumerate(G.edge_reps):
-        u, w = G.vertex_of[d], G.vertex_of[G.pairing[d]]
-        if sign[u] * sign[w] * G.signature[k] != 1:
+    V, P, S = G.vertex_of, G.pairing, G.dart_sign
+    sign = {}
+    for w, d in spanning_tree(G).items():
+        sign[w] = 1 if d is None else sign[V[d]] * S[d]
+    for d, s in zip(G.edge_reps, G.signature):
+        if sign[V[d]] * sign[V[P[d]]] != s:
             return False
     return True
 
@@ -693,7 +708,8 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     orientable input the cover would be two disjoint copies, so the
     operation reports that instead of returning a disconnected map.
     """
-    if classify_surface(G).orientable:
+    base = classify_surface(G)
+    if base.orientable:
         raise AlreadyOrientableError("already orientable: two disjoint copies")
     n = G.n_darts
 
@@ -713,7 +729,6 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     signature = [1] * n
     cover = EmbeddedGraph(rotation, pairing, signature, vertex_of)
 
-    base = classify_surface(G)
     top = classify_surface(cover)
     if not top.orientable or top.euler_characteristic != 2 * base.euler_characteristic:
         raise InternalConsistencyError("double cover must be orientable with doubled chi")

@@ -11,6 +11,10 @@ after every cancellation (fixpoint).  The face tracer steps through the raw
 rotation system and finds reversed walks by list membership, and the least
 rotation tries every rotation.  The word-file parser converts every token
 in turn, where the production parser converts each distinct token once.
+The sign oracles walk their own depth-first tree, where production uses
+the one breadth-first ``spanning_tree``: one propagates vertex signs, the
+other compares two parities on every fundamental cycle built from root
+paths.
 """
 from __future__ import annotations
 
@@ -301,3 +305,58 @@ def brute_least_rotation(seq):
     """The lexicographically least rotation of a sequence, as a tuple."""
     seq = list(seq)
     return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+
+
+def _depth_first_tree(G):
+    """Parent ``(vertex, edge index)`` per vertex of a depth-first tree
+    from the least vertex (``None`` at the root)."""
+    root = G.vertices[0]
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for d in G.darts_at[v]:
+            w = G.vertex_of[G.pairing[d]]
+            if w not in parent:
+                parent[w] = (v, G.edge_of[d])
+                stack.append(w)
+    return parent
+
+
+def dfs_switching_trivial(G) -> bool:
+    """Propagate vertex signs down a depth-first tree, then require every
+    edge to close its fundamental cycle with positive total sign."""
+    sign = {}
+    for v, p in _depth_first_tree(G).items():  # parents come before children
+        sign[v] = 1 if p is None else sign[p[0]] * G.signature[p[1]]
+    for k, d in enumerate(G.edge_reps):
+        u, w = G.vertex_of[d], G.vertex_of[G.pairing[d]]
+        if sign[u] * sign[w] * G.signature[k] != 1:
+            return False
+    return True
+
+
+def listed_set_matches_per_cycle(G, listed) -> bool:
+    """True iff the edge indices ``listed`` meet every fundamental cycle of
+    a depth-first tree in as many edges, mod 2, as the negative edges do;
+    each cycle is the symmetric difference of its two ends' root paths."""
+    parent = _depth_first_tree(G)
+
+    def root_path(v):
+        path = []
+        while parent[v] is not None:
+            v, e = parent[v]
+            path.append(e)
+        return path
+
+    tree_edges = {p[1] for p in parent.values() if p is not None}
+    for k in range(G.n_edges):
+        if k in tree_edges:
+            continue
+        u, w = G.edge_endpoints(k)
+        cycle = (set(root_path(u)) ^ set(root_path(w))) | {k}
+        w1 = sum(1 for e in cycle if G.signature[e] < 0) % 2
+        s1 = sum(1 for e in cycle if e in listed) % 2
+        if w1 != s1:
+            return False
+    return True

@@ -197,6 +197,10 @@ def test_build_u_lists_triangle_edges(tmp_path):
     assert rc == 0
     assert out.count("triangle") == 30
     assert out.count("adj ") == 30
+    # U(4,2) is a perfect matching; in U(5,4) every edge lies in a triangle
+    for m, r, count in (("4", "2", 0), ("5", "4", 90)):
+        rc, out = invoke(["build", "u", m, r])
+        assert rc == 0 and out.count("triangle") == count
 
 
 def invoke_err(argv):
@@ -248,6 +252,12 @@ def test_malformed_word_without_m_is_exit_two(tmp_path):
 
 def test_malformed_walk_label_is_exit_two():
     assert_input_error(["group", "walk-label", "1,a,2"])
+
+
+def test_walk_label_m_zero_is_not_ignored():
+    assert_input_error(["group", "walk-label", "1,2,3,4,5", "--m", "0"])
+    assert invoke_err(["group", "walk-label", "1,2,3,4,5", "--m", "0"]) == \
+        invoke_err(["group", "walk-label", "1,2,3,4,5", "--m", "-3"])
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -49,6 +49,20 @@ def test_build_u_counts():
         build_U(2, 3)
 
 
+@pytest.mark.parametrize("m, r, count", [
+    (4, 2, 0), (5, 3, 30), (6, 3, 60), (5, 4, 90), (6, 4, 450), (6, 5, 240), (7, 4, 1470),
+])
+def test_triangle_edges_match_brute_force(m, r, count):
+    U = build_U(m, r)
+    adj = U.adjacency
+    brute = {
+        frozenset((u, w)) for u in adj for w in adj[u]
+        if any(u in adj[x] and w in adj[x] for x in adj)
+    }
+    assert U.triangle_edges == brute
+    assert len(brute) == count
+
+
 def test_natural_coloring_is_local_r():
     for m, r in ((5, 3), (6, 3), (4, 2), (5, 4)):
         U = build_U(m, r)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,14 +38,20 @@ from quadloc.quadform import (
     quad_parity,
     refine_3x3,
 )
-from quadloc.surface_map import EmbeddedGraph, classify_surface
+from quadloc.surface_map import EmbeddedGraph, classify_surface, spanning_tree
 from helpers import (
     flip_random_faces,
     klein_bottle_grid,
+    random_maps,
     random_orientation,
     torus_grid,
     two_squares_sphere,
 )
+from oracles import listed_set_matches_per_cycle
+
+
+def tree_edges(G):
+    return {G.edge_of[d] for d in spanning_tree(G).values() if d is not None}
 
 
 # -- parity -------------------------------------------------------------------
@@ -165,9 +172,13 @@ def test_crosscapped_g1_prime_is_phi1():
 def test_profile_stable_under_tree_choice_and_switching(g1p, k4p):
     rng = random.Random(6)
     for G, _ in (g1p, k4p):
-        a = cycle_parity_profile(G, tree_order="bfs")
-        b = cycle_parity_profile(G, tree_order="dfs")
-        assert a.phi_type == b.phi_type
+        a = cycle_parity_profile(G)
+        # reversing the vertex names moves the root, and with it the tree
+        flip = dict(zip(G.vertices, reversed(G.vertices)))
+        R = EmbeddedGraph(G.rotation, G.pairing, G.signature, [flip[v] for v in G.vertex_of])
+        assert tree_edges(R) != tree_edges(G)
+        b = cycle_parity_profile(R)
+        assert (b.phi_type, b.parity) == (a.phi_type, a.parity)
         vids = [v for v in G.vertices if rng.random() < 0.4]
         c = cycle_parity_profile(G.switched(vids))
         assert c.phi_type == a.phi_type
@@ -207,7 +218,7 @@ def test_classify_phi_type_rejects_orientable():
     prof = cycle_parity_profile(G)
     assert prof.phi_type is None
     with pytest.raises(UnsupportedInputError):
-        classify_phi_type(prof, EVEN)
+        classify_phi_type(prof)
 
 
 def test_phi_type_parity_consistency(g0p, g1p, k4p):
@@ -274,6 +285,28 @@ def test_tampered_certificate_fails(g1p):
         assert not rep.passed
     except CertificateMismatchError:
         pass  # tampering may already clash with every representative
+
+
+def test_representative_check_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
+    # listed sets are drawn from edges with no parallel, so that each
+    # vertex pair names one edge
+    rng = random.Random(9)
+    verdicts = set()
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41))
+    for G in maps:
+        for H in (G, G.switched([v for v in G.vertices if rng.random() < 0.5])):
+            pairs = Counter(H.edges)
+            single = [k for k, e in enumerate(H.edges) if pairs[e] == 1]
+            negative = [k for k in single if H.signature[k] < 0]
+            for listed in (negative, [k for k in single if rng.random() < 0.3]):
+                try:
+                    phi3_certificate(H, [H.edges[k] for k in listed])
+                    matched = True
+                except CertificateMismatchError:
+                    matched = False
+                assert matched == listed_set_matches_per_cycle(H, set(listed))
+                verdicts.add(matched)
+    assert verdicts == {True, False}
 
 
 def test_empty_certificate_on_bipartite_all_positive():

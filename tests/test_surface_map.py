@@ -21,6 +21,7 @@ from quadloc.surface_map import (
     merge_faces,
     orientation_double_cover,
     rebuild,
+    signature_is_switching_trivial,
     split_face,
 )
 from helpers import (
@@ -31,7 +32,7 @@ from helpers import (
     torus_grid,
     two_squares_sphere,
 )
-from oracles import brute_faces, brute_least_rotation
+from oracles import brute_faces, brute_least_rotation, dfs_switching_trivial
 
 
 def single_edge_sphere():
@@ -248,6 +249,17 @@ def test_fast_paths_match_oracles_on_golden_maps_and_refinements(g0, g1, g0p, g1
         assert_faces_match_oracle(G)
     for G, c in (g0p, g1p, k4p):
         assert_faces_match_oracle(refine_3x3(G, c)[0])
+
+
+def test_switching_trivial_matches_depth_first_oracle(g0, g1, g0p, g1p, k4p):
+    rng = random.Random(12)
+    verdicts = set()
+    for G in [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41)):
+        for H in (G, G.switched([v for v in G.vertices if rng.random() < 0.5])):
+            trivial = signature_is_switching_trivial(H)
+            assert trivial == dfs_switching_trivial(H)
+            verdicts.add(trivial)
+    assert verdicts == {True, False}
 
 
 def test_fast_paths_match_oracles_on_cycles():

@@ -3,9 +3,12 @@
 The golden files cover only the builders; these sha256 digests of
 ``write_graph`` text pin what the surgeries produce from them, and what
 the medial map (with its face tags) and the orientation double cover
-produce from G0', G1' and K4' before and after one ``refine_3x3``.  An
-error case is pinned by its class name and message.  Any change to a
-digest is a change of output and must be made on purpose.
+produce from G0', G1' and K4' before and after one ``refine_3x3``.  They
+also pin the cycle-parity profile certificate of the paper maps, of
+crosscapped and refined primes, and the PHI3 certificate report on G1'
+for the bare, the completed and a truncated edge list.  An error case is
+pinned by its class name and message.  Any change to a digest is a change
+of output and must be made on purpose.
 """
 from __future__ import annotations
 
@@ -13,7 +16,15 @@ import hashlib
 
 from quadloc.constructions import build_high_genus_family
 from quadloc.errors import InputError
-from quadloc.quadform import crosscap_hexagon, find_crosscap_candidates, identify_face_diagonal, refine_3x3
+from quadloc.constructions import g1_prime_certificate_edges, g1_prime_negative_edges
+from quadloc.quadform import (
+    crosscap_hexagon,
+    cycle_parity_profile,
+    find_crosscap_candidates,
+    identify_face_diagonal,
+    phi3_certificate,
+    refine_3x3,
+)
 from quadloc.surface_map import medial_graph, orientation_double_cover
 from quadloc.textio import write_graph
 from quadloc.trisub import face_subdivision
@@ -31,7 +42,14 @@ def _outcome(fn, *args) -> str:
     return _digest(write_graph(G, c))
 
 
-def _cases(g0p, g1p, k4p):
+def _phi3(G, edges) -> str:
+    try:
+        return _digest(phi3_certificate(G, edges).text())
+    except InputError as exc:
+        return _digest(f"{type(exc).__name__}: {exc}")
+
+
+def _cases(g0, g1, g0p, g1p, k4p):
     out = {}
     G, c = g1p
     for k in find_crosscap_candidates(G, c)[:3]:
@@ -48,6 +66,18 @@ def _cases(g0p, g1p, k4p):
             M, tags = medial_graph(G)
             out[f"{name}.L{level}.medial"] = _digest(write_graph(M) + repr(tags))
             out[f"{name}.L{level}.double_cover"] = _digest(write_graph(orientation_double_cover(G)))
+    profiled = {"g0": g0[0], "g1": g1[0], "g0p": g0p[0], "g1p": g1p[0], "k4p": k4p[0]}
+    for base, extra in (("g0p", 3), ("g1p", 2), ("g1p", 6)):
+        profiled[f"{base}+{extra}"] = build_high_genus_family(base, extra)[0]
+    for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p)):
+        profiled[f"{name}.L1"] = refine_3x3(Q, cq)[0]
+    for name, G in profiled.items():
+        out[f"{name}.profile"] = _digest(cycle_parity_profile(G).certificate_text(G))
+    G = g1p[0]
+    completed = g1_prime_certificate_edges(G)
+    out["g1p.phi3.bare12"] = _phi3(G, g1_prime_negative_edges())
+    out["g1p.phi3.completed"] = _phi3(G, completed)
+    out["g1p.phi3.completed_minus_last"] = _phi3(G, completed[:-1])
     return out
 
 
@@ -107,11 +137,24 @@ EXPECTED = {
     "k4p.L0.double_cover": "d3e1170ff60d45c7b10154d531247fe13754b4facfbb441f371fb84518997092",
     "k4p.L1.medial": "dc2963e5cd08e06f99cbc5e29be4ac406845cedbfa089757731946e32d85d334",
     "k4p.L1.double_cover": "94f5d2d6dfea67d9bc6e45e96a1373db105a31748d9cf56b0730f081989df797",
+    "g0.profile": "c53979cd01e5c7292c63acdc0b37dc5ba7587368c199ece51278a7e42c3ed7f7",
+    "g1.profile": "8f93eadea39bfb15d94a7824259c6054100df34e0b03266c3b3d23a647173492",
+    "g0p.profile": "885cf071b406021318d56a7b2d6dda222e1d68fe5e28efea360e8a305708238a",
+    "g1p.profile": "eea40ea707facde9d5dc6ed2e09dc3a1ccc2ed4b80fdee6d8c54731e5f696960",
+    "k4p.profile": "ad76f1a0238113839c84be8473583e591a3a91f16ccd3ea0725b99da83763683",
+    "g0p+3.profile": "6b32069382fdbe7cfc65a5a2cbbd56799be7a3b1e800203271e53f75c1672660",
+    "g1p+2.profile": "450f40cc5f41cd32376797c30663b7c1b69dab4db88e58aa3896492335f23ab5",
+    "g1p+6.profile": "6d23463a7e18a207311af65f41309ab4258e26b4ff7d6d13fc6af0a2d0307a69",
+    "g0p.L1.profile": "caed170eb4a22f93c2defdf106ab3f4516dae6f63c8e9072d640369b3d3ae846",
+    "g1p.L1.profile": "bbf7aff181d0d97bd46f5298699e73f30ba85e91394de2c96a86948e9db59918",
+    "g1p.phi3.bare12": "a6b40ed7cb4e0bb13e45bb96c8e87d777e346eda72d43e641bc4a3178c19647a",
+    "g1p.phi3.completed": "8b579640174f88d9fa60b67525df24ef94fd1ef178d2a09954702f2ed47dd573",
+    "g1p.phi3.completed_minus_last": "a6b40ed7cb4e0bb13e45bb96c8e87d777e346eda72d43e641bc4a3178c19647a",
 }
 
 
-def test_surgery_output_is_byte_identical(g0p, g1p, k4p):
-    got = _cases(g0p, g1p, k4p)
+def test_surgery_output_is_byte_identical(g0, g1, g0p, g1p, k4p):
+    got = _cases(g0, g1, g0p, g1p, k4p)
     assert sorted(got) == sorted(EXPECTED)
     changed = [name for name in EXPECTED if got[name] != EXPECTED[name]]
     assert not changed, f"surgery output changed: {changed}"
