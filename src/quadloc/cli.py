@@ -168,11 +168,10 @@ def cmd_verify(args):
 def cmd_classify(args):
     G, _ = _read_graph(args.graph)
     profile = quadform.cycle_parity_profile(G)
-    text = profile.certificate_text(G)
     print(f"type {profile.phi_type if profile.phi_type else 'n/a'}"
           f" parity {profile.parity if profile.parity else 'n/a'}")
     if args.out:
-        _emit(text, args.out)
+        _emit(profile.certificate_text(G), args.out)
     return EXIT_OK
 
 

@@ -10,8 +10,10 @@ genus one unit at a time, ending at U(5,3) itself (genus 17) resp. the
 induced U(6,3) subgraph (genus 11) once every original hexagon has been
 treated.
 
-Face lists are generated programmatically (4-cycle and two-colored 6-cycle
-censuses) so the assembler's disk checks certify the embeddings.
+G0 and G1 are two rows of one table (m, vertex filter, face census,
+(V, E, F), genus) that one builder and one orbit check read.  Face lists
+are generated programmatically (4-cycle and two-colored 6-cycle censuses)
+so the assembler's disk checks certify the embeddings.
 """
 from __future__ import annotations
 
@@ -66,54 +68,55 @@ def six_cycles_two_colored(adj, coloring):
     return sorted(out)
 
 
-def _u_minus_triangles(m: int, keep=None):
-    """Adjacency of U(m,3) minus triangle edges, restricted to ``keep``."""
+# name: (m, vertex filter on (i, A) in U(m,3), quad faces, hexagon faces,
+#        (V, E, F), non-orientable genus)
+_U_ROWS = {
+    "g0": (5, lambda i, A: True, 15, 10, (30, 60, 25), 7),
+    "g1": (6, lambda i, A: len(A & {1, 2, 3}) == 1, 27, 6, (36, 72, 33), 5),
+}
+
+
+def _u_minus_triangles(name: str):
+    """Name -> (i, A) for the row's vertices of U(m,3), and their
+    adjacency without triangle edges."""
+    m, keep = _U_ROWS[name][:2]
     U = build_U(m, 3)
-    verts = [u_vertex_name(i, A) for (i, A) in U.vertices]
-    if keep is not None:
-        verts = [v for v in verts if keep(U.pair_of(v))]
-    vset = set(verts)
+    pairs = {u_vertex_name(i, A): (i, A) for (i, A) in U.vertices if keep(i, A)}
     adj = {
-        v: {w for w in U.adjacency[v] if w in vset and frozenset((v, w)) not in U.triangle_edges}
-        for v in verts
+        v: {w for w in U.adjacency[v] if w in pairs and frozenset((v, w)) not in U.triangle_edges}
+        for v in pairs
     }
-    return U, adj
+    return pairs, adj
 
 
-def _assemble_with_census(adj, coloring, expect_quads, expect_hexes):
+def _build_u_row(name: str):
+    """Assemble a row from its face census, check its surface, and give it
+    the natural coloring (i, A) -> i."""
+    m, _, n_quads, n_hexes, census, genus = _U_ROWS[name]
+    pairs, adj = _u_minus_triangles(name)
+    natural = {v: pairs[v][0] for v in adj}
     quads = four_cycles(adj)
-    hexes = six_cycles_two_colored(adj, coloring)
-    if len(quads) != expect_quads or len(hexes) != expect_hexes:
+    hexes = six_cycles_two_colored(adj, natural)
+    if len(quads) != n_quads or len(hexes) != n_hexes:
         raise InternalConsistencyError(
-            f"face census {len(quads)}+{len(hexes)} != {expect_quads}+{expect_hexes}"
+            f"face census {len(quads)}+{len(hexes)} != {n_quads}+{n_hexes}"
         )
-    return assemble_embedding(FaceListComplex.from_lists(quads + hexes))
+    G = assemble_embedding(FaceListComplex.from_lists(quads + hexes))
+    sc = classify_surface(G)
+    if (G.n_vertices, G.n_edges, len(G.faces)) != census or sc.orientable or sc.genus != genus:
+        raise InternalConsistencyError(f"{name.upper()} census failed")
+    return G, Coloring({v: natural[v] for v in G.vertices}, m)
 
 
 def build_G0():
     """U(5,3) without triangle edges on the non-orientable genus-7 surface."""
-    U, adj = _u_minus_triangles(5)
-    natural = U.natural_coloring()
-    G = _assemble_with_census(adj, natural.assignment, 15, 10)
-    c = Coloring({v: natural.assignment[v] for v in G.vertices}, 5)
-    sc = classify_surface(G)
-    if (G.n_vertices, G.n_edges, len(G.faces)) != (30, 60, 25) or sc.orientable or sc.genus != 7:
-        raise InternalConsistencyError("G0 census failed")
-    return G, c
+    return _build_u_row("g0")
 
 
 def build_G1():
     """The U(6,3) subgraph on vertices (i, H) with |H ∩ {1,2,3}| = 1,
     without triangle edges, on the non-orientable genus-5 surface."""
-    U, adj = _u_minus_triangles(6, keep=lambda p: len(p[1] & {1, 2, 3}) == 1)
-    natural = U.natural_coloring()
-    sub_coloring = {v: natural.assignment[v] for v in adj}
-    G = _assemble_with_census(adj, sub_coloring, 27, 6)
-    c = Coloring({v: sub_coloring[v] for v in G.vertices}, 6)
-    sc = classify_surface(G)
-    if (G.n_vertices, G.n_edges, len(G.faces)) != (36, 72, 33) or sc.orientable or sc.genus != 5:
-        raise InternalConsistencyError("G1 census failed")
-    return G, c
+    return _build_u_row("g1")
 
 
 def hexagon_faces(G: EmbeddedGraph):
@@ -158,15 +161,11 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
 
 
 def build_G0_prime():
-    G, c = build_G0()
-    out, c2, _ = add_main_diagonals(G, c)
-    return out, c2
+    return add_main_diagonals(*_build_u_row("g0"))[:2]
 
 
 def build_G1_prime():
-    G, c = build_G1()
-    out, c2, _ = add_main_diagonals(G, c)
-    return out, c2
+    return add_main_diagonals(*_build_u_row("g1"))[:2]
 
 
 def g1_prime_negative_edges():
@@ -269,13 +268,9 @@ def build_high_genus_family(base: str, extra_genus: int):
     """
     if extra_genus < 0:
         raise InputError("extra_genus must be non-negative")
-    if base == "g0p":
-        G, c = build_G0()
-    elif base == "g1p":
-        G, c = build_G1()
-    else:
+    if base not in ("g0p", "g1p"):
         raise InputError("base must be 'g0p' or 'g1p'")
-    G, c, diagonals = add_main_diagonals(G, c)
+    G, c, diagonals = add_main_diagonals(*_build_u_row(base[:-1]))
     genus0 = classify_surface(G).genus
 
     for step in range(extra_genus):
@@ -301,68 +296,49 @@ def build_high_genus_family(base: str, extra_genus: int):
 # -- transitivity checks -------------------------------------------------------
 
 
-def _induced_vertex_map(perm, name_to_pair):
-    def act(name):
-        i, A = name_to_pair[name]
-        return u_vertex_name(perm[i], {perm[a] for a in A})
-
-    return act
-
-
-def _is_graph_automorphism(adj, act):
-    for v, ns in adj.items():
-        if {act(w) for w in ns} != set(adj[act(v)]):
+def _is_transitive(name: str, perms, on_edges: bool) -> bool:
+    """Whether every color permutation in ``perms`` (one-line notation:
+    ``perm[c - 1]`` is the image of color c) is an automorphism of the
+    row's graph, and together they move one vertex, or one edge when
+    ``on_edges``, onto all of them."""
+    pairs, adj = _u_minus_triangles(name)
+    images = []
+    for perm in perms:
+        image = {v: u_vertex_name(perm[i - 1], {perm[a - 1] for a in A}) for v, (i, A) in pairs.items()}
+        if any({image[w] for w in ns} != adj.get(image[v]) for v, ns in adj.items()):
             return False
-    return True
-
-
-def _orbit(items, maps, start):
-    seen = {start}
-    frontier = [start]
+        images.append(image)
+    items = {tuple(sorted((v, w))) for v in adj for w in adj[v]} if on_edges else {(v,) for v in adj}
+    seen = {min(items)}
+    frontier = list(seen)
     while frontier:
         x = frontier.pop()
-        for f in maps:
-            y = f(x)
+        for image in images:
+            y = tuple(sorted(image[v] for v in x))
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return seen
+    return seen == items
 
 
 def g0_is_edge_transitive() -> bool:
     """Color permutations act on G0; one edge orbit must cover all 60."""
-    U, adj = _u_minus_triangles(5)
-    name_to_pair = {u_vertex_name(i, A): (i, A) for (i, A) in U.vertices}
-    perms = []
-    base = list(range(1, 6))
-    swaps = [dict(zip(base, base))]
-    for a, b in combinations(base, 2):
-        p = dict(zip(base, base))
-        p[a], p[b] = b, a
-        swaps.append(p)
-    acts = [_induced_vertex_map(p, name_to_pair) for p in swaps]
-    if not all(_is_graph_automorphism(adj, act) for act in acts):
-        return False
-    edge_maps = [lambda e, a=act: frozenset((a(min(e)), a(max(e)))) for act in acts]
-    edges = {frozenset((v, w)) for v in adj for w in adj[v]}
-    return _orbit(edges, edge_maps, next(iter(sorted(edges, key=sorted)))) == edges
+    swaps = []
+    for a, b in combinations(range(5), 2):
+        perm = [1, 2, 3, 4, 5]
+        perm[a], perm[b] = perm[b], perm[a]
+        swaps.append(perm)
+    return _is_transitive("g0", swaps, on_edges=True)
 
 
 def g1_is_vertex_transitive() -> bool:
     """Permutations preserving the split {1,2,3} | {4,5,6} (and the swap of
     the two classes) act on G1; one vertex orbit must cover all 36."""
-    U, adj = _u_minus_triangles(6, keep=lambda p: len(p[1] & {1, 2, 3}) == 1)
-    name_to_pair = {u_vertex_name(i, A): (i, A) for (i, A) in U.vertices
-                    if u_vertex_name(i, A) in adj}
     gens = [
-        {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6},
-        {1: 2, 2: 3, 3: 1, 4: 4, 5: 5, 6: 6},
-        {1: 1, 2: 2, 3: 3, 4: 5, 5: 4, 6: 6},
-        {1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 4},
-        {1: 4, 4: 1, 2: 5, 5: 2, 3: 6, 6: 3},
+        (2, 1, 3, 4, 5, 6),
+        (2, 3, 1, 4, 5, 6),
+        (1, 2, 3, 5, 4, 6),
+        (1, 2, 3, 5, 6, 4),
+        (4, 5, 6, 1, 2, 3),
     ]
-    acts = [_induced_vertex_map(p, name_to_pair) for p in gens]
-    if not all(_is_graph_automorphism(adj, act) for act in acts):
-        return False
-    verts = set(adj)
-    return _orbit(verts, acts, sorted(verts)[0]) == verts
+    return _is_transitive("g1", gens, on_edges=False)

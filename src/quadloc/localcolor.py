@@ -109,34 +109,29 @@ class UGraph:
     def natural_coloring(self) -> Coloring:
         return Coloring({u_vertex_name(i, A): i for (i, A) in self.vertices}, self.m)
 
-    def pair_of(self, name: str):
-        for (i, A) in self.vertices:
-            if u_vertex_name(i, A) == name:
-                return (i, A)
-        raise KeyError(name)
-
 
 def build_U(m: int, r: int) -> UGraph:
+    """U(m, r), listing the neighbors (j, {i} | C) of each (i, A) from the
+    definition: j in A, C a (r - 2)-subset of the colors other than i, j."""
     if not m >= r >= 2:
         raise InputError("build_U needs m >= r >= 2")
-    verts = []
-    for i in range(1, m + 1):
-        for A in combinations([x for x in range(1, m + 1) if x != i], r - 1):
-            verts.append((i, frozenset(A)))
+    colors = range(1, m + 1)
+    verts = [(i, frozenset(A)) for i in colors
+             for A in combinations([x for x in colors if x != i], r - 1)]
     names = {v: u_vertex_name(*v) for v in verts}
-    adj = {names[v]: set() for v in verts}
-    for (i, A), (j, B) in combinations(verts, 2):
-        if i in B and j in A:
-            nu, nw = names[(i, A)], names[(j, B)]
-            adj[nu].add(nw)
-            adj[nw].add(nu)
-    adjacency = {v: frozenset(ns) for v, ns in adj.items()}
+    adjacency = {
+        names[(i, A)]: frozenset(
+            names[(j, frozenset((i, *C)))]
+            for j in A for C in combinations([x for x in colors if x != i and x != j], r - 2)
+        )
+        for (i, A) in verts
+    }
     # an edge lies in a triangle iff its two ends share a neighbour
     triangles = frozenset(
         frozenset((u, w)) for u, ns in adjacency.items() for w in ns if ns & adjacency[w]
     )
-    return UGraph(m, r, tuple(sorted(verts, key=lambda p: (p[0], tuple(sorted(p[1]))))),
-                  adjacency, triangles)
+    # combinations of a sorted list come out sorted, so verts is in (i, sorted A) order
+    return UGraph(m, r, tuple(verts), adjacency, triangles)
 
 
 def hom_to_U(G, c: Coloring, r: int):

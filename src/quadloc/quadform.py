@@ -32,6 +32,7 @@ from .localcolor import Coloring, coloring_violation, is_local_coloring
 from .surface_map import (
     EmbeddedGraph,
     FaceListComplex,
+    SurfaceClass,
     assemble_embedding,
     classify_surface,
     fresh_name,
@@ -136,7 +137,7 @@ class BasisCycle:
 @dataclass
 class ParityProfile:
     parity: str | None          # quadrangulation parity, when applicable
-    orientable: bool
+    surface: SurfaceClass
     basis: tuple                # BasisCycle per cotree edge
     phi_values: tuple           # length parity bit per basis cycle
     w1_values: tuple            # one-sidedness bit per basis cycle
@@ -144,7 +145,7 @@ class ParityProfile:
 
     def certificate_text(self, G: EmbeddedGraph) -> str:
         lines = ["# quadloc-cert v1", "cycle-parity profile"]
-        lines.append(f"surface {classify_surface(G).describe()}")
+        lines.append(f"surface {self.surface.describe()}")
         lines.append(f"quad-parity {self.parity if self.parity else 'n/a'}")
         for cyc, phi, w1 in zip(self.basis, self.phi_values, self.w1_values):
             edges = " ".join("%s~%s" % G.edges[k] for k in cyc.edges)
@@ -194,7 +195,7 @@ def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     parity = None
     if not G.has_loop() and all(len(f) == 4 for f in G.faces):
         parity = quad_parity(G)
-    profile = ParityProfile(parity, sc.orientable, basis, phi, w1, None)
+    profile = ParityProfile(parity, sc, basis, phi, w1, None)
     if not sc.orientable and parity is not None:
         profile.phi_type = classify_phi_type(profile)
     return profile
@@ -205,7 +206,7 @@ def classify_phi_type(profile: ParityProfile) -> str:
     one-sidedness functional (this takes precedence, covering the genus-1
     coincidence); otherwise PHI1 for odd and PHI2 for even
     quadrangulations, by ``profile.parity``."""
-    if profile.orientable:
+    if profile.surface.orientable:
         raise UnsupportedInputError("type classification needs a non-orientable surface")
     if not any(profile.phi_values):
         return "PHI0"

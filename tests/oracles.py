@@ -14,14 +14,19 @@ in turn, where the production parser converts each distinct token once.
 The sign oracles walk their own depth-first tree, where production uses
 the one breadth-first ``spanning_tree``: one propagates vertex signs, the
 other compares two parities on every fundamental cycle built from root
-paths.
+paths.  The U(m, r) oracle tests every pair of vertices against the
+definition and finds triangles around each vertex, where production lists
+each vertex's neighbors and intersects the neighborhoods of an edge's ends.
 """
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 from quadloc.errors import InputError
-from quadloc.localcolor import BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome
+from quadloc.localcolor import (
+    BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome, u_vertex_name,
+)
 from quadloc.semifree import GroupWord, _check_kneser, kneser_graph, pair_name
 
 
@@ -257,6 +262,25 @@ def brute_kneser_edges(m):
         for a, b in pairs[x + 1:]
         if not {i, j} & {a, b}
     }
+
+
+def brute_U(m: int, r: int):
+    """Adjacency and triangle edges of U(m, r): (i, A) ~ (j, B) iff i in B
+    and j in A, tested on every pair of vertices; an edge is a triangle
+    edge when some vertex has both of its ends as neighbors."""
+    verts = [(i, set(A)) for i in range(1, m + 1)
+             for A in combinations([x for x in range(1, m + 1) if x != i], r - 1)]
+    adj = {u_vertex_name(i, A): set() for i, A in verts}
+    for (i, A), (j, B) in combinations(verts, 2):
+        if i in B and j in A:
+            adj[u_vertex_name(i, A)].add(u_vertex_name(j, B))
+            adj[u_vertex_name(j, B)].add(u_vertex_name(i, A))
+    triangles = set()
+    for x, ns in adj.items():
+        for u, w in combinations(sorted(ns), 2):
+            if w in adj[u]:
+                triangles |= {frozenset((u, w)), frozenset((u, x)), frozenset((w, x))}
+    return adj, triangles
 
 
 def brute_faces(rotation, pairing, signature):

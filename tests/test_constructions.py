@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quadloc.constructions import (
+    _is_transitive,
     add_main_diagonals,
     build_G0,
     build_G1,
@@ -64,6 +65,15 @@ def test_g1_census(g1):
 def test_transitivity_checks():
     assert g0_is_edge_transitive()
     assert g1_is_vertex_transitive()
+
+
+def test_transitivity_check_rejects_too_few_or_foreign_permutations():
+    # the identity alone leaves every vertex and edge in an orbit of its own
+    for on_edges in (False, True):
+        assert not _is_transitive("g0", [(1, 2, 3, 4, 5)], on_edges)
+        assert not _is_transitive("g1", [(1, 2, 3, 4, 5, 6)], on_edges)
+    # 1 <-> 4 alone sends 2.15 to 2.45, which is not a vertex of G1
+    assert not _is_transitive("g1", [(4, 2, 3, 1, 5, 6)], on_edges=False)
 
 
 def test_g0_prime(g0p):

@@ -25,7 +25,7 @@ from quadloc.quadform import refine_3x3
 from quadloc.textio import parse_graph
 from quadloc.trisub import face_subdivision
 from helpers import klein_bottle_grid, random_maps, two_squares_sphere
-from oracles import brute_local_coloring_exists, recursive_search
+from oracles import brute_U, brute_local_coloring_exists, recursive_search
 
 
 def cycle_adjacency(n):
@@ -61,6 +61,14 @@ def test_triangle_edges_match_brute_force(m, r, count):
     }
     assert U.triangle_edges == brute
     assert len(brute) == count
+
+
+@pytest.mark.parametrize("m, r", [(m, r) for m in range(2, 9) for r in range(2, 6) if m >= r])
+def test_build_u_matches_all_pairs_oracle(m, r):
+    U = build_U(m, r)
+    adj, triangles = brute_U(m, r)
+    assert U.adjacency == adj
+    assert U.triangle_edges == triangles
 
 
 def test_natural_coloring_is_local_r():

@@ -306,6 +306,23 @@ def test_reduce_matches_fixpoint_property(case):
     assert is_identity(GroupWord(H, letters)) == piling_is_identity(letters, H.commutes)
 
 
+WORD_TOKENS = st.one_of(
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-", "--"]), st.integers(-1, 9), st.integers(-1, 9)),
+    st.text(alphabet="0123456789.-#kner", min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), st.sampled_from([-1, 0, 1, 2, 3, 5, 6, 9, 10 ** 6]),
+       st.lists(WORD_TOKENS, max_size=12))
+def test_word_parser_raises_only_input_errors_on_random_tokens(header, m, tokens):
+    text = (f"kneser {m} 2\n" if header else "") + " ".join(tokens) + "\n"
+    try:
+        parse_word_text(text)
+    except InputError:
+        pass
+
+
 def test_kneser_graph_matches_pair_of_pairs_oracle():
     for m in range(4, 10):
         H = kneser_graph(m)

@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadloc.errors import FormatError, InputError
 from quadloc.textio import parse_graph, write_graph
@@ -79,3 +82,40 @@ def test_parser_rejects_truncated_or_malformed_lines(line):
     text = "vertex u : 0\nvertex w : 1\nedge e0 : 0 1 +\n" + line + "\n"
     with pytest.raises(FormatError, match="line 4"):
         parse_graph(text)
+
+
+GOLDEN_LINES = {
+    name: (Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text().splitlines()
+    for name in ("k4p", "g1p")
+}
+TOKENS = st.one_of(
+    st.sampled_from(["vertex", "edge", "color", ":", "+", "-", "#", "0", "-1", "1.23"]),
+    st.integers(-3, 400).map(str),
+    st.text(alphabet="0123456789.:+-#ex", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def mutated_golden_text(draw):
+    lines = list(GOLDEN_LINES[draw(st.sampled_from(sorted(GOLDEN_LINES)))])
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "replace")))
+        if op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif lines[k].split():
+            tokens = lines[k].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_golden_text())
+def test_parser_raises_only_input_errors_on_mutated_golden_files(text):
+    try:
+        parse_graph(text)
+    except InputError:
+        pass
