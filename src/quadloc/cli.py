@@ -31,9 +31,16 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _read_graph(path, need_coloring=False):
-    with open(path, "r", encoding="utf-8") as fh:
-        G, c = parse_graph(fh.read())
+    G, c = parse_graph(_read_text(path))
     if need_coloring and c is None:
         raise InputError(f"{path}: coloring required (color lines missing)")
     return G, c
@@ -151,14 +158,13 @@ def cmd_verify(args):
     if args.check == "phi3-cert":
         G, _ = _read_graph(args.graph)
         edges = []
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-                pair = raw.split("#", 1)[0].split()
-                if not pair:
-                    continue
-                if len(pair) != 2:
-                    raise InputError(f"{args.cert}: line {lineno}: expected two vertex ids")
-                edges.append(tuple(pair))
+        for lineno, raw in enumerate(_read_text(args.cert).splitlines(), start=1):
+            pair = raw.split("#", 1)[0].split()
+            if not pair:
+                continue
+            if len(pair) != 2:
+                raise InputError(f"{args.cert}: line {lineno}: expected two vertex ids")
+            edges.append(tuple(pair))
         rep = quadform.phi3_certificate(G, edges)
         print(rep.text(), end="")
         return EXIT_OK if rep.passed else EXIT_FAIL
@@ -204,8 +210,7 @@ def cmd_psi(args):
 
 def _load_word(args):
     if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return semifree.parse_word_text(fh.read())
+        return semifree.parse_word_text(_read_text(args.infile))
     if args.word is None:
         raise InputError("need --in FILE or --word TOKENS")
     m = args.m

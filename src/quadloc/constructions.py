@@ -34,7 +34,8 @@ from .surface_map import (
     assemble_embedding,
     canonical_walk,
     classify_surface,
-    insert_chord,
+    rebuild,
+    split_face,
 )
 
 
@@ -149,7 +150,10 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
             j = choices[n]
             if j not in (0, 1, 2):
                 raise InputError("diagonal choice must be 0, 1 or 2")
-        out, ends = insert_chord(out, idx, j, j + 3)
+        ends = (walk[j], walk[j + 3])
+        faces = [f.tails for k, f in enumerate(out.faces) if k != idx]
+        faces += split_face(out.faces[idx].tails, j, j + 3, out.n_darts)
+        out = rebuild(out, faces, new_ends=[ends])
         diagonals.append(tuple(sorted(ends)))
     require_quadrangulation(out)
     c2 = Coloring(dict(c.assignment), c.m)

@@ -16,14 +16,14 @@ Equality of u and v is decided as ``is_identity(u * v.inverse())``.
 
 Word files are parsed one distinct token at a time: a word over KG(6, 2)
 has at most 30 distinct tokens however long it is.  Words built without a
-commutation graph live on the Kneser graph induced by the colors they use,
+commutation graph live on the Kneser graph induced by the pairs they use,
 so multiplying two such words needs them built over one shared ``graph``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import ColoringError, InputError
 from .localcolor import coloring_violation
@@ -77,11 +77,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(self.graph, tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def __str__(self):
-        if not self.letters:
-            return "eps"
-        return " ".join(g if e > 0 else f"-{g}" for g, e in self.letters)
-
 
 def reduce_word(w: GroupWord) -> GroupWord:
     """Single-pass stack reduction (see the module docstring); the result
@@ -134,57 +129,56 @@ def _check_kneser(m: int) -> None:
         raise InputError("kneser_graph needs m >= 2k")
 
 
-def kneser_graph(m: int, colors=None) -> CommutationGraph:
+def kneser_graph(m: int, pairs=None) -> CommutationGraph:
     """KG(m, 2): 2-subsets of 1..m, adjacent iff disjoint.
 
-    With ``colors`` (each in 1..m), the induced subgraph on the pairs of
-    those colors: all that a word over these colors needs."""
+    With ``pairs`` (each ``(i, j)`` with ``1 <= i < j <= m``), the subgraph
+    induced on those generators: all that a word over them needs."""
     _check_kneser(m)
-    if colors is None:
-        cols = range(1, m + 1)
-    else:
-        cols = sorted(set(colors))
-        if cols and not (1 <= cols[0] and cols[-1] <= m):
-            raise InputError(f"colors must lie in 1..{m}")
-    name = {pair: pair_name(*pair) for pair in combinations(cols, 2)}
-    # the disjoint pairs inside each 4-subset a < b < c < d are its three matchings
+    ps = combinations(range(1, m + 1), 2) if pairs is None else sorted(set(pairs))
+    name = {p: pair_name(*p) for p in ps}
     edges = frozenset(
         frozenset((name[p], name[q]))
-        for a, b, c, d in combinations(cols, 4)
-        for p, q in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+        for p, q in combinations(name, 2)
+        if p[0] != q[0] and p[0] != q[1] and p[1] != q[0] and p[1] != q[1]
     )
     return CommutationGraph(tuple(name.values()), edges)
+
+
+def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
+    """The product of the color-pair elements x(i, j) over ``steps``, on
+    ``graph`` when given, else on the Kneser graph induced by the pairs it
+    uses; a product of words built that way needs one shared ``graph``."""
+    _check_kneser(m)
+    letters = []
+    pairs = set()
+    for i, j in steps:
+        if not (1 <= i <= m and 1 <= j <= m):
+            raise InputError(f"colors must lie in 1..{m}")
+        if i != j:
+            pairs.add((i, j) if i < j else (j, i))
+            letters.append((pair_name(i, j), 1 if i < j else -1))
+    return GroupWord(graph if graph is not None else kneser_graph(m, pairs), tuple(letters))
 
 
 def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """The color-pair element: identity if i == j, the generator {i, j}
     if i < j, and its inverse if j < i.  Without ``graph`` the word lives
-    on the Kneser graph induced by i and j, so a product of such words
-    needs one shared ``graph``."""
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise InputError(f"colors must lie in 1..{m}")
-    H = graph if graph is not None else kneser_graph(m, colors=(i, j))
-    if i == j:
-        return GroupWord(H, ())
-    return GroupWord(H, ((pair_name(i, j), 1 if i < j else -1),))
+    on the Kneser graph induced by the pair it uses."""
+    return _pair_word(m, ((i, j),), graph)
 
 
 def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """Label of a properly colored closed walk: the product of the
     color-pair elements of each step's flanking colors.  Without ``graph``
-    the word lives on the Kneser graph induced by the walk's colors."""
+    the word lives on the Kneser graph induced by the pairs it uses."""
     colors = list(colors)
-    t = len(colors)
-    if t < 1:
+    if not colors:
         raise InputError("walk needs at least one vertex")
-    for a in range(t):
-        if colors[a] == colors[(a + 1) % t]:
-            raise ColoringError("consecutive walk colors must differ")
-    H = graph if graph is not None else kneser_graph(m, colors=colors)
-    letters = []
-    for idx in range(1, t + 1):
-        letters.extend(x_pair(colors[(idx - 2) % t], colors[idx % t], m, H).letters)
-    return GroupWord(H, tuple(letters))
+    before, after = colors[-1:] + colors[:-1], colors[1:] + colors[:1]
+    if any(a == b for a, b in zip(colors, after)):
+        raise ColoringError("consecutive walk colors must differ")
+    return _pair_word(m, zip(before, after), graph)
 
 
 # -- labels on medial graphs ---------------------------------------------------
@@ -211,24 +205,19 @@ def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = N
     ``2*d`` points from the midpoint of d's edge to the midpoint of the
     next edge around d's vertex, dart ``2*d + 1`` the other way.  The label
     is the color-pair element of the two far endpoints; reversal inverts it.
-    Without ``graph`` the label lives on the Kneser graph induced by its two
-    colors, so a product of such labels needs one shared ``graph``.
+    Without ``graph`` the label lives on the Kneser graph induced by the
+    pair it uses, so a product of such labels needs one shared ``graph``.
     """
     _check_local3(G, c)
-    return x_pair(*_edge_colors(G, c, medial_dart), c.m, graph)
+    return _pair_word(c.m, (_edge_colors(G, c, medial_dart),), graph)
 
 
 def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> GroupWord:
     """Product of oriented-edge labels around a face of the medial graph.
     Without ``graph`` the word lives on the Kneser graph induced by the
-    face's colors."""
+    pairs it uses."""
     _check_local3(G, c)
-    steps = [_edge_colors(G, c, md) for md in medial_face.tails]
-    H = graph if graph is not None else kneser_graph(c.m, colors=chain.from_iterable(steps))
-    letters = []
-    for i, j in steps:
-        letters.extend(x_pair(i, j, c.m, H).letters)
-    return GroupWord(H, tuple(letters))
+    return _pair_word(c.m, (_edge_colors(G, c, md) for md in medial_face.tails), graph)
 
 
 # -- the transcribed element tables ---------------------------------------
@@ -279,7 +268,7 @@ class TableReport:
         return "\n".join((head,) + self.lines) + "\n"
 
 
-def verify_table(which: int, elements=None) -> TableReport:
+def verify_table(which: int) -> TableReport:
     """Check the transcribed element tables: the product of squares is the
     identity while the plain product is not, and equals the displayed
     residual word."""
@@ -290,14 +279,11 @@ def verify_table(which: int, elements=None) -> TableReport:
     else:
         raise InputError("table must be 1 or 2")
     H = kneser_graph(m)
-    zs = [_parse_table_word(H, s) for s in compact] if elements is None else list(elements)
+    zs = [_parse_table_word(H, s) for s in compact]
     res = _parse_table_word(H, residual)
 
-    squares = GroupWord(H, ())
-    plain = GroupWord(H, ())
-    for z in zs:
-        squares = squares * z * z
-        plain = plain * z
+    squares = GroupWord(H, tuple(x for z in zs for x in 2 * z.letters))
+    plain = GroupWord(H, tuple(x for z in zs for x in z.letters))
 
     lines = []
     ok = True
@@ -321,7 +307,7 @@ def verify_table(which: int, elements=None) -> TableReport:
         nine = len(used) == 9
         ok &= nine
         lines.append(f"exactly nine generators used: {nine}")
-    if which == 2 and elements is None:
+    if which == 2:
         lines.append("note: seventh element read with its third letter as -1.5")
     return TableReport(which, ok, tuple(lines))
 
@@ -355,12 +341,12 @@ def parse_word_text(text: str):
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
     # letters with a color outside 1..m, or i.i, are left for GroupWord to reject
-    used = {c for i, j, _ in pairs.values() for c in (i, j) if 1 <= c <= m}
-    H = kneser_graph(m, colors=used)
+    H = kneser_graph(m, {(min(i, j), max(i, j)) for i, j, _ in pairs.values()
+                         if i != j and 1 <= i <= m and 1 <= j <= m})
     letter = {raw: (pair_name(i, j), sign) for raw, (i, j, sign) in pairs.items()}
     return GroupWord(H, tuple(map(letter.__getitem__, body))), m
 
 
 def format_word(w: GroupWord, m: int) -> str:
-    toks = [g if e > 0 else f"-{g}" for g, e in w.letters]
-    return f"kneser {m} 2\n" + (" ".join(toks) + "\n" if toks else "\n")
+    toks = " ".join(g if e > 0 else f"-{g}" for g, e in w.letters)
+    return f"kneser {m} 2\n{toks}\n"

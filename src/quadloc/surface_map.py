@@ -21,9 +21,10 @@ rebuilds a rotation system with signature from an explicit face structure
 on integer darts, and verifies its own output by re-tracing the faces.
 :func:`rebuild` is the one edit path on top of it: a surgery lists the
 faces of its result in the darts of the old map, drops edges and appends
-new ones (darts ``n + 2j`` and ``n + 2j + 1``), and every surgery in the
-package goes through it.  :func:`merge_faces` and :func:`split_face` are
-the face edits the surgeries share.
+new ones (darts ``n + 2j`` and ``n + 2j + 1``).  Every surgery on integer
+darts goes through it; 3x3 refinement builds a new complex for
+:func:`assemble_embedding`.  :func:`merge_faces` and :func:`split_face`
+are the face edits the surgeries share.
 """
 from __future__ import annotations
 
@@ -561,7 +562,7 @@ def assemble_embedding(complex_: FaceListComplex):
 
 
 def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> EmbeddedGraph:
-    """The one edit path: the map with the given faces, built from ``G``.
+    """The surgeries' edit path: the map with the given faces, built from ``G``.
 
     ``faces`` lists every face of the result as tail darts.  Darts of ``G``
     keep their numbers, except those of the edges in ``drop``, which
@@ -604,29 +605,6 @@ def split_face(walk, i: int, j: int, dart: int):
     and ``dart + 1`` at corner ``j``."""
     walk = list(walk)
     return walk[i:j] + [dart + 1], walk[j:] + walk[:i] + [dart]
-
-
-def delete_edge(G: EmbeddedGraph, edge_index: int) -> EmbeddedGraph:
-    """Remove an edge bordering two distinct faces, merging them."""
-    f1, f2, merged = merge_faces(G, edge_index)
-    faces = [f.tails for i, f in enumerate(G.faces) if i not in (f1, f2)]
-    return rebuild(G, faces + [merged], drop=[edge_index])
-
-
-def insert_chord(G: EmbeddedGraph, face_index: int, pos_i: int, pos_j: int):
-    """Add an edge inside a face between two of its corners.
-
-    Corners are walk positions; the face splits in two.  Returns the new
-    graph and the endpoints of the inserted edge.
-    """
-    w = G.faces[face_index].tails
-    if pos_i == pos_j or not (0 <= pos_i < len(w) and 0 <= pos_j < len(w)):
-        raise UnsupportedInputError("chord needs two distinct walk positions")
-    i, j = sorted((pos_i, pos_j))
-    ends = (G.vertex_of[w[i]], G.vertex_of[w[j]])
-    faces = [f.tails for k, f in enumerate(G.faces) if k != face_index]
-    faces += split_face(w, i, j, G.n_darts)
-    return rebuild(G, faces, new_ends=[ends]), ends
 
 
 # -- medial graph ------------------------------------------------------------

@@ -248,8 +248,8 @@ def token_parse_word_text(text: str):
             pairs.append((int(i), int(j), sign))
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
-    used = {c for i, j, _ in pairs for c in (i, j) if 1 <= c <= m}
-    H = kneser_graph(m, colors=used)
+    used = {(min(i, j), max(i, j)) for i, j, _ in pairs if i != j and 1 <= i <= m and 1 <= j <= m}
+    H = kneser_graph(m, used)
     return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
 
 

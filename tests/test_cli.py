@@ -1,10 +1,14 @@
 import io
 import contextlib
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadloc.cli import run
+from quadloc.semifree import walk_label
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -242,6 +246,17 @@ def test_malformed_phi3_cert_line_is_exit_two(tmp_path):
     assert_input_error(["verify", "phi3-cert", str(cert), g])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "surface", "{f}"],
+    ["group", "is-identity", "--in", "{f}"],
+    ["verify", "phi3-cert", "{f}", str(GOLDEN / "g1p.txt")],
+])
+def test_non_utf8_input_file_is_exit_two(tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffkneser 6 2\n1.2\n")
+    assert_input_error([a.format(f=bad) for a in argv])
+
+
 def test_malformed_word_without_m_is_exit_two(tmp_path):
     assert_input_error(["group", "is-identity", "--word", "1.x"])
     assert_input_error(["group", "is-identity", "--word", ""])
@@ -325,6 +340,22 @@ def test_walk_label_with_large_m_builds_only_the_used_colors():
     assert out.splitlines()[1:] == out4.splitlines()[1:]
 
 
+def test_walk_label_through_200_colors_is_fast_and_small():
+    # a graph on every pair of the walk's colors fails here at once, before
+    # the 200-color run below fills memory (KG(200, 2) has about 1.9e8 edges)
+    assert len(walk_label(range(1, 31), 30).graph.generators) <= 30
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc, out = invoke(["group", "walk-label", ",".join(map(str, range(1, 201)))])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.startswith("kneser 200 2\n") and out.endswith("identity: False\n")
+    assert elapsed < 1.0 and peak < 100e6, (elapsed, peak)
+
+
 def test_invalid_word_letters_are_exit_two():
     for word in ("1.2 1.1", "1.2 1.7", "0.1"):
         assert_input_error(["group", "reduce", "--word", word, "--m", "6"])
@@ -381,3 +412,66 @@ def test_invalid_search_coloring_is_exit_four(tmp_path, monkeypatch, argv):
     assert rc == 4
     assert err == ("internal consistency violated: search produced an invalid coloring:"
                    " ('vertex', '0')\n")
+
+
+def _golden_bytes(*names):
+    return tuple((GOLDEN / name).read_bytes() for name in names)
+
+
+WORD_TEXTS = (b"kneser 6 2\n1.2 3.4 -1.2 -3.4 1.3 # note\n-2.5 4.6 5.6\n",
+              b"kneser 5 2\n2.3 -1.3 -2.4 1.4\n")
+GRAPH_TEXTS = _golden_bytes("k4p.txt", "g0p.txt", "g1p.txt")
+# each command with the texts it is meant to read, which the fuzzer mutates
+FUZZ_CASES = (
+    (["group", "reduce", "--in", "{f}"], WORD_TEXTS),
+    (["group", "is-identity", "--in", "{f}"], WORD_TEXTS),
+    (["verify", "surface", "{f}"], GRAPH_TEXTS),
+    (["verify", "quad-parity", "{f}"], GRAPH_TEXTS),
+    (["classify", "phi-type", "{f}"], GRAPH_TEXTS),
+    (["verify", "phi3-cert", "{f}", str(GOLDEN / "g1p.txt")], _golden_bytes("g1p_phi3_certificate.txt")),
+    (["verify", "phi3-cert", str(GOLDEN / "g1p_phi3_certificate.txt"), "{f}"], _golden_bytes("g1p.txt")),
+)
+
+
+@st.composite
+def fuzz_case(draw):
+    """A command and either random bytes or one of its texts with a few
+    bytes replaced, inserted or deleted at uniformly drawn places."""
+    argv, texts = draw(st.sampled_from(FUZZ_CASES))
+    if draw(st.booleans()):
+        return argv, draw(st.binary(max_size=100))
+    data = bytearray(draw(st.sampled_from(texts)))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(data) + 1)
+        chunk = rng.choice([b"\n", b" ", b"-", b".", b":", b"#", b"+", b"0", b"7", b"99", b"\xff"])
+        edit = rng.choice(("replace", "insert", "delete"))
+        if edit == "insert":
+            data[pos:pos] = chunk
+        elif edit == "replace":
+            data[pos:pos + len(chunk)] = chunk
+        else:
+            del data[pos:pos + len(chunk)]
+    return argv, bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fuzz_case())
+def test_cli_inputs_exit_zero_one_or_two(fuzz_file, case):
+    argv, data = case
+    fuzz_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run([a.format(f=fuzz_file) for a in argv])
+        except SystemExit as exc:  # argparse, which prints its own usage lines
+            assert exc.code == 2
+            return
+    assert rc in (0, 1, 2), (rc, err.getvalue())
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

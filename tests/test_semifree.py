@@ -94,13 +94,11 @@ def test_table2_passes_with_flagged_repair():
     assert any("-1.5" in line for line in rep.lines)
 
 
-def test_table1_mutation_fails():
-    from quadloc.semifree import TABLE1_ELEMENTS, _parse_table_word
-
-    H = kneser_graph(6)
-    zs = [_parse_table_word(H, s) for s in TABLE1_ELEMENTS]
-    zs[2] = GroupWord(H, ())
-    assert not verify_table(1, elements=zs).passed
+def test_table1_mutation_fails(monkeypatch):
+    zs = list(semifree.TABLE1_ELEMENTS)
+    zs[2] = ""
+    monkeypatch.setattr(semifree, "TABLE1_ELEMENTS", tuple(zs))
+    assert not verify_table(1).passed
 
 
 def test_walk_label_nine_cycle_word():
@@ -324,10 +322,18 @@ def test_word_parser_raises_only_input_errors_on_random_tokens(header, m, tokens
 
 
 def test_kneser_graph_matches_pair_of_pairs_oracle():
+    rng = random.Random(19)
     for m in range(4, 10):
         H = kneser_graph(m)
-        assert H.generators == tuple(pair_name(i, j) for i, j in combinations(range(1, m + 1), 2))
+        all_pairs = list(combinations(range(1, m + 1), 2))
+        assert H.generators == tuple(pair_name(i, j) for i, j in all_pairs)
         assert set(H.edges) == brute_kneser_edges(m)
+        for _ in range(20):
+            pairs = rng.sample(all_pairs, rng.randint(0, len(all_pairs)))
+            sub = kneser_graph(m, pairs)
+            names = {pair_name(i, j) for i, j in pairs}
+            assert sub.generators == tuple(g for g in H.generators if g in names)
+            assert set(sub.edges) == {e for e in brute_kneser_edges(m) if e <= names}
 
 
 def test_parsed_word_reduces_as_over_the_full_kneser_graph():
@@ -338,7 +344,7 @@ def test_parsed_word_reduces_as_over_the_full_kneser_graph():
             letters = _random_letters(rng, H.generators, rng.randint(0, 30), case % 2 == 1)
             w, m2 = parse_word_text(format_word(GroupWord(H, letters), m))
             assert m2 == m and w.letters == letters
-            assert set(w.graph.generators) <= set(H.generators)
+            assert set(w.graph.generators) == {g for g, _ in letters}
             assert reduce_word(w).letters == reduce_word(GroupWord(H, letters)).letters
 
 
@@ -353,6 +359,7 @@ def test_walk_label_on_used_colors_matches_full_kneser_graph():
                 cols.append(rng.choice([x for x in range(1, m + 1) if x != cols[-1]]))
             own, full = walk_label(cols, m), walk_label(cols, m, H)
             assert own.letters == full.letters
+            assert set(own.graph.generators) == {g for g, _ in own.letters}
             assert reduce_word(own).letters == reduce_word(full).letters
 
 
@@ -474,6 +481,8 @@ def test_labels_without_graph_match_the_full_kneser_graph(g0p, g1p):
         for f in M.faces:
             own = face_label(G, c, f)
             assert own.letters == face_label(G, c, f, H).letters
-            assert set(own.graph.generators) <= set(H.generators)
+            assert set(own.graph.generators) == {g for g, _ in own.letters}
         for md in range(2 * G.n_darts):
-            assert medial_edge_label(G, c, md).letters == medial_edge_label(G, c, md, H).letters
+            own = medial_edge_label(G, c, md)
+            assert own.letters == medial_edge_label(G, c, md, H).letters
+            assert set(own.graph.generators) == {g for g, _ in own.letters}

@@ -15,8 +15,6 @@ from quadloc.surface_map import (
     _canonical_cycle,
     assemble_embedding,
     classify_surface,
-    delete_edge,
-    insert_chord,
     medial_graph,
     merge_faces,
     orientation_double_cover,
@@ -173,11 +171,16 @@ def test_assembler_rejects_pinched_vertex():
 
 def test_delete_edge_then_chord_restores_sphere():
     G, _ = two_squares_sphere()
-    H = delete_edge(G, 0)
+    f1, f2, merged = merge_faces(G, 0)
+    faces = [f.tails for i, f in enumerate(G.faces) if i not in (f1, f2)]
+    H = rebuild(G, faces + [merged], drop=[0])
     assert sorted(len(f) for f in H.faces) == [6]
     assert classify_surface(H).euler_characteristic == 2
     hexagon = next(i for i, f in enumerate(H.faces) if len(f) == 6)
-    H2, _ = insert_chord(H, hexagon, 0, 3)
+    w = H.faces[hexagon].tails
+    faces = [f.tails for i, f in enumerate(H.faces) if i != hexagon]
+    faces += split_face(w, 0, 3, H.n_darts)
+    H2 = rebuild(H, faces, new_ends=[(H.vertex_of[w[0]], H.vertex_of[w[3]])])
     assert sorted(len(f) for f in H2.faces) == [4, 4]
     assert classify_surface(H2).euler_characteristic == 2
 
