@@ -8,6 +8,7 @@ Identical arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import constructions, quadform, semifree, trisub
@@ -293,7 +294,9 @@ def cmd_tri(args):
     raise InputError(f"unknown tri command {args.tcmd}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="quadloc",
         description="exact toolkit for quadrangulations, local colorings and group certificates",

@@ -10,7 +10,10 @@ Faces are traced with a sign accumulator: a walk state is ``(dart, side)``,
 crossing a negative edge flips the side, and the side decides whether the
 walk turns by ``rotation`` or its inverse.  Each face is kept once (its
 reversed traversal is discarded), so face lengths sum to ``2 * n_edges``.
-Tracing is linear in the number of darts: every state records the walk
+Tracing is linear in the number of darts and table-driven: the state
+``(d, s)`` is the integer ``2 * d + (s < 0)``, and one pass over the darts
+builds a successor table and a mirror table (the same edge passage
+traversed the other way) on those integers.  Every state records the walk
 that owns it, so recognising a reversed traversal is a single lookup.
 ``EmbeddedGraph.edge_slots`` indexes, once per map, the two face slots of
 every edge; surgeries and checks look an edge up there instead of scanning
@@ -19,6 +22,10 @@ the faces.
 The module also provides the inverse direction: :func:`assemble_from_slots`
 rebuilds a rotation system with signature from an explicit face structure
 on integer darts, and verifies its own output by re-tracing the faces.
+The check is linear: the traced faces are indexed by tail dart, and each
+requested face is compared, forward or reversed, with the traced faces
+found there, each of which is matched at most once.
+:func:`assemble_embedding` reads the vertex walks along the same match.
 :func:`rebuild` is the one edit path on top of it: a surgery lists the
 faces of its result in the darts of the old map, drops edges and appends
 new ones (darts ``n + 2j`` and ``n + 2j + 1``).  Every surgery on integer
@@ -28,6 +35,7 @@ are the face edits the surgeries share.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,17 +110,18 @@ class EmbeddedGraph:
     # -- structure ---------------------------------------------------------
 
     def _validate(self):
-        n = len(self.rotation)
+        R, P, V = self.rotation, self.pairing, self.vertex_of
+        n = len(R)
         if n == 0:
             raise StructureError("empty map")
-        if len(self.pairing) != n or len(self.vertex_of) != n:
+        if len(P) != n or len(V) != n:
             raise StructureError("rotation, pairing and vertex_of must have equal length")
-        if sorted(self.rotation) != list(range(n)):
+        if sorted(R) != list(range(n)):
             raise StructureError("rotation is not a permutation of the darts")
-        for d, e in enumerate(self.pairing):
-            if not 0 <= e < n or e == d or self.pairing[e] != d:
+        for d, e in enumerate(P):
+            if not 0 <= e < n or e == d or P[e] != d:
                 raise StructureError("pairing is not a fixed-point-free involution")
-        if any(not isinstance(v, str) for v in self.vertex_of):
+        if any(not isinstance(v, str) for v in V):
             raise StructureError("vertex names must be strings")
         if len(self.signature) != self.n_edges:
             raise StructureError("signature must assign one sign per edge")
@@ -124,26 +133,27 @@ class EmbeddedGraph:
         for d in range(n):
             if visited[d]:
                 continue
-            vid = self.vertex_of[d]
+            vid = V[d]
             if vid in seen_vids:
                 raise StructureError(f"vertex {vid!r} split across several rotation cycles")
             seen_vids.add(vid)
             cur = d
             while not visited[cur]:
                 visited[cur] = True
-                if self.vertex_of[cur] != vid:
-                    raise StructureError(f"rotation cycle mixes vertices {vid!r} and {self.vertex_of[cur]!r}")
-                cur = self.rotation[cur]
+                if V[cur] != vid:
+                    raise StructureError(f"rotation cycle mixes vertices {vid!r} and {V[cur]!r}")
+                cur = R[cur]
         # connectivity under rotation and pairing
         stack = [0]
-        reach = {0}
+        reach = [False] * n
+        reach[0] = True
         while stack:
             d = stack.pop()
-            for e in (self.rotation[d], self.pairing[d]):
-                if e not in reach:
-                    reach.add(e)
+            for e in (R[d], P[d]):
+                if not reach[e]:
+                    reach[e] = True
                     stack.append(e)
-        if len(reach) != n:
+        if not all(reach):
             raise StructureError("map is not connected")
 
     # -- derived data ------------------------------------------------------
@@ -234,42 +244,43 @@ class EmbeddedGraph:
             inv[e] = d
         return tuple(inv)
 
-    def _next_slot(self, dart, side):
-        side2 = side * self.dart_sign[dart]
-        d2 = self.pairing[dart]
-        return (self.rotation[d2] if side2 > 0 else self.rotation_inv[d2]), side2
-
-    def _reversed_slot(self, dart, side):
-        # the same edge passage, traversed the other way
-        return self.pairing[dart], -side * self.dart_sign[dart]
-
     @cached_property
     def faces(self):
         """All facial walks, each kept in one traversal direction."""
-        # owner[2 * d + (s < 0)]: index of the walk that traverses state
-        # (d, s) or its reversal, -1 while untraced
-        owner = [-1] * (2 * self.n_darts)
+        # the walk state (d, s) is the integer 2 * d + (s < 0); succ[st] is
+        # the state after st and mirror[st] the same edge passage traversed
+        # the other way
+        R, Ri, P, S = self.rotation, self.rotation_inv, self.pairing, self.dart_sign
+        succ = [0] * (2 * self.n_darts)
+        mirror = [0] * (2 * self.n_darts)
+        for d, e in enumerate(P):
+            if S[d] > 0:
+                succ[2 * d], succ[2 * d + 1] = 2 * R[e], 2 * Ri[e] + 1
+                mirror[2 * d], mirror[2 * d + 1] = 2 * e + 1, 2 * e
+            else:
+                succ[2 * d], succ[2 * d + 1] = 2 * Ri[e] + 1, 2 * R[e]
+                mirror[2 * d], mirror[2 * d + 1] = 2 * e, 2 * e + 1
+        # owner[st]: index of the walk that traverses st or its mirror, -1
+        # while untraced.  The mirrors of a walk's states are marked as the
+        # walk goes, so a mirror already owned by the walk lies on it.
+        owner = [-1] * len(succ)
+        side = (1, -1)
         walks = []
         for start in range(len(owner)):
             if owner[start] >= 0:
                 continue
             k = len(walks)
-            d0, s0 = start >> 1, -1 if start & 1 else 1
-            walk = [(d0, s0)]
-            owner[start] = k
-            cur = self._next_slot(d0, s0)
-            while cur != (d0, s0):
-                walk.append(cur)
-                owner[2 * cur[0] + (cur[1] < 0)] = k
-                cur = self._next_slot(*cur)
-            # reversal is an involution, so owner[mirror] == k here only
-            # when the mirror state lies on this walk itself
-            for st in walk:
-                md, ms = self._reversed_slot(*st)
-                mirror = 2 * md + (ms < 0)
-                if owner[mirror] == k and len(walk) > 1:
+            walk = []
+            cur = start
+            while True:
+                m = mirror[cur]
+                if owner[m] == k:
                     raise InternalConsistencyError("facial walk coincides with its own reversal")
-                owner[mirror] = k
+                owner[cur] = owner[m] = k
+                walk.append((cur >> 1, side[cur & 1]))
+                cur = succ[cur]
+                if cur == start:
+                    break
             walks.append(FaceWalk(tuple(walk)))
         if sum(len(w) for w in walks) != 2 * self.n_edges:
             raise InternalConsistencyError("face lengths do not sum to twice the edge count")
@@ -392,12 +403,53 @@ def fresh_name(base: str, taken: set) -> str:
     return base
 
 
-def _canonical_dart_face(tails, pairing):
-    """Canonical form of a facial walk given by tail darts, up to rotation
-    and reversal (the reversed walk has the paired darts in reverse order)."""
-    fwd = list(tails)
-    rev = [pairing[d] for d in reversed(fwd)]
-    return min(_canonical_cycle(fwd), _canonical_cycle(rev))
+def _match_faces(G: EmbeddedGraph, faces):
+    """The traced face of ``G`` that each requested face is, in linear time.
+
+    ``faces`` lists faces as lists of tail darts of ``G``.  Returns one
+    ``(face, pos, forward)`` per requested face: from position ``pos`` on,
+    the traced face has the requested darts (forward) or their paired darts
+    in reverse order (reversed).  The traced faces are indexed by tail dart;
+    a dart is the tail of two slots when both passages of a one-sided edge
+    leave from it.  A requested face is compared, forward and then
+    reversed, with the traced faces at the index entries of its first dart,
+    and each traced face is matched at most once.  Raises
+    :class:`InternalConsistencyError` unless the requested faces are the
+    traced faces up to order, rotation and reversal.
+    """
+    traced, pair = G.faces, G.pairing
+    if len(faces) != len(traced):
+        raise InternalConsistencyError("assembled map does not reproduce the input faces")
+    # traced slot g is position g - offset[f] of face f = face_of[g], with
+    # tail tails[g]; at[2d + j] is the j-th slot with tail d, -1 if none
+    tails = [d for walk in traced for d, _ in walk.slots]
+    face_of = [f for f, walk in enumerate(traced) for _ in walk.slots]
+    offset = [0]
+    for walk in traced:
+        offset.append(offset[-1] + len(walk))
+    at = [-1] * (2 * G.n_darts)
+    for g, d in enumerate(tails):
+        at[2 * d if at[2 * d] < 0 else 2 * d + 1] = g
+    used = [False] * len(traced)
+    match = []
+    for face in faces:
+        hit = None
+        for forward in (True, False):
+            seq = face if forward else [pair[d] for d in reversed(face)]
+            for g in at[2 * seq[0]:2 * seq[0] + 2]:
+                if g < 0 or used[face_of[g]]:
+                    continue
+                f = face_of[g]
+                if tails[g:offset[f + 1]] + tails[offset[f]:g] == seq:
+                    hit = (f, g - offset[f], forward)
+                    break
+            if hit:
+                break
+        if hit is None:
+            raise InternalConsistencyError("assembled map does not reproduce the input faces")
+        used[hit[0]] = True
+        match.append(hit)
+    return match
 
 
 def assemble_from_slots(slot_faces, pairing, vertex_of):
@@ -412,6 +464,12 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
     pinched vertex.  The traced faces of the result are checked against the
     input before returning.
     """
+    return _assemble(slot_faces, pairing, vertex_of)[0]
+
+
+def _assemble(slot_faces, pairing, vertex_of):
+    """:func:`assemble_from_slots`, also returning the :func:`_match_faces`
+    match of the input faces, numbered densely."""
     darts = sorted(pairing)
     ids = {d: i for i, d in enumerate(darts)}
     for d in darts:
@@ -442,9 +500,9 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
     covered = [0] * n
     for face in faces:
         for d in face:
-            covered[min(d, pair[d])] += 1
+            covered[d] += 1
     for d in range(n):
-        count = covered[min(d, pair[d])]
+        count = covered[d] + covered[pair[d]]
         if count != 2:
             raise AssemblyError(f"edge of dart {darts[d]} is covered {count} times, need 2")
 
@@ -461,41 +519,40 @@ def assemble_from_slots(slot_faces, pairing, vertex_of):
 
     # vertex links -> rotation cycles, started at each vertex's least flag,
     # with the in/out flag of every dart passage
-    start, size = {}, {}
-    for d, v in enumerate(names):
-        start[v] = min(start.get(v, first[d]), first[d])
-        size[v] = size.get(v, 0) + 2
+    start = {}
+    for fl, d in enumerate(flag_dart):
+        start.setdefault(names[d], fl)
+    degree = Counter(names)
     rotation = [0] * n
     flag_in = [0] * n
     flag_out = [0] * n
     for v in sorted(start):
+        first_flag, size = start[v], degree[v]
         cyc = []
-        cur = start[v]
+        cur = first_flag
         while True:
             d = flag_dart[cur]
             cyc.append(d)
-            flag_in[d], flag_out[d] = cur, mate[cur]
-            cur = corner[mate[cur]]
-            if cur == start[v]:
+            out = mate[cur]
+            flag_in[d], flag_out[d] = cur, out
+            cur = corner[out]
+            if cur == first_flag:
                 break
-            if 2 * len(cyc) > size[v]:
+            if len(cyc) > size:
                 raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
-        if 2 * len(cyc) != size[v]:
+        if len(cyc) != size:
             raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
         for i, d in enumerate(cyc):
             rotation[cyc[i - 1]] = d
 
     # signatures from how the two link walks meet across each edge
     signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]
+    # free the per-dart and per-flag tables before the map is traced
+    del ids, darts, covered, corner, flag_dart, first, mate, flag_in, flag_out
     G = EmbeddedGraph(rotation, pair, signature, names)
 
     # the assembled map must reproduce the requested faces exactly
-    want = sorted(_canonical_dart_face(face, pair) for face in faces)
-    # tails from the slots, so the check leaves no cached tails on every face
-    got = sorted(_canonical_dart_face([d for d, _ in f.slots], pair) for f in G.faces)
-    if want != got:
-        raise InternalConsistencyError("assembled map does not reproduce the input faces")
-    return G
+    return G, _match_faces(G, faces)
 
 
 @dataclass(frozen=True)
@@ -521,7 +578,7 @@ def assemble_embedding(complex_: FaceListComplex):
             raise AssemblyError("faces need at least two sides")
         for i, u in enumerate(face):
             w = face[(i + 1) % len(face)]
-            key = tuple(sorted((u, w)))
+            key = (u, w) if u <= w else (w, u)
             pair_count[key] = pair_count.get(key, 0) + 1
     bad = {k: c for k, c in pair_count.items() if c != 2}
     if bad:
@@ -536,7 +593,7 @@ def assemble_embedding(complex_: FaceListComplex):
         tails = []
         for i, u in enumerate(face):
             w = face[(i + 1) % len(face)]
-            key = tuple(sorted((u, w)))
+            key = (u, w) if u <= w else (w, u)
             if u == w:
                 # loop: use each dart once as tail
                 end = loops_used.get(key, 0)
@@ -547,14 +604,16 @@ def assemble_embedding(complex_: FaceListComplex):
         slot_faces.append(tails)
     # edge i has dart 2i at its smaller end and 2i + 1 at the other
     darts = range(2 * len(edges))
-    G = assemble_from_slots(
+    G, match = _assemble(
         slot_faces, {d: d ^ 1 for d in darts}, {d: edges[d >> 1][d & 1] for d in darts}
     )
-    # re-traced vertex walks must reproduce the input up to rotation/reflection
-    want = sorted(canonical_walk(f) for f in complex_.faces)
-    got = sorted(canonical_walk(G.face_vertex_walk(f)) for f in G.faces)
-    if want != got:
-        raise InternalConsistencyError("assembled embedding changed the vertex walks")
+    # the traced vertex walks must reproduce the input, read along the
+    # faces the darts matched; a reversed match reads the input walk
+    # backwards from its first vertex
+    for face, (f, pos, forward) in zip(complex_.faces, match):
+        walk = tuple(G.vertex_of[d] for d, _ in G.faces[f].slots)
+        if walk[pos:] + walk[:pos] != (face if forward else face[:1] + face[:0:-1]):
+            raise InternalConsistencyError("assembled embedding changed the vertex walks")
     return G
 
 

@@ -5,6 +5,7 @@ import random
 
 from quadloc.localcolor import Coloring
 from quadloc.surface_map import EmbeddedGraph, FaceListComplex, assemble_embedding
+from oracles import dart_signs, reversed_slot
 
 
 def relabel_darts(G: EmbeddedGraph, rng: random.Random) -> EmbeddedGraph:
@@ -37,12 +38,13 @@ def random_orientation(G: EmbeddedGraph, rng: random.Random):
 def flip_random_faces(G: EmbeddedGraph, rng: random.Random):
     """Face slots with a random traversal direction per face, for checking
     that the breaking-edge parity ignores the choice."""
+    sign = dart_signs(G.pairing, G.signature)
     tails_per_edge = [[] for _ in range(G.n_edges)]
     for f in G.faces:
         if rng.random() < 0.5:
             slots = [(d, s) for d, s in f.slots]
         else:
-            slots = [G._reversed_slot(d, s) for d, s in reversed(f.slots)]
+            slots = [reversed_slot(G.pairing, sign, d, s) for d, s in reversed(f.slots)]
         for d, _ in slots:
             tails_per_edge[G.edge_of[d]].append(d)
     return tails_per_edge

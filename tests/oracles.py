@@ -9,8 +9,10 @@ over one stack, the word oracles explore the full rewriting orbit, keep one
 pile per generator (piling), or rescan for the leftmost cancellable pair
 after every cancellation (fixpoint).  The face tracer steps through the raw
 rotation system and finds reversed walks by list membership, and the least
-rotation tries every rotation.  The word-file parser converts every token
-in turn, where the production parser converts each distinct token once.
+rotation tries every rotation.  Face lists are compared as sorted least
+forms, where the assembler matches each face along an index of tail
+darts.  The word-file parser converts every token in turn, where the
+production parser converts each distinct token once.
 The sign oracles walk their own depth-first tree, where production uses
 the one breadth-first ``spanning_tree``: one propagates vertex signs, the
 other compares two parities on every fundamental cycle built from root
@@ -283,6 +285,21 @@ def brute_U(m: int, r: int):
     return adj, triangles
 
 
+def dart_signs(pairing, signature):
+    """The sign of every dart: the signature of its edge, with edges
+    numbered by their smaller dart in increasing order."""
+    reps = [d for d in range(len(pairing)) if d < pairing[d]]
+    sign = [0] * len(pairing)
+    for k, d in enumerate(reps):
+        sign[d] = sign[pairing[d]] = signature[k]
+    return sign
+
+
+def reversed_slot(pairing, sign, d, s):
+    """The edge passage of the slot ``(d, s)``, traversed the other way."""
+    return pairing[d], -s * sign[d]
+
+
 def brute_faces(rotation, pairing, signature):
     """Facial walks of a rotation system with signature, as lists of
     ``(dart, side)`` states, in the order of their least starting state.
@@ -294,17 +311,11 @@ def brute_faces(rotation, pairing, signature):
     rotation_inv = [0] * n
     for d, e in enumerate(rotation):
         rotation_inv[e] = d
-    reps = [d for d in range(n) if d < pairing[d]]
-    sign = [0] * n
-    for k, d in enumerate(reps):
-        sign[d] = sign[pairing[d]] = signature[k]
+    sign = dart_signs(pairing, signature)
 
     def step(d, s):
         s2 = s * sign[d]
         return (rotation[pairing[d]] if s2 > 0 else rotation_inv[pairing[d]]), s2
-
-    def reverse(d, s):
-        return pairing[d], -s * sign[d]
 
     covered = []
     walks = []
@@ -317,12 +328,23 @@ def brute_faces(rotation, pairing, signature):
             while cur != (d, s):
                 walk.append(cur)
                 cur = step(*cur)
-            mirrors = [reverse(*st) for st in walk]
+            mirrors = [reversed_slot(pairing, sign, *st) for st in walk]
             if len(walk) > 1 and any(m in walk for m in mirrors):
                 raise AssertionError("facial walk coincides with its own reversal")
             covered.extend(walk + mirrors)
             walks.append(walk)
     return walks
+
+
+def sorted_dart_faces(faces, pairing):
+    """Faces given by tail darts, each in its least form up to rotation and
+    reversal (the reversed walk has the paired darts in reverse order),
+    sorted: two face lists are the same faces iff these are equal."""
+    forms = []
+    for face in faces:
+        rev = [pairing[d] for d in reversed(face)]
+        forms.append(min(brute_least_rotation(face), brute_least_rotation(rev)))
+    return sorted(forms)
 
 
 def brute_least_rotation(seq):

@@ -332,6 +332,37 @@ def test_internal_consistency_is_exit_four(tmp_path, monkeypatch):
     assert err == "internal consistency violated: refinement changed the surface\n"
 
 
+def test_parser_is_built_once_and_dispatches_every_command(monkeypatch):
+    import argparse
+
+    from quadloc import cli
+
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    cases = [
+        (["build", "k4p"], cli.cmd_build),
+        (["verify", "surface", "g"], cli.cmd_verify),
+        (["classify", "phi-type", "g"], cli.cmd_classify),
+        (["search", "local-coloring", "3", "3", "g", "--budget", "5"], cli.cmd_search),
+        (["psi", "g", "--budget", "5"], cli.cmd_psi),
+        (["group", "table", "1"], cli.cmd_group),
+        (["surgery", "refine3", "g"], cli.cmd_surgery),
+        (["tri", "tq-bound", "g", "--budget", "5"], cli.cmd_tri),
+    ]
+    for argv, func in cases + cases:
+        assert parser.parse_args(argv).func is func
+    # options given to one call do not leak into the next
+    assert parser.parse_args(["psi", "g"]).budget is None
+    assert not hasattr(parser.parse_args(["psi", "g"]), "tcmd")
+    # a run builds no parser once the first one exists
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or real_init(self, *a, **k))
+    assert invoke(["group", "table", "1"])[0] == 0
+    assert built == []
+
+
 def test_walk_label_with_large_m_builds_only_the_used_colors():
     rc4, out4 = invoke(["group", "walk-label", "1,2,1,2", "--m", "4"])
     rc, out = invoke(["group", "walk-label", "1,2,1,2", "--m", "30000"])

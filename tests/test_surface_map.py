@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
+from quadloc import surface_map
 from quadloc.errors import (
     AlreadyOrientableError,
     AssemblyError,
+    InternalConsistencyError,
     StructureError,
     UnsupportedInputError,
 )
@@ -13,6 +16,7 @@ from quadloc.surface_map import (
     EmbeddedGraph,
     FaceListComplex,
     _canonical_cycle,
+    _match_faces,
     assemble_embedding,
     classify_surface,
     medial_graph,
@@ -30,7 +34,7 @@ from helpers import (
     torus_grid,
     two_squares_sphere,
 )
-from oracles import brute_faces, brute_least_rotation, dfs_switching_trivial
+from oracles import brute_faces, brute_least_rotation, dfs_switching_trivial, sorted_dart_faces
 
 
 def single_edge_sphere():
@@ -286,3 +290,132 @@ def test_canonical_cycle_matches_every_rotation():
     for _ in range(2000):
         seq = [rng.randrange(3) for _ in range(rng.randint(1, 12))]
         assert _canonical_cycle(seq) == brute_least_rotation(seq)
+
+
+# -- the assembler's face check against the sort-based oracle ---------------------
+
+
+def check_accepts(G, faces):
+    try:
+        _match_faces(G, faces)
+    except InternalConsistencyError:
+        return False
+    return True
+
+
+def oracle_accepts(G, faces):
+    return sorted_dart_faces(faces, G.pairing) == sorted_dart_faces(
+        [[d for d, _ in f.slots] for f in G.faces], G.pairing)
+
+
+def scrambled_faces(G, rng):
+    """The traced faces as tail darts, each rotated and maybe reversed, in
+    random order."""
+    out = []
+    for f in G.faces:
+        tails = [d for d, _ in f.slots]
+        if rng.random() < 0.5:
+            tails = [G.pairing[d] for d in reversed(tails)]
+        i = rng.randrange(len(tails))
+        out.append(tails[i:] + tails[:i])
+    rng.shuffle(out)
+    return out
+
+
+def one_face_mutations(G, faces, rng):
+    """``(kind, faces)`` for face lists that differ from ``faces`` in one
+    face: two darts swapped, a face replaced by a copy of another, one dart
+    dropped, or a dart that leaves a one-sided edge twice replaced by its
+    pair.  A candidate that the oracle's least form shows to be the same
+    face is skipped."""
+    twice = {d for d, n in Counter(d for face in faces for d in face).items() if n == 2}
+
+    def changed(i, face):
+        return sorted_dart_faces([face], G.pairing) != sorted_dart_faces([faces[i]], G.pairing)
+
+    def with_face(i, face):
+        return faces[:i] + [face] + faces[i + 1:]
+
+    for i in rng.sample(range(len(faces)), min(len(faces), 6)):
+        face = faces[i]
+        if len(face) >= 2:
+            p, q = sorted(rng.sample(range(len(face)), 2))
+            swapped = face[:p] + [face[q]] + face[p + 1:q] + [face[p]] + face[q + 1:]
+            if changed(i, swapped):
+                yield "swap", with_face(i, swapped)
+            dropped = face[:p] + face[p + 1:]
+            yield "drop", with_face(i, dropped)
+        j = rng.randrange(len(faces))
+        if changed(i, faces[j]):
+            yield "copy", with_face(i, list(faces[j]))
+        for p, d in enumerate(face):
+            turned = face[:p] + [G.pairing[d]] + face[p + 1:]
+            if d in twice and changed(i, turned):
+                yield "one-sided", with_face(i, turned)
+                break
+
+
+def test_face_check_matches_sort_oracle_on_scrambled_and_mutated_faces(g0, g1, g0p, g1p, k4p):
+    rng = random.Random(17)
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)]
+    maps += [refine_3x3(G, c)[0] for G, c in (g0p, g1p, k4p)]
+    maps += [G for G in random_maps(41) if not G.has_loop()]
+    kinds = Counter()
+    for G in maps:
+        for _ in range(2):
+            faces = scrambled_faces(G, rng)
+            assert check_accepts(G, faces) and oracle_accepts(G, faces)
+            for kind, mutated in one_face_mutations(G, faces, rng):
+                assert not check_accepts(G, mutated), kind
+                assert not oracle_accepts(G, mutated), kind
+                kinds[kind] += 1
+    assert min(kinds[k] for k in ("swap", "copy", "drop", "one-sided")) >= 20, kinds
+
+
+def mutated_faces(mutation):
+    """A traced face list with its first face changed by ``mutation``."""
+    real = EmbeddedGraph.faces.func
+
+    def faces(self):
+        walks = list(real(self))
+        slots = list(walks[0].slots)
+        if mutation == "swap":
+            slots[0], slots[1] = slots[1], slots[0]
+        elif mutation == "copy":
+            slots = list(walks[1].slots)
+        else:
+            del slots[0]
+        walks[0] = surface_map.FaceWalk(tuple(slots))
+        return tuple(walks)
+
+    return property(faces)
+
+
+@pytest.mark.parametrize("mutation", ["swap", "copy", "drop"])
+def test_assemblers_reject_a_traced_face_that_differs(monkeypatch, g1p, mutation):
+    G, _ = g1p
+    requested = [list(f.tails) for f in G.faces]
+    grid = torus_grid(3, 3)[0]
+    complex_ = FaceListComplex.from_lists(grid.face_vertex_walk(f) for f in grid.faces)
+    monkeypatch.setattr(EmbeddedGraph, "faces", mutated_faces(mutation))
+    with pytest.raises(InternalConsistencyError, match="does not reproduce the input faces"):
+        rebuild(G, requested)
+    with pytest.raises(InternalConsistencyError, match="does not reproduce the input faces"):
+        assemble_embedding(complex_)
+
+
+def test_assemble_embedding_rejects_changed_vertex_walks(monkeypatch):
+    real = surface_map._assemble
+
+    def renamed(*args):
+        G, match = real(*args)
+        swap = {"0.0": "0.1", "0.1": "0.0"}
+        names = [swap.get(v, v) for v in G.vertex_of]
+        return EmbeddedGraph(G.rotation, G.pairing, G.signature, names), match
+
+    grid = torus_grid(3, 3)[0]
+    complex_ = FaceListComplex.from_lists(grid.face_vertex_walk(f) for f in grid.faces)
+    assert assemble_embedding(complex_).face_lengths() == grid.face_lengths()
+    monkeypatch.setattr(surface_map, "_assemble", renamed)
+    with pytest.raises(InternalConsistencyError, match="changed the vertex walks"):
+        assemble_embedding(complex_)

@@ -7,12 +7,17 @@ produce from G0', G1' and K4' before and after one ``refine_3x3``.  They
 also pin the cycle-parity profile certificate of the paper maps, of
 crosscapped and refined primes, and the PHI3 certificate report on G1'
 for the bare, the completed and a truncated edge list.  An error case is
-pinned by its class name and message.  Any change to a digest is a change
-of output and must be made on purpose.
+pinned by its class name and message.  For the subdivision and the
+refinement of the level-1 G1' and for the assembly of a 1000-cycle with
+seeded names, the traced faces (every slot, from each face's start) are
+pinned next to the ``write_graph`` text, so a change of tracing order
+shows.  Any change to a digest is a change of output and must be made on
+purpose.
 """
 from __future__ import annotations
 
 import hashlib
+import random
 
 from quadloc.constructions import build_high_genus_family
 from quadloc.errors import InputError
@@ -25,7 +30,12 @@ from quadloc.quadform import (
     phi3_certificate,
     refine_3x3,
 )
-from quadloc.surface_map import medial_graph, orientation_double_cover
+from quadloc.surface_map import (
+    FaceListComplex,
+    assemble_embedding,
+    medial_graph,
+    orientation_double_cover,
+)
 from quadloc.textio import write_graph
 from quadloc.trisub import face_subdivision
 
@@ -159,3 +169,29 @@ def test_surgery_output_is_byte_identical(g0, g1, g0p, g1p, k4p):
     changed = [name for name in EXPECTED if got[name] != EXPECTED[name]]
     assert not changed, f"surgery output changed: {changed}"
 
+
+
+def _map_digests(G):
+    return _digest(write_graph(G)), _digest(repr([f.slots for f in G.faces]))
+
+
+TRACED = {
+    "g1p.L1.subdivide": ("595801044c6945349e370440d55d3243f0383dbe792a3e47b13e019d36b9062e",
+                         "83d6ef32ae3054e31448b63d738a8bcf677bee51f8d322dcf1cf3b9531919b07"),
+    "g1p.L1.refine3": ("54e26855f2739ec5aa310db8d258ddeaf24bae1c09b3dcf1c0db598f034205b3",
+                       "44cc1581a2d1a89cbccd6b3f9ef198993651b12d2321ed1098a1f734e7f99365"),
+    "C1000.assemble": ("ffd9662479f9c2d3044c0c0fdfd7f91ad967c235df901d919b123af77df75e78",
+                       "eaaa061df92d1f79e9b7c9e28d86fe7a69b6c2744a2060678626d3a9b299adf4"),
+}
+
+
+def test_traced_faces_are_byte_identical(g1p):
+    L1, c1 = refine_3x3(*g1p)
+    names = [f"v{i}" for i in range(1000)]
+    random.Random(1).shuffle(names)
+    got = {
+        "g1p.L1.subdivide": _map_digests(face_subdivision(L1)[0].graph),
+        "g1p.L1.refine3": _map_digests(refine_3x3(L1, c1)[0]),
+        "C1000.assemble": _map_digests(assemble_embedding(FaceListComplex.from_lists([names, names]))),
+    }
+    assert got == TRACED
