@@ -471,7 +471,7 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
         raise InternalConsistencyError("refinement counts V+2E+4F / 3E+12F / 9F violated")
     if classify_surface(G2) != sc_before:
         raise InternalConsistencyError("refinement changed the surface")
-    if len(set(G2.edges)) != G2.n_edges:
+    if len(G2.edges_by_ends) != G2.n_edges:
         raise InternalConsistencyError("refinement left parallel edges")
     if quad_parity(G2) != parity_before:
         raise InternalConsistencyError("refinement changed the parity")

@@ -19,19 +19,19 @@ that owns it, so recognising a reversed traversal is a single lookup.
 every edge; surgeries and checks look an edge up there instead of scanning
 the faces.
 
-The module also provides the inverse direction: :func:`assemble_from_slots`
-rebuilds a rotation system with signature from an explicit face structure
-on integer darts, and verifies its own output by re-tracing the faces.
-The check is linear: the traced faces are indexed by tail dart, and each
-requested face is compared, forward or reversed, with the traced faces
-found there, each of which is matched at most once.
-:func:`assemble_embedding` reads the vertex walks along the same match.
-:func:`rebuild` is the one edit path on top of it: a surgery lists the
-faces of its result in the darts of the old map, drops edges and appends
-new ones (darts ``n + 2j`` and ``n + 2j + 1``).  Every surgery on integer
-darts goes through it; 3x3 refinement builds a new complex for
-:func:`assemble_embedding`.  :func:`merge_faces` and :func:`split_face`
-are the face edits the surgeries share.
+The module also provides the inverse direction: one assembler,
+:func:`_assemble`, builds a rotation system with signature from a face
+structure on the dense darts ``0 .. n-1``.  One face matcher,
+:func:`_match_faces`, checks every map the module builds: it indexes the
+traced faces by tail dart and compares each expected face, forward or
+reversed, with the traced faces found there, matching each at most once.
+It checks the assembler's output, tags the medial map's faces and finds
+both lifts of every face in the double cover.  The assembler's callers are
+:func:`rebuild`, the one edit path (a surgery lists the faces of its
+result in the darts of the old map, drops edges and appends new ones,
+darts ``n + 2j`` and ``n + 2j + 1``), and :func:`assemble_embedding`, which
+builds a map from vertex walks and compares the names along the match.
+:func:`merge_faces` and :func:`split_face` are the face edits of surgeries.
 """
 from __future__ import annotations
 
@@ -228,9 +228,16 @@ class EmbeddedGraph:
             adj[w].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
+    @cached_property
+    def edges_by_ends(self):
+        """Sorted endpoint pair -> the indices of the edges joining it."""
+        index = {}
+        for k, e in enumerate(self.edges):
+            index[e] = index.get(e, ()) + (k,)
+        return index
+
     def edges_between(self, u: str, w: str):
-        key = tuple(sorted((u, w)))
-        return tuple(k for k, e in enumerate(self.edges) if e == key)
+        return self.edges_by_ends.get((u, w) if u <= w else (w, u), ())
 
     def has_loop(self) -> bool:
         return any(u == w for u, w in self.edges)
@@ -419,7 +426,7 @@ def _match_faces(G: EmbeddedGraph, faces):
     """
     traced, pair = G.faces, G.pairing
     if len(faces) != len(traced):
-        raise InternalConsistencyError("assembled map does not reproduce the input faces")
+        raise InternalConsistencyError("built map does not reproduce the input faces")
     # traced slot g is position g - offset[f] of face f = face_of[g], with
     # tail tails[g]; at[2d + j] is the j-th slot with tail d, -1 if none
     tails = [d for walk in traced for d, _ in walk.slots]
@@ -446,65 +453,33 @@ def _match_faces(G: EmbeddedGraph, faces):
             if hit:
                 break
         if hit is None:
-            raise InternalConsistencyError("assembled map does not reproduce the input faces")
+            raise InternalConsistencyError("built map does not reproduce the input faces")
         used[hit[0]] = True
         match.append(hit)
     return match
 
 
-def assemble_from_slots(slot_faces, pairing, vertex_of):
+def _assemble(faces, pair, names):
     """Build an :class:`EmbeddedGraph` realizing an explicit face structure.
 
-    ``slot_faces``: faces as cyclic sequences of tail darts; every edge must
-    be traversed exactly twice in total.  ``pairing`` and ``vertex_of`` map
-    integer darts; the result numbers them densely in increasing order.
-
-    The vertex links implied by the faces must close into a single cycle per
-    vertex (disk condition); otherwise :class:`AssemblyError` names the
-    pinched vertex.  The traced faces of the result are checked against the
-    input before returning.
+    The darts are ``0 .. n-1``: ``pair[d]`` is the other dart of the edge
+    of ``d`` and ``names[d]`` its vertex.  ``faces`` lists faces as cyclic
+    sequences of tail darts, traversing every edge exactly twice in total;
+    both callers build their input that way.  The vertex links implied by
+    the faces must close into a single cycle per vertex (disk condition);
+    otherwise :class:`AssemblyError` names the pinched vertex.  Returns the
+    map and the :func:`_match_faces` match of ``faces``, which checks the
+    traced faces of the result against them.
     """
-    return _assemble(slot_faces, pairing, vertex_of)[0]
-
-
-def _assemble(slot_faces, pairing, vertex_of):
-    """:func:`assemble_from_slots`, also returning the :func:`_match_faces`
-    match of the input faces, numbered densely."""
-    darts = sorted(pairing)
-    ids = {d: i for i, d in enumerate(darts)}
-    for d in darts:
-        e = pairing[d]
-        if e not in ids or e == d or pairing[e] != d:
-            raise AssemblyError("pairing is not a fixed-point-free involution")
-        if d not in vertex_of:
-            raise AssemblyError(f"dart {d} has no vertex")
-    n = len(darts)
-    pair = [ids[pairing[d]] for d in darts]
-    names = [vertex_of[d] for d in darts]
-
+    n = len(pair)
     # slots are numbered face by face; flag 2s is the tail end of slot s and
     # 2s + 1 its head end.  corner[fl] is the flag of the neighbouring slot
     # at the same corner of the face.
-    faces = []
     corner = []
-    for face in slot_faces:
-        if not face:
-            raise AssemblyError("empty face")
-        for d in face:
-            if d not in ids:
-                raise AssemblyError(f"unknown dart {d} in a face")
+    for face in faces:
         o, L = len(corner) // 2, len(face)
         for i in range(L):
             corner += (2 * (o + (i - 1) % L) + 1, 2 * (o + (i + 1) % L))
-        faces.append([ids[d] for d in face])
-    covered = [0] * n
-    for face in faces:
-        for d in face:
-            covered[d] += 1
-    for d in range(n):
-        count = covered[d] + covered[pair[d]]
-        if count != 2:
-            raise AssemblyError(f"edge of dart {darts[d]} is covered {count} times, need 2")
 
     # every dart owns exactly two flags (one per traversal of its edge);
     # mate[fl] is the other flag of the same dart
@@ -548,7 +523,7 @@ def _assemble(slot_faces, pairing, vertex_of):
     # signatures from how the two link walks meet across each edge
     signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]
     # free the per-dart and per-flag tables before the map is traced
-    del ids, darts, covered, corner, flag_dart, first, mate, flag_in, flag_out
+    del corner, flag_dart, first, mate, flag_in, flag_out
     G = EmbeddedGraph(rotation, pair, signature, names)
 
     # the assembled map must reproduce the requested faces exactly
@@ -604,9 +579,7 @@ def assemble_embedding(complex_: FaceListComplex):
         slot_faces.append(tails)
     # edge i has dart 2i at its smaller end and 2i + 1 at the other
     darts = range(2 * len(edges))
-    G, match = _assemble(
-        slot_faces, {d: d ^ 1 for d in darts}, {d: edges[d >> 1][d & 1] for d in darts}
-    )
+    G, match = _assemble(slot_faces, [d ^ 1 for d in darts], [edges[d >> 1][d & 1] for d in darts])
     # the traced vertex walks must reproduce the input, read along the
     # faces the darts matched; a reversed match reads the input walk
     # backwards from its first vertex
@@ -627,17 +600,36 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
     keep their numbers, except those of the edges in ``drop``, which
     disappear.  New edge ``j`` has darts ``n + 2j`` and ``n + 2j + 1``
     (``n = G.n_darts``) at the two vertices ``new_ends[j]``.  ``vertex_of``
-    optionally renames the vertices of the darts of ``G``.  The result is
-    numbered densely in dart order and re-traced by the assembler.
+    optionally renames the vertices of the darts of ``G``.  An empty face,
+    an unknown dart or an edge not traversed twice is an :class:`AssemblyError`.
+    The result is numbered densely in dart order and re-traced by the assembler.
     """
     names = list(G.vertex_of if vertex_of is None else vertex_of)
     pairing = list(G.pairing)
     for u, w in new_ends:
         pairing += (len(pairing) + 1, len(pairing))
         names += (u, w)
-    gone = {d for k in drop for d in (G.edge_reps[k], G.pairing[G.edge_reps[k]])}
-    keep = [d for d in range(len(pairing)) if d not in gone]
-    return assemble_from_slots(faces, {d: pairing[d] for d in keep}, {d: names[d] for d in keep})
+    # new[d]: the dense number of dart d, -1 once its edge is dropped
+    new = [0] * len(pairing)
+    for k in drop:
+        new[G.edge_reps[k]] = new[G.pairing[G.edge_reps[k]]] = -1
+    keep = [d for d, x in enumerate(new) if x == 0]
+    for i, d in enumerate(keep):
+        new[d] = i
+    covered = [0] * len(pairing)
+    for face in faces:
+        if not face:
+            raise AssemblyError("empty face")
+        for d in face:
+            if not 0 <= d < len(new) or new[d] < 0:
+                raise AssemblyError(f"unknown dart {d} in a face")
+            covered[d] += 1
+    for d in keep:
+        count = covered[d] + covered[pairing[d]]
+        if count != 2:
+            raise AssemblyError(f"edge of dart {d} is covered {count} times, need 2")
+    faces = [[new[d] for d in face] for face in faces]
+    return _assemble(faces, [new[pairing[d]] for d in keep], [names[d] for d in keep])[0]
 
 
 def merge_faces(G: EmbeddedGraph, edge_index: int):
@@ -706,29 +698,16 @@ def medial_graph(G: EmbeddedGraph):
     if any(M.degree(v) != 4 for v in M.vertices) or M.n_vertices != G.n_edges:
         raise InternalConsistencyError("medial map is not 4-regular on the edge set")
 
-    # expected faces, as multisets of medial edges (= darts of G)
-    expected = {}
-    for v in G.vertices:
-        key = tuple(sorted(G.darts_at[v]))
-        expected.setdefault(key, []).append(("star", v))
-    for i, f in enumerate(G.faces):
-        corners = []
-        for k in range(len(f)):
-            d, _ = f.slots[k]
-            d2, s2 = f.slots[(k + 1) % len(f)]
-            corners.append(theta[d] if s2 > 0 else d2)
-        key = tuple(sorted(corners))
-        expected.setdefault(key, []).append(("cycle", i))
-
-    tags = []
-    for mf in M.faces:
-        key = tuple(sorted(d // 2 for d in mf.tails))
-        bucket = expected.get(key)
-        if not bucket:
-            raise InternalConsistencyError("medial face does not match a star or cycle face")
-        tags.append(bucket.pop(0))
-    if any(bucket for bucket in expected.values()):
-        raise InternalConsistencyError("medial faces missing")
+    # expected faces in medial darts, the stars and then the cycles, which
+    # turn at every corner; each traced face takes the tag of its match
+    faces = [[2 * d for d in G.darts_at[v]] for v in G.vertices]
+    for f in G.faces:
+        pairs = zip(f.slots, f.slots[1:] + f.slots[:1])
+        faces.append([2 * theta[d] if s > 0 else 2 * d2 + 1 for (d, _), (d2, s) in pairs])
+    expected = [("star", v) for v in G.vertices] + [("cycle", i) for i in range(len(G.faces))]
+    tags = [None] * len(faces)
+    for tag, (mf, _, _) in zip(expected, _match_faces(M, faces)):
+        tags[mf] = tag
 
     if classify_surface(M) != classify_surface(G):
         raise InternalConsistencyError("medial map changed the surface")
@@ -769,6 +748,6 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     top = classify_surface(cover)
     if not top.orientable or top.euler_characteristic != 2 * base.euler_characteristic:
         raise InternalConsistencyError("double cover must be orientable with doubled chi")
-    if sorted(cover.face_lengths()) != sorted(G.face_lengths() * 2):
-        raise InternalConsistencyError("double cover must duplicate every face")
+    # every face of G lifts to the two sheets
+    _match_faces(cover, [[did(d, t * s) for d, s in f.slots] for t in (1, -1) for f in G.faces])
     return cover

@@ -11,8 +11,10 @@ after every cancellation (fixpoint).  The face tracer steps through the raw
 rotation system and finds reversed walks by list membership, and the least
 rotation tries every rotation.  Face lists are compared as sorted least
 forms, where the assembler matches each face along an index of tail
-darts.  The word-file parser converts every token in turn, where the
-production parser converts each distinct token once.
+darts; a medial face's tag is checked on the least form of its vertex
+walk, where production matches faces in medial darts.  The word-file
+parser converts every token in turn, where the production parser converts
+each distinct token once.
 The sign oracles walk their own depth-first tree, where production uses
 the one breadth-first ``spanning_tree``: one propagates vertex signs, the
 other compares two parities on every fundamental cycle built from root
@@ -351,6 +353,24 @@ def brute_least_rotation(seq):
     """The lexicographically least rotation of a sequence, as a tuple."""
     seq = list(seq)
     return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+
+
+def medial_tag_fits(G, tag, walk) -> bool:
+    """Whether ``walk``, the vertex walk of a medial face, is the one its
+    tag ``tag`` asks for up to rotation and reversal: the medial vertex
+    ``e<k>`` of every edge met around the vertex (a star), read off the raw
+    rotation, or along the face traced by :func:`brute_faces` (a cycle)."""
+    kind, x = tag
+    if kind == "star":
+        d0 = G.vertex_of.index(x)
+        darts = [d0]
+        while G.rotation[darts[-1]] != d0:
+            darts.append(G.rotation[darts[-1]])
+    else:
+        darts = [d for d, _ in brute_faces(G.rotation, G.pairing, G.signature)[x]]
+    want = brute_least_rotation(f"e{G.edge_of[d]}" for d in darts)
+    walk = list(walk)
+    return want in (brute_least_rotation(walk), brute_least_rotation(walk[::-1]))
 
 
 def _depth_first_tree(G):

@@ -5,11 +5,15 @@ Each ``src/quadloc/*.py`` is parsed with :mod:`ast`; an imported name that
 the module never reads is reported.  ``__init__.py`` (whose imports are
 re-exports) and ``from __future__`` imports are exempt.  A module-level
 ``_private`` function or class is reported when nothing outside its own
-body reads its name.
+body reads its name.  A ``:func:`` or ``:class:`` reference in a
+docstring must name something the module defines or imports (its first
+dotted part), or be a ``quadloc.`` path that imports and resolves.
 """
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,71 @@ def test_private_checker_flags_only_unreferenced_defs():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_private_def(path):
     assert unused_private_defs(path.read_text()) == []
+
+
+ROLE = re.compile(r":(?:func|class):`~?([^`]+)`")
+
+
+def resolves(path: str) -> bool:
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for part in parts[i:]:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+    return False
+
+
+def stale_references(source: str):
+    tree = ast.parse(source)
+    known = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            known.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            known.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            known.add(node.id)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        doc = ast.get_docstring(node, clean=False)
+        if doc is None:
+            continue
+        for m in ROLE.finditer(doc):
+            name = m.group(1)
+            ok = resolves(name) if name.startswith("quadloc.") else name.split(".")[0] in known
+            if not ok:
+                out.append((node.body[0].lineno + doc.count("\n", 0, m.start()), name))
+    return out
+
+
+def test_reference_checker_flags_only_unresolved_names():
+    source = (
+        '"""Uses :func:`helper`, :class:`Thing`, :func:`os.path.join`, :class:`IE`\n'
+        'and :func:`~quadloc.surface_map.rebuild`; not :func:`gone`."""\n'
+        "import os\n"
+        "from quadloc.errors import InputError as IE\n"
+        "LIMIT = 3\n"
+        "def helper():\n"
+        '    """Raises :class:`IE` past :func:`LIMIT`, never :class:`quadloc.errors.Gone`."""\n'
+        "class Thing:\n"
+        '    """Built by :func:`assemble_from_slots` or :func:`quadloc.gone.f`."""\n'
+    )
+    assert stale_references(source) == [
+        (2, "gone"),
+        (7, "quadloc.errors.Gone"),
+        (9, "assemble_from_slots"),
+        (9, "quadloc.gone.f"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_docstring_references_resolve(path):
+    assert stale_references(path.read_text()) == []

@@ -34,7 +34,13 @@ from helpers import (
     torus_grid,
     two_squares_sphere,
 )
-from oracles import brute_faces, brute_least_rotation, dfs_switching_trivial, sorted_dart_faces
+from oracles import (
+    brute_faces,
+    brute_least_rotation,
+    dfs_switching_trivial,
+    medial_tag_fits,
+    sorted_dart_faces,
+)
 
 
 def single_edge_sphere():
@@ -97,6 +103,20 @@ def test_structural_validation_rejects_garbage():
         EmbeddedGraph([0, 1, 2, 3], [1, 0, 3, 2], [1, 1], ["a", "b", "c", "d"])
 
 
+def test_edge_index_matches_a_scan_of_the_edges(g0, g1, g0p, g1p, k4p):
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41))
+    assert any(G.has_loop() for G in maps)
+    assert any(len(set(G.edges)) < G.n_edges for G in maps)
+    for G in maps:
+        scan = {}
+        for k, e in enumerate(G.edges):
+            scan.setdefault(e, []).append(k)
+        assert G.edges_by_ends == {e: tuple(ks) for e, ks in scan.items()}
+        for (u, w), ks in scan.items():
+            assert G.edges_between(u, w) == G.edges_between(w, u) == tuple(ks)
+        assert G.edges_between(G.vertices[0], "no such vertex") == ()
+
+
 def test_medial_of_sphere_quadrangulation():
     G, _ = two_squares_sphere()
     M, tags = medial_graph(G)
@@ -136,6 +156,18 @@ def test_medial_preserves_surface_class_on_corpus(g0, g1, k4p):
     for G in (g0[0], g1[0], k4p[0], torus_grid(3, 3)[0], klein_bottle_grid()[0]):
         M, _ = medial_graph(G)
         assert classify_surface(M) == classify_surface(G)
+
+
+def test_medial_tags_name_the_faces_they_tag(g0, g1, g0p, g1p, k4p):
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)]
+    maps += [G for G in random_maps(41) if min(map(len, G.darts_at.values())) >= 2]
+    assert len(maps) == 5 + 193
+    for G in maps:
+        M, tags = medial_graph(G)
+        stars = [("star", v) for v in G.vertices]
+        assert Counter(tags) == Counter(stars + [("cycle", i) for i in range(len(G.faces))])
+        for tag, face in zip(tags, M.faces):
+            assert medial_tag_fits(G, tag, M.face_vertex_walk(face))
 
 
 def test_double_cover_of_k4_is_sphere(k4p):
@@ -198,6 +230,27 @@ def test_rebuild_from_own_faces_keeps_the_map():
         assert classify_surface(H) == classify_surface(G)
         assert H.edges == G.edges
         assert H.face_lengths() == G.face_lengths()
+
+
+def test_rebuild_rejects_faces_that_do_not_fit_its_darts_and_names_them():
+    G, _ = two_squares_sphere()
+    faces = [list(f.tails) for f in G.faces]
+    f1, f2, merged = merge_faces(G, 0)
+    rest = [f for i, f in enumerate(faces) if i not in (f1, f2)]
+    n, d0 = G.n_darts, faces[1][0]
+    cases = [
+        (dict(faces=faces + [[]]), "empty face"),
+        (dict(faces=[faces[0] + [n], faces[1]]), f"unknown dart {n} in a face"),
+        (dict(faces=faces, drop=[0]), f"unknown dart {faces[0][0]} in a face"),
+        (dict(faces=[faces[0], faces[1][1:]]),
+         f"edge of dart {G.edge_reps[G.edge_of[d0]]} is covered 1 times, need 2"),
+        # the dense numbers shift past the dropped edge; the message does not
+        (dict(faces=rest + [merged], drop=[0], new_ends=[("1", "3")]),
+         f"edge of dart {n} is covered 0 times, need 2"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(AssemblyError, match=f"^{message}$"):
+            rebuild(G, **kwargs)
 
 
 def test_merge_then_rebuild_removes_one_face_and_keeps_chi():
@@ -402,6 +455,16 @@ def test_assemblers_reject_a_traced_face_that_differs(monkeypatch, g1p, mutation
         rebuild(G, requested)
     with pytest.raises(InternalConsistencyError, match="does not reproduce the input faces"):
         assemble_embedding(complex_)
+
+
+@pytest.mark.parametrize("mutation", ["swap", "copy", "drop"])
+def test_medial_map_and_double_cover_reject_a_traced_face_that_differs(monkeypatch, k4p, mutation):
+    G, _ = k4p
+    real, mutated = EmbeddedGraph.faces.func, mutated_faces(mutation).fget
+    monkeypatch.setattr(EmbeddedGraph, "faces", property(lambda H: real(H) if H is G else mutated(H)))
+    for build in (medial_graph, orientation_double_cover):
+        with pytest.raises(InternalConsistencyError, match="does not reproduce the input faces"):
+            build(G)
 
 
 def test_assemble_embedding_rejects_changed_vertex_walks(monkeypatch):
