@@ -9,7 +9,7 @@ one way, one the other); both parities agree for every edge orientation.
 The cycle parity map assigns each homology class the length parity of its
 closed walks; evaluated against the one-sidedness functional it yields the
 four types PHI0..PHI3.  Both are read off the fundamental cycles of
-:func:`~quadloc.surface_map.spanning_tree`, the one tree that the
+``EmbeddedGraph.spanning_tree``, the map's one tree, which the
 orientability test also propagates signs down.
 """
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .surface_map import (
     merge_faces,
     rebuild,
     signature_is_switching_trivial,
-    spanning_tree,
 )
 
 EVEN = "even"
@@ -173,13 +172,13 @@ def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     """Length-parity and one-sidedness bits on a fundamental-cycle basis.
 
     Requires every face even (the length parity is then a homology
-    functional).  The basis is that of :func:`spanning_tree`.  The type
+    functional).  The basis is that of ``G.spanning_tree``.  The type
     classification is attached for quadrangulations of non-orientable
     surfaces; for orientable input only the parity map is reported.
     """
     if any(len(f) % 2 for f in G.faces):
         raise InputError("parity map undefined: odd face present")
-    via = spanning_tree(G)
+    via = G.spanning_tree
     depth = {}
     for w, d in via.items():
         depth[w] = 0 if d is None else depth[G.vertex_of[d]] + 1

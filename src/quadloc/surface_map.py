@@ -6,15 +6,24 @@ involution ``pairing`` matching the two darts of each edge, and a ``+1/-1``
 signature per edge.  Signature ``-1`` marks edges along which local
 orientation flips, so non-orientable surfaces are fully representable.
 
+Validation makes one pass per concern, each over whole lists: the
+rotation is a permutation, the pairing a fixed-point-free involution, names
+are strings, signs are ``+1/-1``, and every rotation step keeps its vertex.
+The cycles that ``EmbeddedGraph.darts_at`` walks are then the vertex fibres
+iff they cover every dart, and the map is connected iff the breadth-first
+``EmbeddedGraph.spanning_tree`` reaches every vertex; both are kept, so
+every sign and parity question on a map reads its one tree.
+
 Faces are traced with a sign accumulator: a walk state is ``(dart, side)``,
 crossing a negative edge flips the side, and the side decides whether the
 walk turns by ``rotation`` or its inverse.  Each face is kept once (its
 reversed traversal is discarded), so face lengths sum to ``2 * n_edges``.
-Tracing is linear in the number of darts and table-driven: the state
-``(d, s)`` is the integer ``2 * d + (s < 0)``, and one pass over the darts
-builds a successor table and a mirror table (the same edge passage
-traversed the other way) on those integers.  Every state records the walk
-that owns it, so recognising a reversed traversal is a single lookup.
+Tracing is linear in the number of darts and steps straight through the
+rotation, its inverse, the pairing and the dart signs.  Every state
+``(d, s)``, numbered ``2 * d + (s < 0)``, records the walk that owns it or
+its mirror (the same edge passage traversed the other way), so recognising
+a reversed traversal is a single lookup.  A :class:`FaceWalk` carries its
+``tails`` and ``sides`` as the walk fills them.
 ``EmbeddedGraph.edge_slots`` indexes, once per map, the two face slots of
 every edge; surgeries and checks look an edge up there instead of scanning
 the faces.
@@ -38,6 +47,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import eq
 
 from .errors import (
     AlreadyOrientableError,
@@ -70,23 +81,27 @@ class SurfaceClass:
         return f"{kind} genus {self.genus} (chi = {self.euler_characteristic})"
 
 
-@dataclass(frozen=True)
 class FaceWalk:
     """One facial walk: a cyclic sequence of (dart, side) slots.
 
     The slot ``(d, s)`` traverses the edge of ``d`` away from the vertex of
     ``d``; ``s`` is the sign-accumulator state while doing so.  An edge is
     covered by exactly two slots over the whole embedding, one per side.
+    ``tails`` holds the darts and ``sides`` the states, slot by slot.
     """
 
-    slots: tuple
+    __slots__ = ("tails", "sides")
+
+    def __init__(self, tails: tuple, sides: tuple):
+        self.tails = tails
+        self.sides = sides
 
     def __len__(self):
-        return len(self.slots)
+        return len(self.tails)
 
-    @cached_property
-    def tails(self):
-        return tuple(d for d, _ in self.slots)
+    @property
+    def slots(self):
+        return tuple(zip(self.tails, self.sides))
 
 
 class EmbeddedGraph:
@@ -110,51 +125,49 @@ class EmbeddedGraph:
     # -- structure ---------------------------------------------------------
 
     def _validate(self):
-        R, P, V = self.rotation, self.pairing, self.vertex_of
+        """Check the map in whole-list passes (see the module docstring);
+        builds ``darts_at`` and ``spanning_tree`` on the way."""
+        R, P, V, S = self.rotation, self.pairing, self.vertex_of, self.signature
         n = len(R)
         if n == 0:
             raise StructureError("empty map")
         if len(P) != n or len(V) != n:
             raise StructureError("rotation, pairing and vertex_of must have equal length")
-        if sorted(R) != list(range(n)):
+        darts = range(n)
+        # n values that include every dart, or an involution, permute them
+        if not set(R).issuperset(darts):
             raise StructureError("rotation is not a permutation of the darts")
-        for d, e in enumerate(P):
-            if not 0 <= e < n or e == d or P[e] != d:
-                raise StructureError("pairing is not a fixed-point-free involution")
-        if any(not isinstance(v, str) for v in V):
+        if (min(P) < 0 or max(P) >= n or list(map(P.__getitem__, P)) != list(darts)
+                or any(map(eq, P, darts))):
+            raise StructureError("pairing is not a fixed-point-free involution")
+        if not all(issubclass(t, str) for t in set(map(type, V))):
             raise StructureError("vertex names must be strings")
-        if len(self.signature) != self.n_edges:
+        if len(S) != self.n_edges:
             raise StructureError("signature must assign one sign per edge")
-        if any(s not in (1, -1) for s in self.signature):
+        if S.count(1) + S.count(-1) != len(S):
             raise StructureError("signature values must be +1 or -1")
-        # rotation cycles must be exactly the fibers of vertex_of
-        seen_vids = set()
-        visited = [False] * n
-        for d in range(n):
+        if tuple(map(V.__getitem__, R)) != V or sum(map(len, self.darts_at.values())) != n:
+            raise StructureError(self._cycle_fault())
+        if len(self.spanning_tree) != len(self.darts_at):
+            raise StructureError("map is not connected")
+
+    def _cycle_fault(self) -> str:
+        """Why the rotation cycles are not the vertex fibres: the first fault
+        met walking the cycles in the order of their least darts."""
+        R, V = self.rotation, self.vertex_of
+        seen, visited = set(), [False] * len(R)
+        for d in range(len(R)):
             if visited[d]:
                 continue
             vid = V[d]
-            if vid in seen_vids:
-                raise StructureError(f"vertex {vid!r} split across several rotation cycles")
-            seen_vids.add(vid)
-            cur = d
-            while not visited[cur]:
-                visited[cur] = True
-                if V[cur] != vid:
-                    raise StructureError(f"rotation cycle mixes vertices {vid!r} and {V[cur]!r}")
-                cur = R[cur]
-        # connectivity under rotation and pairing
-        stack = [0]
-        reach = [False] * n
-        reach[0] = True
-        while stack:
-            d = stack.pop()
-            for e in (R[d], P[d]):
-                if not reach[e]:
-                    reach[e] = True
-                    stack.append(e)
-        if not all(reach):
-            raise StructureError("map is not connected")
+            if vid in seen:
+                return f"vertex {vid!r} split across several rotation cycles"
+            seen.add(vid)
+            while not visited[d]:
+                visited[d] = True
+                if V[d] != vid:
+                    return f"rotation cycle mixes vertices {vid!r} and {V[d]!r}"
+                d = R[d]
 
     # -- derived data ------------------------------------------------------
 
@@ -164,7 +177,7 @@ class EmbeddedGraph:
 
     @cached_property
     def edge_reps(self):
-        return tuple(d for d in range(self.n_darts) if d < self.pairing[d])
+        return tuple([d for d, e in enumerate(self.pairing) if d < e])
 
     @property
     def n_edges(self) -> int:
@@ -179,33 +192,51 @@ class EmbeddedGraph:
 
     @cached_property
     def dart_sign(self):
-        return tuple(self.signature[self.edge_of[d]] for d in range(self.n_darts))
-
-    @cached_property
-    def vertices(self):
-        return tuple(sorted(set(self.vertex_of)))
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+        return tuple(map(self.signature.__getitem__, self.edge_of))
 
     @cached_property
     def darts_at(self):
-        """Vertex name -> its rotation cycle, starting from the smallest dart."""
-        firsts = {}
-        for d in range(self.n_darts):
-            v = self.vertex_of[d]
-            if v not in firsts:
-                firsts[v] = d
-        out = {}
-        for v, d0 in firsts.items():
-            cyc = [d0]
-            cur = self.rotation[d0]
-            while cur != d0:
-                cyc.append(cur)
-                cur = self.rotation[cur]
-            out[v] = tuple(cyc)
+        """Vertex name -> its rotation cycle, starting from the smallest dart.
+        A later cycle of a name replaces the earlier one, which leaves darts
+        uncovered; validation rejects that."""
+        R, V = self.rotation, self.vertex_of
+        seen, out = [False] * len(R), {}
+        for d in range(len(R)):
+            if not seen[d]:
+                cyc, e = [], d
+                while not seen[e]:
+                    seen[e] = True
+                    cyc.append(e)
+                    e = R[e]
+                out[V[d]] = tuple(cyc)
         return out
+
+    @cached_property
+    def vertices(self):
+        return tuple(sorted(self.darts_at))
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.darts_at)
+
+    @cached_property
+    def spanning_tree(self):
+        """The spanning tree behind every sign and parity question on the map.
+
+        Breadth-first from the least vertex, taking the darts at each vertex
+        in rotation order: a dict, in the order the vertices are reached, from
+        each vertex to the dart at its parent whose edge reaches it (``None``
+        at the root).  Every other edge closes one fundamental cycle."""
+        V, P, at = self.vertex_of, self.pairing, self.darts_at
+        order = [self.vertices[0]]
+        via = {order[0]: None}
+        for v in order:
+            for d in at[v]:
+                w = V[P[d]]
+                if w not in via:
+                    via[w] = d
+                    order.append(w)
+        return via
 
     def degree(self, vid: str) -> int:
         return len(self.darts_at[vid])
@@ -217,7 +248,9 @@ class EmbeddedGraph:
     @cached_property
     def edges(self):
         """Edge index -> sorted endpoint pair."""
-        return tuple(tuple(sorted(self.edge_endpoints(k))) for k in range(self.n_edges))
+        V, P = self.vertex_of, self.pairing
+        return tuple([(V[d], V[P[d]]) if V[d] <= V[P[d]] else (V[P[d]], V[d])
+                      for d in self.edge_reps])
 
     @cached_property
     def adjacency(self):
@@ -254,52 +287,50 @@ class EmbeddedGraph:
     @cached_property
     def faces(self):
         """All facial walks, each kept in one traversal direction."""
-        # the walk state (d, s) is the integer 2 * d + (s < 0); succ[st] is
-        # the state after st and mirror[st] the same edge passage traversed
-        # the other way
         R, Ri, P, S = self.rotation, self.rotation_inv, self.pairing, self.dart_sign
-        succ = [0] * (2 * self.n_darts)
-        mirror = [0] * (2 * self.n_darts)
-        for d, e in enumerate(P):
-            if S[d] > 0:
-                succ[2 * d], succ[2 * d + 1] = 2 * R[e], 2 * Ri[e] + 1
-                mirror[2 * d], mirror[2 * d + 1] = 2 * e + 1, 2 * e
-            else:
-                succ[2 * d], succ[2 * d + 1] = 2 * Ri[e] + 1, 2 * R[e]
-                mirror[2 * d], mirror[2 * d + 1] = 2 * e, 2 * e + 1
-        # owner[st]: index of the walk that traverses st or its mirror, -1
-        # while untraced.  The mirrors of a walk's states are marked as the
-        # walk goes, so a mirror already owned by the walk lies on it.
-        owner = [-1] * len(succ)
-        side = (1, -1)
+        # owner[2 * d + (s < 0)]: index of the walk that traverses the slot
+        # (d, s) or its mirror (the same edge passage traversed the other
+        # way), -1 while untraced.  The mirrors of a walk's slots are marked
+        # as the walk goes, so a mirror already owned by the walk lies on it.
+        owner = [-1] * (2 * self.n_darts)
         walks = []
         for start in range(len(owner)):
             if owner[start] >= 0:
                 continue
             k = len(walks)
-            walk = []
-            cur = start
+            tails, sides = [], []
+            d, s, cur = start >> 1, 1 - 2 * (start & 1), start
             while True:
-                m = mirror[cur]
-                if owner[m] == k:
+                tails.append(d)
+                sides.append(s)
+                e = P[d]
+                s *= S[d]
+                # s is now the side past the edge: the next slot is
+                # (R[e] or Ri[e], s), the mirror of the slot just taken (e, -s)
+                if s > 0:
+                    mirror, d = 2 * e + 1, R[e]
+                    nxt = 2 * d
+                else:
+                    mirror, d = 2 * e, Ri[e]
+                    nxt = 2 * d + 1
+                if owner[mirror] == k:
                     raise InternalConsistencyError("facial walk coincides with its own reversal")
-                owner[cur] = owner[m] = k
-                walk.append((cur >> 1, side[cur & 1]))
-                cur = succ[cur]
+                owner[cur] = owner[mirror] = k
+                cur = nxt
                 if cur == start:
                     break
-            walks.append(FaceWalk(tuple(walk)))
-        if sum(len(w) for w in walks) != 2 * self.n_edges:
+            walks.append(FaceWalk(tuple(tails), tuple(sides)))
+        if sum(map(len, walks)) != 2 * self.n_edges:
             raise InternalConsistencyError("face lengths do not sum to twice the edge count")
         return tuple(walks)
 
     @cached_property
     def edge_slots(self):
         """Edge index -> its two face slots ``(face, pos)``, in face order."""
-        slots = [[] for _ in range(self.n_edges)]
+        slots, edge_of = [[] for _ in range(self.n_edges)], self.edge_of
         for fi, face in enumerate(self.faces):
             for pos, d in enumerate(face.tails):
-                slots[self.edge_of[d]].append((fi, pos))
+                slots[edge_of[d]].append((fi, pos))
         if any(len(s) != 2 for s in slots):
             raise InternalConsistencyError("edge not covered by exactly two slots")
         return tuple(tuple(s) for s in slots)
@@ -332,37 +363,16 @@ class EmbeddedGraph:
 # -- classification ---------------------------------------------------------
 
 
-def spanning_tree(G: EmbeddedGraph) -> dict:
-    """The spanning tree behind every sign and parity question on a map.
-
-    Breadth-first from the least vertex, taking the darts at each vertex in
-    rotation order.  Returns a dict, in the order the vertices are reached,
-    from each vertex to the dart at its parent whose edge reaches it
-    (``None`` at the root).  Every other edge closes one fundamental cycle.
-    """
-    V, P = G.vertex_of, G.pairing
-    root = G.vertices[0]
-    via = {root: None}
-    order = [root]
-    for v in order:
-        for d in G.darts_at[v]:
-            w = V[P[d]]
-            if w not in via:
-                via[w] = d
-                order.append(w)
-    return via
-
-
 def signature_is_switching_trivial(G: EmbeddedGraph) -> bool:
     """True iff some switching makes every edge positive.
 
-    Propagates a vertex sign down :func:`spanning_tree`, which makes every
+    Propagates a vertex sign down ``G.spanning_tree``, which makes every
     tree edge positive, then checks that every edge is positive under that
     switching, i.e. that every fundamental cycle is two-sided.
     """
     V, P, S = G.vertex_of, G.pairing, G.dart_sign
     sign = {}
-    for w, d in spanning_tree(G).items():
+    for w, d in G.spanning_tree.items():
         sign[w] = 1 if d is None else sign[V[d]] * S[d]
     for d, s in zip(G.edge_reps, G.signature):
         if sign[V[d]] * sign[V[P[d]]] != s:
@@ -429,11 +439,9 @@ def _match_faces(G: EmbeddedGraph, faces):
         raise InternalConsistencyError("built map does not reproduce the input faces")
     # traced slot g is position g - offset[f] of face f = face_of[g], with
     # tail tails[g]; at[2d + j] is the j-th slot with tail d, -1 if none
-    tails = [d for walk in traced for d, _ in walk.slots]
-    face_of = [f for f, walk in enumerate(traced) for _ in walk.slots]
-    offset = [0]
-    for walk in traced:
-        offset.append(offset[-1] + len(walk))
+    tails = list(chain.from_iterable(walk.tails for walk in traced))
+    face_of = list(chain.from_iterable(repeat(f, len(walk)) for f, walk in enumerate(traced)))
+    offset = list(accumulate(map(len, traced), initial=0))
     at = [-1] * (2 * G.n_darts)
     for g, d in enumerate(tails):
         at[2 * d if at[2 * d] < 0 else 2 * d + 1] = g
@@ -584,7 +592,7 @@ def assemble_embedding(complex_: FaceListComplex):
     # faces the darts matched; a reversed match reads the input walk
     # backwards from its first vertex
     for face, (f, pos, forward) in zip(complex_.faces, match):
-        walk = tuple(G.vertex_of[d] for d, _ in G.faces[f].slots)
+        walk = G.face_vertex_walk(G.faces[f])
         if walk[pos:] + walk[:pos] != (face if forward else face[:1] + face[:0:-1]):
             raise InternalConsistencyError("assembled embedding changed the vertex walks")
     return G
@@ -702,8 +710,8 @@ def medial_graph(G: EmbeddedGraph):
     # turn at every corner; each traced face takes the tag of its match
     faces = [[2 * d for d in G.darts_at[v]] for v in G.vertices]
     for f in G.faces:
-        pairs = zip(f.slots, f.slots[1:] + f.slots[:1])
-        faces.append([2 * theta[d] if s > 0 else 2 * d2 + 1 for (d, _), (d2, s) in pairs])
+        nxt = zip(f.tails, f.tails[1:] + f.tails[:1], f.sides[1:] + f.sides[:1])
+        faces.append([2 * theta[d] if s > 0 else 2 * d2 + 1 for d, d2, s in nxt])
     expected = [("star", v) for v in G.vertices] + [("cycle", i) for i in range(len(G.faces))]
     tags = [None] * len(faces)
     for tag, (mf, _, _) in zip(expected, _match_faces(M, faces)):
@@ -727,27 +735,19 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     base = classify_surface(G)
     if base.orientable:
         raise AlreadyOrientableError("already orientable: two disjoint copies")
-    n = G.n_darts
-
-    def did(d, s):
-        return 2 * d + (s < 0)
-
-    rotation = [0] * (2 * n)
-    pairing = [0] * (2 * n)
-    vertex_of = [""] * (2 * n)
-    for d in range(n):
-        rotation[did(d, 1)] = did(G.rotation[d], 1)
-        rotation[did(d, -1)] = did(G.rotation_inv[d], -1)
-        for s in (1, -1):
-            pairing[did(d, s)] = did(G.pairing[d], s * G.dart_sign[d])
-            tag = "+" if s > 0 else "-"
-            vertex_of[did(d, s)] = f"{G.vertex_of[d]}|{tag}"
-    signature = [1] * n
-    cover = EmbeddedGraph(rotation, pairing, signature, vertex_of)
+    # the lift of dart d to sheet s is 2 * d + (s < 0): sheet -1 turns the
+    # other way round every vertex, and a negative edge changes sheet
+    R, Ri, P, S = G.rotation, G.rotation_inv, G.pairing, G.dart_sign
+    rotation = [x for d, e in enumerate(R) for x in (2 * e, 2 * Ri[d] + 1)]
+    pairing = [x for d, e in enumerate(P)
+               for x in ((2 * e, 2 * e + 1) if S[d] > 0 else (2 * e + 1, 2 * e))]
+    vertex_of = [f"{v}|{t}" for v in G.vertex_of for t in "+-"]
+    cover = EmbeddedGraph(rotation, pairing, [1] * G.n_darts, vertex_of)
 
     top = classify_surface(cover)
     if not top.orientable or top.euler_characteristic != 2 * base.euler_characteristic:
         raise InternalConsistencyError("double cover must be orientable with doubled chi")
     # every face of G lifts to the two sheets
-    _match_faces(cover, [[did(d, t * s) for d, s in f.slots] for t in (1, -1) for f in G.faces])
+    _match_faces(cover, [[2 * d + (t * s < 0) for d, s in zip(f.tails, f.sides)]
+                         for t in (1, -1) for f in G.faces])
     return cover

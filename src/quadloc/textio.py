@@ -23,16 +23,15 @@ def parse_graph(text: str):
     edge_lines = []
     colors = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         try:
             if kind == "vertex":
                 if len(parts) < 3 or parts[2] != ":":
                     raise FormatError(f"line {lineno}: expected ':' after vertex id")
-                rot_lines.append((lineno, parts[1], [int(t) for t in parts[3:]]))
+                rot_lines.append((lineno, parts[1], list(map(int, parts[3:]))))
             elif kind == "edge":
                 if len(parts) != 6 or parts[2] != ":" or parts[5] not in ("+", "-"):
                     raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
@@ -59,12 +58,13 @@ def parse_graph(text: str):
             if d in seen_darts:
                 raise FormatError(f"line {lineno}: duplicate dart {d}")
             seen_darts[d] = vid
-    vids = [vid for _, vid, _ in rot_lines]
-    if len(set(vids)) != len(vids):
-        raise FormatError("duplicate vertex id")
+    vid_lines = {}
+    for lineno, vid, _ in rot_lines:
+        if vid_lines.setdefault(vid, lineno) != lineno:
+            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
 
     order = sorted(seen_darts)
-    dense = {d: i for i, d in enumerate(order)}
+    dense = dict(zip(order, range(len(order))))
     n = len(order)
 
     rotation = [None] * n
@@ -88,17 +88,14 @@ def parse_graph(text: str):
                 raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
             if pairing[dense[d]] is not None:
                 raise FormatError(f"line {lineno}: dart {d} used by two edges")
-        pairing[dense[da]] = dense[db]
-        pairing[dense[db]] = dense[da]
-        sig_by_dart[dense[da]] = sg
+        a, b = dense[da], dense[db]
+        pairing[a], pairing[b] = b, a
+        sig_by_dart[a] = sig_by_dart[b] = sg
     if any(p is None for p in pairing):
         missing = order[pairing.index(None)]
         raise FormatError(f"dart {missing} belongs to no edge")
 
-    signature = []
-    for d in range(n):
-        if d < pairing[d]:
-            signature.append(sig_by_dart.get(d, sig_by_dart.get(pairing[d])))
+    signature = [sig_by_dart[d] for d, p in enumerate(pairing) if d < p]
     G = EmbeddedGraph(rotation, pairing, signature, vertex_of)
 
     coloring = None

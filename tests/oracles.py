@@ -16,11 +16,16 @@ walk, where production matches faces in medial darts.  The word-file
 parser converts every token in turn, where the production parser converts
 each distinct token once.
 The sign oracles walk their own depth-first tree, where production uses
-the one breadth-first ``spanning_tree``: one propagates vertex signs, the
-other compares two parities on every fundamental cycle built from root
-paths.  The U(m, r) oracle tests every pair of vertices against the
-definition and finds triangles around each vertex, where production lists
-each vertex's neighbors and intersects the neighborhoods of an edge's ends.
+the map's one breadth-first ``EmbeddedGraph.spanning_tree``: one propagates
+vertex signs, the other compares two parities on every fundamental cycle
+built from root paths.  The map validator walks every rotation cycle dart
+by dart and searches the darts depth-first under rotation and pairing,
+where production checks whole lists and reads connectivity off the
+spanning tree.  The orbit oracle answers a word with a nonzero
+abelianization at once and explores the full orbit of the others.  The
+U(m, r) oracle tests every pair of vertices against the definition and
+finds triangles around each vertex, where production lists each vertex's
+neighbors and intersects the neighborhoods of an edge's ends.
 """
 from __future__ import annotations
 
@@ -139,6 +144,20 @@ def recursive_search(G, r: int, m: int, budget: int | None = None) -> SearchOutc
 
 
 def orbit_is_identity(letters, commutes_gens) -> bool:
+    """:func:`full_orbit_is_identity`, answered at once when the word's
+    abelianization is nonzero.  Swaps and cancellations keep the exponent
+    sum of every generator, and the empty word has every sum zero, so a
+    nonzero sum means the empty word is not in the orbit.
+    """
+    sums = {}
+    for g, e in letters:
+        sums[g] = sums.get(g, 0) + e
+    if any(sums.values()):
+        return False
+    return full_orbit_is_identity(letters, commutes_gens)
+
+
+def full_orbit_is_identity(letters, commutes_gens) -> bool:
     """Explore the full orbit of a word under adjacent commuting swaps and
     free cancellations; the word is the identity iff the empty word is
     reachable.  Letters are (generator, sign) pairs; states are raw words,
@@ -426,3 +445,57 @@ def listed_set_matches_per_cycle(G, listed) -> bool:
         if w1 != s1:
             return False
     return True
+
+
+def validate_map(rotation, pairing, signature, vertex_of):
+    """The first invariant of an embedded graph that the four lists break,
+    as ``EmbeddedGraph`` words it, or ``None`` if they form a valid map.
+
+    Dart by dart: each rotation cycle is walked from its least dart and must
+    keep one vertex name, seen on no earlier cycle; then every dart must be
+    reached from dart 0 by a depth-first search under rotation and pairing.
+    """
+    R, P, V, S = rotation, pairing, vertex_of, signature
+    n = len(R)
+    if n == 0:
+        return "empty map"
+    if len(P) != n or len(V) != n:
+        return "rotation, pairing and vertex_of must have equal length"
+    if sorted(R) != list(range(n)):
+        return "rotation is not a permutation of the darts"
+    for d, e in enumerate(P):
+        if not 0 <= e < n or e == d or P[e] != d:
+            return "pairing is not a fixed-point-free involution"
+    if any(not isinstance(v, str) for v in V):
+        return "vertex names must be strings"
+    if len(S) != n // 2:
+        return "signature must assign one sign per edge"
+    if any(s not in (1, -1) for s in S):
+        return "signature values must be +1 or -1"
+    seen_vids = set()
+    visited = [False] * n
+    for d in range(n):
+        if visited[d]:
+            continue
+        vid = V[d]
+        if vid in seen_vids:
+            return f"vertex {vid!r} split across several rotation cycles"
+        seen_vids.add(vid)
+        cur = d
+        while not visited[cur]:
+            visited[cur] = True
+            if V[cur] != vid:
+                return f"rotation cycle mixes vertices {vid!r} and {V[cur]!r}"
+            cur = R[cur]
+    stack = [0]
+    reach = [False] * n
+    reach[0] = True
+    while stack:
+        d = stack.pop()
+        for e in (R[d], P[d]):
+            if not reach[e]:
+                reach[e] = True
+                stack.append(e)
+    if not all(reach):
+        return "map is not connected"
+    return None

@@ -2,6 +2,7 @@ import io
 import contextlib
 import time
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadloc.cli import run
 from quadloc.semifree import walk_label
+from quadloc.surface_map import EmbeddedGraph
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -89,6 +91,34 @@ def test_classify_phi_type(tmp_path):
     text = Path(cert).read_text()
     assert text.startswith("# quadloc-cert v1")
     assert "type PHI3" in text
+
+
+def test_each_map_builds_one_spanning_tree(tmp_path, monkeypatch):
+    g, refined = str(tmp_path / "g1p.txt"), str(tmp_path / "g1p_refined.txt")
+    invoke(["build", "g1p", "--out", g])
+    assert invoke(["surgery", "refine3", g, "--out", refined])[0] == 0
+    built, trees = [], []
+    validate, tree = EmbeddedGraph._validate, EmbeddedGraph.spanning_tree.func
+
+    def counted_validate(G):
+        built.append(G)
+        validate(G)
+
+    def counted_tree(G):
+        trees.append(G)
+        return tree(G)
+
+    counted = cached_property(counted_tree)
+    counted.__set_name__(EmbeddedGraph, "spanning_tree")
+    monkeypatch.setattr(EmbeddedGraph, "_validate", counted_validate)
+    monkeypatch.setattr(EmbeddedGraph, "spanning_tree", counted)
+    for argv in (["classify", "phi-type", refined, "--out", str(tmp_path / "profile.txt")],
+                 ["verify", "surface", refined]):
+        built.clear()
+        trees.clear()
+        assert invoke(argv)[0] == 0
+        # the lists hold the maps, so no id is reused while they are compared
+        assert built and sorted(map(id, trees)) == sorted(map(id, built)), argv
 
 
 def test_phi3_cert_files(tmp_path):

@@ -38,7 +38,7 @@ from quadloc.quadform import (
     quad_parity,
     refine_3x3,
 )
-from quadloc.surface_map import EmbeddedGraph, classify_surface, spanning_tree
+from quadloc.surface_map import EmbeddedGraph, classify_surface
 from helpers import (
     flip_random_faces,
     klein_bottle_grid,
@@ -51,7 +51,7 @@ from oracles import listed_set_matches_per_cycle
 
 
 def tree_edges(G):
-    return {G.edge_of[d] for d in spanning_tree(G).values() if d is not None}
+    return {G.edge_of[d] for d in G.spanning_tree.values() if d is not None}
 
 
 # -- parity -------------------------------------------------------------------

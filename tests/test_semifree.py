@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_kneser_edges,
     fixpoint_reduce,
+    full_orbit_is_identity,
     orbit_is_identity,
     piling_is_identity,
     token_parse_word_text,
@@ -172,16 +173,30 @@ def _random_commutation_graph(rng, n):
     return CommutationGraph(gens, frozenset(edges))
 
 
-def test_reduce_agrees_with_orbit_oracle_sampled():
+def _sampled_cases():
+    """1,500 seeded (commutation graph, word) pairs of 1-10 letters."""
     rng = random.Random(110)
     for _ in range(1500):
         n = rng.randint(2, 8)
         H = _random_commutation_graph(rng, n)
         L = rng.randint(1, 10)
-        letters = tuple((rng.choice(H.generators), rng.choice((1, -1))) for _ in range(L))
+        yield H, tuple((rng.choice(H.generators), rng.choice((1, -1))) for _ in range(L))
+
+
+def test_reduce_agrees_with_orbit_oracle_sampled():
+    for H, letters in _sampled_cases():
         got = is_identity(GroupWord(H, letters))
         want = orbit_is_identity(letters, H.commutes)
         assert got == want, (H.edges, letters)
+
+
+def test_orbit_oracle_shortcut_agrees_with_the_full_orbit():
+    answers = set()
+    for H, letters in islice(_sampled_cases(), 150):
+        fast = orbit_is_identity(letters, H.commutes)
+        assert fast == full_orbit_is_identity(letters, H.commutes), (H.edges, letters)
+        answers.add(fast)
+    assert answers == {True, False}
 
 
 def test_torsion_free_at_short_lengths():

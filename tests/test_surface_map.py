@@ -40,6 +40,7 @@ from oracles import (
     dfs_switching_trivial,
     medial_tag_fits,
     sorted_dart_faces,
+    validate_map,
 )
 
 
@@ -101,6 +102,62 @@ def test_structural_validation_rejects_garbage():
     with pytest.raises(StructureError):
         # two components: two disjoint single edges
         EmbeddedGraph([0, 1, 2, 3], [1, 0, 3, 2], [1, 1], ["a", "b", "c", "d"])
+
+
+def map_mutations(G, others, rng):
+    """Seeded variants ``(kind, rotation, pairing, signature, vertex_of)`` of
+    the lists of ``G``, most of them broken; ``others`` are maps to take a
+    disjoint union with."""
+    R, P, S, V = G.rotation, G.pairing, G.signature, G.vertex_of
+    n = len(R)
+
+    def changed(lst, *updates):
+        lst = list(lst)
+        for i, x in updates:
+            lst[i] = x
+        return lst
+
+    a, b, c = (rng.randrange(n) for _ in range(3))
+    across = [d for d in range(n) if V[d] != V[a]]
+    if across:
+        e = rng.choice(across)
+        yield "swap rotation", changed(R, (a, R[e]), (e, R[a])), P, S, V
+    if a != b:
+        yield "repeat rotation", changed(R, (a, R[b])), P, S, V
+    yield "rename dart", R, P, S, changed(V, (a, rng.choice(list(G.vertices) + ["fresh"])))
+    yield "pairing fixed points", R, changed(P, (a, a), (P[a], P[a])), S, V
+    if len({a, b, c}) == 3:
+        yield "pairing 3-cycle", R, changed(P, (a, b), (b, c), (c, a)), S, V
+    H = rng.choice(others)
+    suffix = rng.choice(("", "'"))
+    yield ("disjoint union", R + tuple(d + n for d in H.rotation),
+           P + tuple(d + n for d in H.pairing), S + H.signature,
+           V + tuple(v + suffix for v in H.vertex_of))
+    yield "non-str name", R, P, S, [7 if v == V[a] else v for v in V]
+    yield "sign 0 or 2", R, P, changed(S, (rng.randrange(len(S)), rng.choice((0, 2)))), V
+    yield "short signature", R, P, S[:-1], V
+
+
+def test_validation_agrees_with_dart_level_oracle_on_mutated_maps(g0, g1, g0p, g1p, k4p):
+    rng = random.Random(29)
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41))
+    kinds, messages = Counter(), Counter()
+    cases = [("empty", (), (), (), ()), ("unequal", (0, 1), (1, 0), (1,), ("u",))]
+    for G in maps:
+        cases.append(("unchanged", G.rotation, G.pairing, G.signature, G.vertex_of))
+        cases += map_mutations(G, maps, rng)
+    for kind, *lists in cases:
+        want = validate_map(*lists)
+        try:
+            EmbeddedGraph(*lists)
+            got = None
+        except StructureError as exc:
+            got = str(exc)
+        assert got == want, (kind, lists)
+        kinds[kind] += 1
+        messages[None if want is None else want.split("'")[0]] += 1
+    assert len(kinds) == 12 and min(kinds[k] for k in kinds if k not in ("empty", "unequal")) > 200
+    assert len(messages) == 11 and messages[None] > len(maps), messages
 
 
 def test_edge_index_matches_a_scan_of_the_edges(g0, g1, g0p, g1p, k4p):
@@ -438,7 +495,7 @@ def mutated_faces(mutation):
             slots = list(walks[1].slots)
         else:
             del slots[0]
-        walks[0] = surface_map.FaceWalk(tuple(slots))
+        walks[0] = surface_map.FaceWalk(*map(tuple, zip(*slots)))
         return tuple(walks)
 
     return property(faces)

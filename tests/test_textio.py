@@ -46,6 +46,12 @@ def test_parser_rejects_duplicate_darts():
         parse_graph(text)
 
 
+def test_parser_names_the_line_and_id_of_a_duplicate_vertex():
+    text = "vertex u : 0\nvertex w : 1\n# u again\nvertex u : 2 3\nedge e0 : 0 1 +\nedge e1 : 2 3 +\n"
+    with pytest.raises(FormatError, match=r"^line 4: duplicate vertex id u$"):
+        parse_graph(text)
+
+
 def test_parser_rejects_non_involutive_pairing():
     text = "vertex u : 0\nvertex w : 1\nedge e0 : 0 0 +\nedge e1 : 1 1 +\n"
     with pytest.raises(FormatError, match="itself"):
