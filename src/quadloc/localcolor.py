@@ -51,9 +51,10 @@ class Coloring:
 
 
 def neighbor_sets(G):
-    """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict."""
+    """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict;
+    a neighbor set that already is a frozenset is reused, not copied."""
     adj = getattr(G, "adjacency", G)
-    return {v: frozenset(ns) for v, ns in adj.items()}
+    return dict(zip(adj, map(frozenset, adj.values())))
 
 
 def coloring_violation(G, c: Coloring, r: int):
@@ -61,11 +62,20 @@ def coloring_violation(G, c: Coloring, r: int):
 
     Witnesses are ``("edge", u, w)`` for a properness failure and
     ``("vertex", v)`` for a neighborhood showing ``r`` or more colors.
+    One unsorted pass decides; only a faulty coloring is walked again in
+    sorted order, which names the first witness.
     """
     adj = neighbor_sets(G)
     missing = sorted(set(adj) - set(c.assignment))
     if missing:
         raise ColoringError(f"coloring is not total, vertex {missing[0]!r} uncolored")
+    color = c.assignment.__getitem__
+    for v, ns in adj.items():
+        seen = set(map(color, ns))
+        if color(v) in seen or len(seen) > r - 1:
+            break
+    else:
+        return None
     for v in sorted(adj):
         for w in sorted(adj[v]):
             if c.assignment[v] == c.assignment[w]:

@@ -48,7 +48,7 @@ ODD = "odd"
 def require_quadrangulation(G: EmbeddedGraph):
     if G.has_loop():
         raise LoopError("quadrangulations are loopless")
-    bad = [len(f) for f in G.faces if len(f) != 4]
+    bad = [len(f.tails) for f in G.faces if len(f.tails) != 4]
     if bad:
         raise NotQuadrangulationError(f"face of length {bad[0]} present")
 
@@ -107,7 +107,7 @@ def increasing_color_quad_faces(G: EmbeddedGraph, c: Coloring):
     orientation."""
     out = []
     for i, f in enumerate(G.faces):
-        if len(f) != 4:
+        if len(f.tails) != 4:
             continue
         cols = [c.assignment[v] for v in G.face_vertex_walk(f)]
         hits = False
@@ -176,7 +176,8 @@ def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     classification is attached for quadrangulations of non-orientable
     surfaces; for orientable input only the parity map is reported.
     """
-    if any(len(f) % 2 for f in G.faces):
+    lengths = [len(f.tails) for f in G.faces]
+    if any(k % 2 for k in lengths):
         raise InputError("parity map undefined: odd face present")
     via = G.spanning_tree
     depth = {}
@@ -192,7 +193,7 @@ def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     )
     sc = classify_surface(G)
     parity = None
-    if not G.has_loop() and all(len(f) == 4 for f in G.faces):
+    if not G.has_loop() and lengths.count(4) == len(lengths):
         parity = quad_parity(G)
     profile = ParityProfile(parity, sc, basis, phi, w1, None)
     if not sc.orientable and parity is not None:

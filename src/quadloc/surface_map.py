@@ -320,7 +320,7 @@ class EmbeddedGraph:
                 if cur == start:
                     break
             walks.append(FaceWalk(tuple(tails), tuple(sides)))
-        if sum(map(len, walks)) != 2 * self.n_edges:
+        if sum(len(walk.tails) for walk in walks) != 2 * self.n_edges:
             raise InternalConsistencyError("face lengths do not sum to twice the edge count")
         return tuple(walks)
 
@@ -339,7 +339,7 @@ class EmbeddedGraph:
         return tuple(self.vertex_of[d] for d in face.tails)
 
     def face_lengths(self):
-        return tuple(sorted(len(f) for f in self.faces))
+        return tuple(sorted(len(f.tails) for f in self.faces))
 
     # -- switching ---------------------------------------------------------
 
@@ -440,8 +440,9 @@ def _match_faces(G: EmbeddedGraph, faces):
     # traced slot g is position g - offset[f] of face f = face_of[g], with
     # tail tails[g]; at[2d + j] is the j-th slot with tail d, -1 if none
     tails = list(chain.from_iterable(walk.tails for walk in traced))
-    face_of = list(chain.from_iterable(repeat(f, len(walk)) for f, walk in enumerate(traced)))
-    offset = list(accumulate(map(len, traced), initial=0))
+    lengths = [len(walk.tails) for walk in traced]
+    face_of = list(chain.from_iterable(map(repeat, range(len(traced)), lengths)))
+    offset = list(accumulate(lengths, initial=0))
     at = [-1] * (2 * G.n_darts)
     for g, d in enumerate(tails):
         at[2 * d if at[2 * d] < 0 else 2 * d + 1] = g
@@ -480,58 +481,61 @@ def _assemble(faces, pair, names):
     traced faces of the result against them.
     """
     n = len(pair)
+    tails = list(chain.from_iterable(faces))
+    size = 2 * len(tails)
     # slots are numbered face by face; flag 2s is the tail end of slot s and
     # 2s + 1 its head end.  corner[fl] is the flag of the neighbouring slot
-    # at the same corner of the face.
-    corner = []
-    for face in faces:
-        o, L = len(corner) // 2, len(face)
-        for i in range(L):
-            corner += (2 * (o + (i - 1) % L) + 1, 2 * (o + (i + 1) % L))
+    # at the same corner of the face: the head of the slot before and the
+    # tail of the slot after, wrapping round at each face's ends.
+    corner = [0] * size
+    corner[0::2] = range(-1, size - 1, 2)
+    corner[1::2] = range(2, size + 2, 2)
+    o = 0
+    for e in accumulate(map(len, faces)):
+        corner[2 * o], corner[2 * e - 1] = 2 * e - 1, 2 * o
+        o = e
 
     # every dart owns exactly two flags (one per traversal of its edge);
-    # mate[fl] is the other flag of the same dart
-    flag_dart = [x for face in faces for d in face for x in (d, pair[d])]
+    # mate[fl] is the other flag of the same dart.  A vertex's link walk
+    # starts at its least flag, which is the first flag of one of its darts.
+    flag_dart = [0] * size
+    flag_dart[0::2] = tails
+    flag_dart[1::2] = [pair[d] for d in tails]
     first = [-1] * n
-    mate = [0] * len(flag_dart)
-    for fl, d in enumerate(flag_dart):
-        if first[d] < 0:
-            first[d] = fl
-        else:
-            mate[fl], mate[first[d]] = first[d], fl
-
-    # vertex links -> rotation cycles, started at each vertex's least flag,
-    # with the in/out flag of every dart passage
+    mate = [0] * size
     start = {}
     for fl, d in enumerate(flag_dart):
-        start.setdefault(names[d], fl)
+        f = first[d]
+        if f < 0:
+            first[d] = fl
+            start.setdefault(names[d], fl)
+        else:
+            mate[fl] = f
+            mate[f] = fl
+
+    # vertex links -> rotation cycles, with the in-flag of every dart
+    # passage; a link must close after exactly the vertex's degree steps
     degree = Counter(names)
     rotation = [0] * n
     flag_in = [0] * n
-    flag_out = [0] * n
     for v in sorted(start):
-        first_flag, size = start[v], degree[v]
-        cyc = []
-        cur = first_flag
-        while True:
+        cur = first_flag = start[v]
+        steps = degree[v]
+        for i in range(steps):
             d = flag_dart[cur]
-            cyc.append(d)
-            out = mate[cur]
-            flag_in[d], flag_out[d] = cur, out
-            cur = corner[out]
+            flag_in[d] = cur
+            cur = corner[mate[cur]]
+            rotation[d] = flag_dart[cur]
             if cur == first_flag:
                 break
-            if len(cyc) > size:
-                raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
-        if len(cyc) != size:
+        if cur != first_flag or i != steps - 1:
             raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
-        for i, d in enumerate(cyc):
-            rotation[cyc[i - 1]] = d
 
     # signatures from how the two link walks meet across each edge
-    signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]
+    # (the out-flag of a passage is the mate of its in-flag)
+    signature = [1 if flag_in[a] ^ 1 == mate[flag_in[b]] else -1 for a, b in enumerate(pair) if a < b]
     # free the per-dart and per-flag tables before the map is traced
-    del corner, flag_dart, first, mate, flag_in, flag_out
+    del tails, corner, flag_dart, first, mate, flag_in
     G = EmbeddedGraph(rotation, pair, signature, names)
 
     # the assembled map must reproduce the requested faces exactly
@@ -613,10 +617,9 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
     The result is numbered densely in dart order and re-traced by the assembler.
     """
     names = list(G.vertex_of if vertex_of is None else vertex_of)
+    names += chain.from_iterable(new_ends)
     pairing = list(G.pairing)
-    for u, w in new_ends:
-        pairing += (len(pairing) + 1, len(pairing))
-        names += (u, w)
+    pairing += [d ^ 1 for d in range(len(pairing), len(names))]
     # new[d]: the dense number of dart d, -1 once its edge is dropped
     new = [0] * len(pairing)
     for k in drop:

@@ -9,95 +9,31 @@ One construct per line, ``#`` starts a comment::
 Darts are integers (renumbered densely on read), vertex ids are arbitrary
 whitespace-free tokens.  The writer emits a canonical form, so a written
 graph re-reads and re-writes byte-identically.
+
+The reader works on whole lists.  One loop splits the lines, checks the
+shape of each and files its parts by kind.  The dart and color tokens are
+converted with one ``map(int)`` each, the dense dart numbering comes from
+one sort, and the edge lines' darts are looked up by their tokens (a token
+spelled unlike at its vertex line, such as ``07`` for ``7``, is converted).
+Bulk tests find faults; a walk over the lines then names the first fault
+in file order, as a line-by-line reading does.
 """
 from __future__ import annotations
 
-from .errors import FormatError
+from itertools import accumulate, chain
+from operator import itemgetter
+
+from .errors import FormatError, InternalConsistencyError
 from .localcolor import Coloring
 from .surface_map import EmbeddedGraph
+
+_SIGN = {"+": 1, "-": -1}
 
 
 def parse_graph(text: str):
     """Parse the embedding format; returns ``(graph, coloring_or_None)``."""
-    rot_lines = []
-    edge_lines = []
-    colors = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        kind = parts[0]
-        try:
-            if kind == "vertex":
-                if len(parts) < 3 or parts[2] != ":":
-                    raise FormatError(f"line {lineno}: expected ':' after vertex id")
-                rot_lines.append((lineno, parts[1], list(map(int, parts[3:]))))
-            elif kind == "edge":
-                if len(parts) != 6 or parts[2] != ":" or parts[5] not in ("+", "-"):
-                    raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
-                edge_lines.append((lineno, parts[1], int(parts[3]), int(parts[4]), 1 if parts[5] == "+" else -1))
-            elif kind == "color":
-                if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: color needs 'vid int'")
-                if parts[1] in colors:
-                    raise FormatError(f"line {lineno}: duplicate color for {parts[1]}")
-                colors[parts[1]] = int(parts[2])
-            else:
-                raise FormatError(f"line {lineno}: unknown construct {kind!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-
-    if not rot_lines or not edge_lines:
-        raise FormatError("need at least one vertex and one edge line")
-
-    seen_darts = {}
-    for lineno, vid, darts in rot_lines:
-        if not darts:
-            raise FormatError(f"line {lineno}: vertex {vid} has no darts")
-        for d in darts:
-            if d in seen_darts:
-                raise FormatError(f"line {lineno}: duplicate dart {d}")
-            seen_darts[d] = vid
-    vid_lines = {}
-    for lineno, vid, _ in rot_lines:
-        if vid_lines.setdefault(vid, lineno) != lineno:
-            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
-
-    order = sorted(seen_darts)
-    dense = dict(zip(order, range(len(order))))
-    n = len(order)
-
-    rotation = [None] * n
-    vertex_of = [None] * n
-    for _, vid, darts in rot_lines:
-        for i, d in enumerate(darts):
-            rotation[dense[d]] = dense[darts[(i + 1) % len(darts)]]
-            vertex_of[dense[d]] = vid
-
-    pairing = [None] * n
-    sig_by_dart = {}
-    eids = set()
-    for lineno, eid, da, db, sg in edge_lines:
-        if eid in eids:
-            raise FormatError(f"line {lineno}: duplicate edge id {eid}")
-        eids.add(eid)
-        if da == db:
-            raise FormatError(f"line {lineno}: edge pairs a dart with itself")
-        for d in (da, db):
-            if d not in dense:
-                raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
-            if pairing[dense[d]] is not None:
-                raise FormatError(f"line {lineno}: dart {d} used by two edges")
-        a, b = dense[da], dense[db]
-        pairing[a], pairing[b] = b, a
-        sig_by_dart[a] = sig_by_dart[b] = sg
-    if any(p is None for p in pairing):
-        missing = order[pairing.index(None)]
-        raise FormatError(f"dart {missing} belongs to no edge")
-
-    signature = [sig_by_dart[d] for d, p in enumerate(pairing) if d < p]
+    rotation, pairing, signature, vertex_of, colors = _read(text)
     G = EmbeddedGraph(rotation, pairing, signature, vertex_of)
-
     coloring = None
     if colors:
         unknown = sorted(set(colors) - set(G.vertices))
@@ -106,8 +42,150 @@ def parse_graph(text: str):
         missing = sorted(set(G.vertices) - set(colors))
         if missing:
             raise FormatError(f"coloring is not total, vertex {missing[0]} uncolored")
-        coloring = Coloring(dict(colors), max(colors.values()))
+        coloring = Coloring(colors, max(colors.values()))
     return G, coloring
+
+
+def _read(text):
+    """The rotation, pairing, signature and vertex names of a text, in dense
+    darts, and its colors; the lines and tokens are freed on return, before
+    the map is validated."""
+    vparts, eparts, cparts = [], [], []
+    for parts in map(str.split, _lines(text)):
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "vertex" and len(parts) > 2 and parts[2] == ":":
+            vparts.append(parts)
+        elif kind == "edge" and len(parts) == 6 and parts[2] == ":" and parts[5] in _SIGN:
+            eparts.append(parts)
+        elif kind == "color" and len(parts) == 3:
+            cparts.append(parts)
+        else:
+            _first_fault(text)
+
+    rings = list(map(itemgetter(slice(3, None)), vparts))
+    tokens = list(chain.from_iterable(rings))
+    try:
+        darts = list(map(int, tokens))
+        colors = dict(zip(map(itemgetter(1), cparts), map(int, map(itemgetter(2), cparts))))
+    except ValueError:
+        _first_fault(text)
+    if len(colors) != len(cparts):
+        _first_fault(text)
+
+    # order: token positions in increasing dart order; ranks[p]: the dense
+    # number of the dart at token position p
+    n = len(darts)
+    order = sorted(range(n), key=darts.__getitem__)
+    ranks = [0] * n
+    for k, p in enumerate(order):
+        ranks[p] = k
+    # the edge lines' darts by token; a token spelled unlike at its vertex
+    # (07 for 7) is converted, and None marks an undeclared dart
+    by_token = dict(zip(tokens, ranks))
+    da = list(map(by_token.get, map(itemgetter(3), eparts)))
+    db = list(map(by_token.get, map(itemgetter(4), eparts)))
+    if None in da or None in db:
+        dense = dict(zip(sorted(darts), range(n)))
+        try:
+            da = [dense.get(int(parts[3])) for parts in eparts]
+            db = [dense.get(int(parts[4])) for parts in eparts]
+        except ValueError:
+            _first_fault(text)
+
+    if not vparts or not eparts:
+        raise FormatError("need at least one vertex and one edge line")
+    vids = list(map(itemgetter(1), vparts))
+    eids = list(map(itemgetter(1), eparts))
+    if (not all(rings) or len(set(darts)) != n or len(set(vids)) != len(vids)
+            or len(set(eids)) != len(eids) or None in da or None in db or len(set(da + db)) != 2 * len(da)):
+        _first_fault(text)
+    if 2 * len(da) != n:
+        missing = min(set(range(n)).difference(da, db))
+        raise FormatError(f"dart {darts[order[missing]]} belongs to no edge")
+
+    # each token's successor on its line, the last wrapping round, and
+    # each token's vertex; both are read in dense dart order
+    succ = ranks[1:] + ranks[:1]
+    at = []
+    start = 0
+    for vid, stop in zip(vids, accumulate(map(len, rings))):
+        succ[stop - 1] = ranks[start]
+        at += [vid] * (stop - start)
+        start = stop
+    rotation = [succ[p] for p in order]
+    vertex_of = [at[p] for p in order]
+    pairing = [0] * n
+    sign = [0] * n
+    for a, b, parts in zip(da, db, eparts):
+        pairing[a], pairing[b] = b, a
+        sign[a] = sign[b] = _SIGN[parts[5]]
+    signature = [s for d, p, s in zip(range(n), pairing, sign) if d < p]
+    return rotation, pairing, signature, vertex_of, colors
+
+
+def _lines(text):
+    """The lines of a text, without their comments."""
+    lines = text.splitlines()
+    return [raw.partition("#")[0] for raw in lines] if "#" in text else lines
+
+
+def _first_fault(text):
+    """Raise the first fault of a text that a bulk check rejected, reading
+    it line by line: a malformed line or token, then a vertex without darts
+    or a repeated dart, a repeated vertex id, then an edge line with a
+    repeated id or whose darts are equal, undeclared or already used."""
+    vlines, elines, colors = [], [], set()
+    for lineno, parts in enumerate(map(str.split, _lines(text)), start=1):
+        if not parts:
+            continue
+        kind = parts[0]
+        try:
+            if kind == "vertex":
+                if len(parts) < 3 or parts[2] != ":":
+                    raise FormatError(f"line {lineno}: expected ':' after vertex id")
+                vlines.append((lineno, parts[1], list(map(int, parts[3:]))))
+            elif kind == "edge":
+                if len(parts) != 6 or parts[2] != ":" or parts[5] not in _SIGN:
+                    raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
+                elines.append((lineno, parts[1], int(parts[3]), int(parts[4])))
+            elif kind == "color":
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: color needs 'vid int'")
+                if parts[1] in colors:
+                    raise FormatError(f"line {lineno}: duplicate color for {parts[1]}")
+                colors.add(parts[1])
+                int(parts[2])
+            else:
+                raise FormatError(f"line {lineno}: unknown construct {kind!r}")
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    declared, first = set(), {}
+    for lineno, vid, darts in vlines:
+        if not darts:
+            raise FormatError(f"line {lineno}: vertex {vid} has no darts")
+        for d in darts:
+            if d in declared:
+                raise FormatError(f"line {lineno}: duplicate dart {d}")
+            declared.add(d)
+    for lineno, vid, _ in vlines:
+        if first.setdefault(vid, lineno) != lineno:
+            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+    eids, used = set(), set()
+    for lineno, eid, da, db in elines:
+        if eid in eids:
+            raise FormatError(f"line {lineno}: duplicate edge id {eid}")
+        eids.add(eid)
+        if da == db:
+            raise FormatError(f"line {lineno}: edge pairs a dart with itself")
+        for d in (da, db):
+            if d not in declared:
+                raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
+            if d in used:
+                raise FormatError(f"line {lineno}: dart {d} used by two edges")
+        used.update((da, db))
+    raise InternalConsistencyError("a bulk check rejected a text that the line walk accepts")
 
 
 def write_graph(G: EmbeddedGraph, coloring: Coloring | None = None) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     ColoringError,
@@ -47,7 +47,7 @@ class Triangulation:
 
     @staticmethod
     def wrap(G: EmbeddedGraph) -> "Triangulation":
-        if any(len(f) != 3 for f in G.faces):
+        if any(len(f.tails) != 3 for f in G.faces):
             raise InputError("not a triangulation")
         odd = tuple(v for v in G.vertices if G.degree(v) % 2)
         if len(odd) % 2:
@@ -65,18 +65,16 @@ def face_subdivision(Q: EmbeddedGraph):
     taken = set(Q.vertices)
     hubs = [fresh_name(f"h{i}", taken) for i in range(len(Q.faces))]
 
-    # spoke pos of face i is new edge 4i + pos: dart n + 8i + 2pos at the
-    # rim vertex, n + 8i + 2pos + 1 at the hub
+    # slot s = 4i + pos of face i gets spoke s, new edge s: dart n + 2s at
+    # the rim vertex, n + 2s + 1 at the hub.  Its triangle runs along the
+    # slot, back in along the next spoke of the face and out along its own.
     n = Q.n_darts
-    faces = []
-    ends = []
-    for i, f in enumerate(Q.faces):
-        walk = f.tails
-        spoke = n + 8 * i
-        ends += [(Q.vertex_of[d], hubs[i]) for d in walk]
-        for pos in range(4):
-            faces.append([walk[pos], spoke + 2 * ((pos + 1) % 4), spoke + 2 * pos + 1])
-    G = rebuild(Q, faces, new_ends=ends)
+    rim = list(chain.from_iterable(f.tails for f in Q.faces))
+    back = list(range(n + 2, n + 2 * len(rim) + 2, 2))
+    back[3::4] = range(n, n + 2 * len(rim), 8)
+    out = range(n + 1, n + 2 * len(rim), 2)
+    ends = list(zip([Q.vertex_of[d] for d in rim], chain.from_iterable(zip(hubs, hubs, hubs, hubs))))
+    G = rebuild(Q, list(map(list, zip(rim, back, out))), new_ends=ends)
 
     if (G.n_vertices, G.n_edges, len(G.faces)) != (
         Q.n_vertices + len(Q.faces),

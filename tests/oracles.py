@@ -21,7 +21,13 @@ vertex signs, the other compares two parities on every fundamental cycle
 built from root paths.  The map validator walks every rotation cycle dart
 by dart and searches the darts depth-first under rotation and pairing,
 where production checks whole lists and reads connectivity off the
-spanning tree.  The orbit oracle answers a word with a nonzero
+spanning tree.  The map-text parser reads line by line, converting each
+token where it stands and checking each dart and id as it comes, where
+production files whole lists and names a fault only after a bulk test
+rejects them.  The assembler's tables are filled flag by flag and each
+vertex's link is collected before its rotation is written, where
+production fills them by slices and writes the rotation as the link walk
+goes.  The orbit oracle answers a word with a nonzero
 abelianization at once and explores the full orbit of the others.  The
 U(m, r) oracle tests every pair of vertices against the definition and
 finds triangles around each vertex, where production lists each vertex's
@@ -29,14 +35,15 @@ neighbors and intersects the neighborhoods of an edge's ends.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
-from quadloc.errors import InputError
+from quadloc.errors import AssemblyError, FormatError, InputError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome, u_vertex_name,
 )
 from quadloc.semifree import GroupWord, _check_kneser, kneser_graph, pair_name
+from quadloc.surface_map import EmbeddedGraph
 
 
 def brute_local_coloring_exists(adj, r: int, m: int) -> bool:
@@ -499,3 +506,144 @@ def validate_map(rotation, pairing, signature, vertex_of):
     if not all(reach):
         return "map is not connected"
     return None
+
+
+def parse_graph_by_lines(text: str):
+    """The map-text reader, line by line: ``(graph, coloring_or_None)``, or
+    the same ``FormatError`` as ``quadloc.textio.parse_graph``."""
+    rot_lines = []
+    edge_lines = []
+    colors = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kind = parts[0]
+        try:
+            if kind == "vertex":
+                if len(parts) < 3 or parts[2] != ":":
+                    raise FormatError(f"line {lineno}: expected ':' after vertex id")
+                rot_lines.append((lineno, parts[1], list(map(int, parts[3:]))))
+            elif kind == "edge":
+                if len(parts) != 6 or parts[2] != ":" or parts[5] not in ("+", "-"):
+                    raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
+                edge_lines.append((lineno, parts[1], int(parts[3]), int(parts[4]), 1 if parts[5] == "+" else -1))
+            elif kind == "color":
+                if len(parts) != 3:
+                    raise FormatError(f"line {lineno}: color needs 'vid int'")
+                if parts[1] in colors:
+                    raise FormatError(f"line {lineno}: duplicate color for {parts[1]}")
+                colors[parts[1]] = int(parts[2])
+            else:
+                raise FormatError(f"line {lineno}: unknown construct {kind!r}")
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+
+    if not rot_lines or not edge_lines:
+        raise FormatError("need at least one vertex and one edge line")
+
+    seen_darts = {}
+    for lineno, vid, darts in rot_lines:
+        if not darts:
+            raise FormatError(f"line {lineno}: vertex {vid} has no darts")
+        for d in darts:
+            if d in seen_darts:
+                raise FormatError(f"line {lineno}: duplicate dart {d}")
+            seen_darts[d] = vid
+    vid_lines = {}
+    for lineno, vid, _ in rot_lines:
+        if vid_lines.setdefault(vid, lineno) != lineno:
+            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+
+    order = sorted(seen_darts)
+    dense = dict(zip(order, range(len(order))))
+    n = len(order)
+
+    rotation = [None] * n
+    vertex_of = [None] * n
+    for _, vid, darts in rot_lines:
+        for i, d in enumerate(darts):
+            rotation[dense[d]] = dense[darts[(i + 1) % len(darts)]]
+            vertex_of[dense[d]] = vid
+
+    pairing = [None] * n
+    sig_by_dart = {}
+    eids = set()
+    for lineno, eid, da, db, sg in edge_lines:
+        if eid in eids:
+            raise FormatError(f"line {lineno}: duplicate edge id {eid}")
+        eids.add(eid)
+        if da == db:
+            raise FormatError(f"line {lineno}: edge pairs a dart with itself")
+        for d in (da, db):
+            if d not in dense:
+                raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
+            if pairing[dense[d]] is not None:
+                raise FormatError(f"line {lineno}: dart {d} used by two edges")
+        a, b = dense[da], dense[db]
+        pairing[a], pairing[b] = b, a
+        sig_by_dart[a] = sig_by_dart[b] = sg
+    if any(p is None for p in pairing):
+        missing = order[pairing.index(None)]
+        raise FormatError(f"dart {missing} belongs to no edge")
+
+    signature = [sig_by_dart[d] for d, p in enumerate(pairing) if d < p]
+    G = EmbeddedGraph(rotation, pairing, signature, vertex_of)
+
+    coloring = None
+    if colors:
+        unknown = sorted(set(colors) - set(G.vertices))
+        if unknown:
+            raise FormatError(f"color given for unknown vertex {unknown[0]}")
+        missing = sorted(set(G.vertices) - set(colors))
+        if missing:
+            raise FormatError(f"coloring is not total, vertex {missing[0]} uncolored")
+        coloring = Coloring(dict(colors), max(colors.values()))
+    return G, coloring
+
+
+def assemble_rotation(faces, pair, names):
+    """``(rotation, signature)`` of the map realizing a face structure, as
+    ``quadloc.surface_map._assemble`` builds it before re-tracing, or the
+    same ``AssemblyError`` for a pinched vertex."""
+    n = len(pair)
+    corner = []
+    for face in faces:
+        o, L = len(corner) // 2, len(face)
+        for i in range(L):
+            corner += (2 * (o + (i - 1) % L) + 1, 2 * (o + (i + 1) % L))
+    flag_dart = [x for face in faces for d in face for x in (d, pair[d])]
+    first = [-1] * n
+    mate = [0] * len(flag_dart)
+    for fl, d in enumerate(flag_dart):
+        if first[d] < 0:
+            first[d] = fl
+        else:
+            mate[fl], mate[first[d]] = first[d], fl
+    start = {}
+    for fl, d in enumerate(flag_dart):
+        start.setdefault(names[d], fl)
+    degree = Counter(names)
+    rotation = [0] * n
+    flag_in = [0] * n
+    flag_out = [0] * n
+    for v in sorted(start):
+        first_flag, size = start[v], degree[v]
+        cyc = []
+        cur = first_flag
+        while True:
+            d = flag_dart[cur]
+            cyc.append(d)
+            out = mate[cur]
+            flag_in[d], flag_out[d] = cur, out
+            cur = corner[out]
+            if cur == first_flag:
+                break
+            if len(cyc) > size:
+                raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
+        if len(cyc) != size:
+            raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
+        for i, d in enumerate(cyc):
+            rotation[cyc[i - 1]] = d
+    signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]
+    return rotation, signature

@@ -88,11 +88,29 @@ def test_violation_witnesses():
     adj = cycle_adjacency(4)
     bad = Coloring({"c0": 1, "c1": 1, "c2": 2, "c3": 2}, 2)
     assert coloring_violation(adj, bad, 2) == ("edge", "c0", "c1")
+    assert coloring_violation(adj, bad, 4) == ("edge", "c0", "c1")
     c = Coloring({"c0": 1, "c1": 2, "c2": 1, "c3": 3}, 3)
     assert coloring_violation(adj, c, 2) == ("vertex", "c0")
     assert coloring_violation(adj, c, 3) is None
     with pytest.raises(ColoringError):
         coloring_violation(adj, Coloring({"c0": 1}, 1), 2)
+
+
+def test_violation_witness_is_the_least_in_sorted_order(g0p, g1p, k4p):
+    rng = random.Random(15)
+    checked = 0
+    for G, c in (g0p, g1p, k4p):
+        for _ in range(40):
+            colors = dict(c.assignment)
+            for v in rng.sample(G.vertices, rng.randint(0, 3)):
+                colors[v] = rng.randint(1, 6)
+            r = rng.randint(2, 5)
+            improper = [("edge",) + e for e in G.edges if colors[e[0]] == colors[e[1]]]
+            crowded = [v for v in G.vertices if len({colors[w] for w in G.adjacency[v]}) > r - 1]
+            want = min(improper) if improper else ("vertex", min(crowded)) if crowded else None
+            assert coloring_violation(G, Coloring(colors, 6), r) == want
+            checked += want is not None
+    assert checked > 40
 
 
 def test_hom_to_u_round_trip(g0p):

@@ -9,9 +9,16 @@ from quadloc.errors import (
     AssemblyError,
     InternalConsistencyError,
     StructureError,
+    SurgeryRejectedError,
     UnsupportedInputError,
 )
-from quadloc.quadform import refine_3x3
+from quadloc.quadform import (
+    crosscap_hexagon,
+    find_crosscap_candidates,
+    identify_face_diagonal,
+    refine_3x3,
+)
+from quadloc.trisub import face_subdivision
 from quadloc.surface_map import (
     EmbeddedGraph,
     FaceListComplex,
@@ -35,6 +42,7 @@ from helpers import (
     two_squares_sphere,
 )
 from oracles import (
+    assemble_rotation,
     brute_faces,
     brute_least_rotation,
     dfs_switching_trivial,
@@ -260,6 +268,70 @@ def test_assembler_rejects_pinched_vertex():
     with pytest.raises(AssemblyError) as err:
         assemble_embedding(FaceListComplex.from_lists(faces))
     assert err.value.vertex == "a"
+
+
+def record_assemblies(monkeypatch):
+    """Every ``_assemble`` call from here on: its arguments, then the map
+    built or the error raised."""
+    calls, real = [], surface_map._assemble
+
+    def record(faces, pair, names):
+        calls.append([faces, pair, names])
+        try:
+            G, match = real(faces, pair, names)
+        except AssemblyError as exc:
+            calls[-1].append(exc)
+            raise
+        calls[-1].append(G)
+        return G, match
+
+    monkeypatch.setattr(surface_map, "_assemble", record)
+    return calls
+
+
+def test_assembler_tables_match_flag_by_flag_oracle_on_every_edit(monkeypatch, g0, g1, g0p, g1p, k4p):
+    calls = record_assemblies(monkeypatch)
+    for G, _ in (g0, g1, g0p, g1p, k4p):
+        rebuild(G, [f.tails for f in G.faces])
+    for Q, c in (g0p, g1p, k4p):
+        R, _ = refine_3x3(Q, c)
+        face_subdivision(Q)
+        face_subdivision(R)
+        for k in find_crosscap_candidates(Q, c)[:2]:
+            crosscap_hexagon(Q, c, k)
+        for i in range(min(6, len(Q.faces))):
+            try:
+                identify_face_diagonal(Q, c, i)
+            except SurgeryRejectedError:
+                pass
+    for G in random_maps(41):
+        rebuild(G, [f.tails for f in G.faces])
+    assert len(calls) > 320
+    for faces, pair, names, G in calls:
+        assert assemble_rotation(faces, pair, names) == (list(G.rotation), list(G.signature))
+
+
+def test_assembler_names_the_pinched_vertex_as_the_oracle_does(monkeypatch):
+    calls = record_assemblies(monkeypatch)
+    faces = [("a", "b", "c"), ("a", "b", "c"), ("a", "d", "e"), ("a", "d", "e")]
+    with pytest.raises(AssemblyError):
+        assemble_embedding(FaceListComplex.from_lists(faces))
+    # two random maps glued at one or more vertex names: disjoint darts,
+    # faces and edges, so every shared name has two links
+    maps = list(random_maps(42, count=40))
+    for G, H in zip(maps[0::2], maps[1::2]):
+        n = G.n_darts
+        shared = {v: v if i % 2 == 0 else "h" + v for i, v in enumerate(H.vertices)}
+        faces = [list(f.tails) for f in G.faces] + [[n + d for d in f.tails] for f in H.faces]
+        pair = list(G.pairing) + [n + d for d in H.pairing]
+        names = list(G.vertex_of) + [shared[v] for v in H.vertex_of]
+        with pytest.raises(AssemblyError):
+            surface_map._assemble(faces, pair, names)
+    assert len(calls) == 21
+    for faces, pair, names, err in calls:
+        with pytest.raises(AssemblyError) as oracle:
+            assemble_rotation(faces, pair, names)
+        assert (str(err), err.vertex) == (str(oracle.value), oracle.value.vertex)
 
 
 def test_delete_edge_then_chord_restores_sphere():

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quadloc.errors import FormatError, InputError
 from quadloc.textio import parse_graph, write_graph
 from helpers import klein_bottle_grid, two_squares_sphere
+from oracles import parse_graph_by_lines
 
 
 def test_round_trip_is_byte_identical(g1p):
@@ -125,3 +127,87 @@ def test_parser_raises_only_input_errors_on_mutated_golden_files(text):
         parse_graph(text)
     except InputError:
         pass
+
+
+GOLDEN_TEXTS = {
+    name: (Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text()
+    for name in ("k4p", "g0", "g0p", "g1", "g1p")
+}
+
+
+def relabelled(text, rng):
+    """The text with its vertex ids permuted and its darts renamed to
+    distinct ints, some of them negative, and its lines shuffled."""
+    lines = text.splitlines()
+    vids = sorted({ln.split()[1] for ln in lines if ln.startswith("vertex")})
+    darts = sorted({t for ln in lines if ln.startswith(("vertex", "edge"))
+                    for t in ln.split()[3:] if t.lstrip("-").isdigit()}, key=int)
+    vmap = dict(zip(vids, rng.sample(vids, len(vids))))
+    dmap = dict(zip(darts, map(str, rng.sample(range(-len(darts), 3 * len(darts)), len(darts)))))
+    out = []
+    for ln in lines:
+        parts = ln.split()
+        parts[1] = vmap.get(parts[1], parts[1])
+        parts[3:] = [dmap.get(t, t) for t in parts[3:]]
+        out.append(" ".join(parts))
+    rng.shuffle(out)
+    return "\n".join(out) + "\n"
+
+
+def respelled(text, rng):
+    """The same map spelled otherwise: int tokens as 07, +7 or -0, tabs
+    and runs of blanks between tokens, CRLF line ends, trailing comments
+    and blank lines."""
+    out = []
+    for ln in text.splitlines():
+        parts = ln.split()
+        for i, t in enumerate(parts):
+            if i >= 2 and t.isdigit() and rng.random() < 0.3:
+                parts[i] = rng.choice(("0", "+", "00")) + t if t != "0" else rng.choice(("-0", "+0", "00"))
+        line = "".join(p + rng.choice((" ", "\t", "  ", " \t")) for p in parts).rstrip()
+        if rng.random() < 0.1:
+            line += rng.choice((" # note", "#", "\t# vertex x : 1"))
+        out.append(line)
+        if rng.random() < 0.05:
+            out.append(rng.choice(("", "   ", "# comment", "\t")))
+    return rng.choice(("\n", "\r\n")).join(out) + "\n"
+
+
+@st.composite
+def reader_inputs(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    name = draw(st.sampled_from(sorted(GOLDEN_TEXTS)))
+    if name in GOLDEN_LINES and draw(st.booleans()):
+        text = draw(mutated_golden_text())
+    else:
+        text = GOLDEN_TEXTS[name]
+    if draw(st.booleans()):
+        text = relabelled(text, rng)
+    if rng.random() < 0.3:
+        # cut a line after its first one to four tokens, or add a vertex
+        # line without darts
+        lines = text.splitlines()
+        k = rng.randrange(len(lines))
+        if rng.random() < 0.7:
+            lines[k] = " ".join(lines[k].split()[:rng.randint(1, 4)])
+        else:
+            lines.insert(k, "vertex new :")
+        text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        text = respelled(text, rng)
+    return text
+
+
+def read_outcome(parse, text):
+    try:
+        G, c = parse(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+    coloring = None if c is None else (c.assignment, c.m)
+    return G.rotation, G.pairing, G.signature, G.vertex_of, coloring
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reader_inputs())
+def test_parser_matches_line_by_line_oracle(text):
+    assert read_outcome(parse_graph, text) == read_outcome(parse_graph_by_lines, text)
