@@ -132,8 +132,8 @@ def cmd_verify(args):
         G, _ = _read_graph(args.graph)
         sc = classify_surface(G)
         lengths = {}
-        for k in (len(f.tails) for f in G.faces):
-            lengths[k] = lengths.get(k, 0) + 1
+        for f in G.faces:
+            lengths[len(f)] = lengths.get(len(f), 0) + 1
         census = " ".join(f"{n}x{l}" for l, n in sorted(lengths.items()))
         print(f"V={G.n_vertices} E={G.n_edges} F={len(G.faces)} faces[{census}]")
         print(sc.describe())

@@ -121,7 +121,7 @@ def build_G1():
 
 
 def hexagon_faces(G: EmbeddedGraph):
-    return [i for i, f in enumerate(G.faces) if len(f.tails) == 6]
+    return [i for i, f in enumerate(G.faces) if len(f) == 6]
 
 
 def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
@@ -142,7 +142,7 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
     for n, walk in enumerate(hex_walks):
         idx = next(
             i for i, f in enumerate(out.faces)
-            if len(f.tails) == 6 and tuple(out.face_vertex_walk(f)) == walk
+            if len(f) == 6 and tuple(out.face_vertex_walk(f)) == walk
         )
         if choices is None:
             j = min(range(3), key=lambda j: tuple(sorted((walk[j], walk[j + 3]))))
@@ -253,7 +253,7 @@ def build_K4_projective():
     for sig in product((1, -1), repeat=6):
         G = EmbeddedGraph(rotation, pairing, list(sig), vertex_of)
         sc = classify_surface(G)
-        if sc.euler_characteristic == 1 and sorted(len(f.tails) for f in G.faces) == [4, 4, 4]:
+        if sc.euler_characteristic == 1 and sorted(len(f) for f in G.faces) == [4, 4, 4]:
             c = Coloring({v: int(v) for v in verts}, 4)
             if quad_parity(G) != ODD:
                 raise InternalConsistencyError("K4 on the projective plane must be odd")

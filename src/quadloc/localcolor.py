@@ -51,10 +51,9 @@ class Coloring:
 
 
 def neighbor_sets(G):
-    """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict;
-    a neighbor set that already is a frozenset is reused, not copied."""
+    """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict."""
     adj = getattr(G, "adjacency", G)
-    return dict(zip(adj, map(frozenset, adj.values())))
+    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 def coloring_violation(G, c: Coloring, r: int):

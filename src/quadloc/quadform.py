@@ -107,7 +107,7 @@ def increasing_color_quad_faces(G: EmbeddedGraph, c: Coloring):
     orientation."""
     out = []
     for i, f in enumerate(G.faces):
-        if len(f.tails) != 4:
+        if len(f) != 4:
             continue
         cols = [c.assignment[v] for v in G.face_vertex_walk(f)]
         hits = False

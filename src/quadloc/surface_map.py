@@ -339,7 +339,7 @@ class EmbeddedGraph:
         return tuple(self.vertex_of[d] for d in face.tails)
 
     def face_lengths(self):
-        return tuple(sorted(len(f.tails) for f in self.faces))
+        return tuple(sorted(len(f) for f in self.faces))
 
     # -- switching ---------------------------------------------------------
 

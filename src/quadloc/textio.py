@@ -11,12 +11,11 @@ whitespace-free tokens.  The writer emits a canonical form, so a written
 graph re-reads and re-writes byte-identically.
 
 The reader works on whole lists.  One loop splits the lines, checks the
-shape of each and files its parts by kind.  The dart and color tokens are
-converted with one ``map(int)`` each, the dense dart numbering comes from
-one sort, and the edge lines' darts are looked up by their tokens (a token
-spelled unlike at its vertex line, such as ``07`` for ``7``, is converted).
-Bulk tests find faults; a walk over the lines then names the first fault
-in file order, as a line-by-line reading does.
+shape of each and files its parts by kind.  The vertex, edge and color
+tokens are converted with one ``map(int)`` each, the dense dart numbering
+comes from one sort, and one dict renumbers the edge lines' darts.  Bulk
+tests find faults; a walk over the lines then names the first fault in
+file order, as a line-by-line reading does.
 """
 from __future__ import annotations
 
@@ -51,9 +50,7 @@ def _read(text):
     darts, and its colors; the lines and tokens are freed on return, before
     the map is validated."""
     vparts, eparts, cparts = [], [], []
-    for parts in map(str.split, _lines(text)):
-        if not parts:
-            continue
+    for parts in filter(None, map(str.split, _lines(text))):
         kind = parts[0]
         if kind == "vertex" and len(parts) > 2 and parts[2] == ":":
             vparts.append(parts)
@@ -65,9 +62,10 @@ def _read(text):
             _first_fault(text)
 
     rings = list(map(itemgetter(slice(3, None)), vparts))
-    tokens = list(chain.from_iterable(rings))
     try:
-        darts = list(map(int, tokens))
+        darts = list(map(int, chain.from_iterable(rings)))
+        da = list(map(int, map(itemgetter(3), eparts)))
+        db = list(map(int, map(itemgetter(4), eparts)))
         colors = dict(zip(map(itemgetter(1), cparts), map(int, map(itemgetter(2), cparts))))
     except ValueError:
         _first_fault(text)
@@ -81,18 +79,10 @@ def _read(text):
     ranks = [0] * n
     for k, p in enumerate(order):
         ranks[p] = k
-    # the edge lines' darts by token; a token spelled unlike at its vertex
-    # (07 for 7) is converted, and None marks an undeclared dart
-    by_token = dict(zip(tokens, ranks))
-    da = list(map(by_token.get, map(itemgetter(3), eparts)))
-    db = list(map(by_token.get, map(itemgetter(4), eparts)))
-    if None in da or None in db:
-        dense = dict(zip(sorted(darts), range(n)))
-        try:
-            da = [dense.get(int(parts[3])) for parts in eparts]
-            db = [dense.get(int(parts[4])) for parts in eparts]
-        except ValueError:
-            _first_fault(text)
+    # the edge lines' darts in dense numbers, None for an undeclared dart
+    dense = dict(zip(darts, ranks))
+    da = list(map(dense.get, da))
+    db = list(map(dense.get, db))
 
     if not vparts or not eparts:
         raise FormatError("need at least one vertex and one edge line")
@@ -127,8 +117,7 @@ def _read(text):
 
 def _lines(text):
     """The lines of a text, without their comments."""
-    lines = text.splitlines()
-    return [raw.partition("#")[0] for raw in lines] if "#" in text else lines
+    return [raw.partition("#")[0] for raw in text.splitlines()]
 
 
 def _first_fault(text):

@@ -92,10 +92,11 @@ def test_parser_rejects_truncated_or_malformed_lines(line):
         parse_graph(text)
 
 
-GOLDEN_LINES = {
-    name: (Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text().splitlines()
-    for name in ("k4p", "g1p")
+GOLDEN_TEXTS = {
+    name: (Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text()
+    for name in ("k4p", "g0", "g0p", "g1", "g1p")
 }
+GOLDEN_LINES = {name: GOLDEN_TEXTS[name].splitlines() for name in ("k4p", "g1p")}
 TOKENS = st.one_of(
     st.sampled_from(["vertex", "edge", "color", ":", "+", "-", "#", "0", "-1", "1.23"]),
     st.integers(-3, 400).map(str),
@@ -127,12 +128,6 @@ def test_parser_raises_only_input_errors_on_mutated_golden_files(text):
         parse_graph(text)
     except InputError:
         pass
-
-
-GOLDEN_TEXTS = {
-    name: (Path(__file__).resolve().parent.parent / "golden" / f"{name}.txt").read_text()
-    for name in ("k4p", "g0", "g0p", "g1", "g1p")
-}
 
 
 def relabelled(text, rng):
