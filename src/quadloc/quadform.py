@@ -488,6 +488,8 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     diagonal together: x is identified with z, edge xy with zy, xt with zt.
     The surface and the parity stay, the face count drops by one."""
     require_quadrangulation(G)
+    if not 0 <= face_index < len(G.faces):
+        raise InputError(f"face index {face_index} is out of range for {len(G.faces)} faces")
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
         raise ColoringError("identification needs a proper coloring")
     face = G.faces[face_index]

@@ -2,17 +2,19 @@
 
 Generators are the vertices of a commutation graph; two generators commute
 exactly when they are adjacent.  The empty edge set gives a free group, the
-complete graph a free abelian one.
+complete graph a free abelian one.  A graph stores each generator's
+blockers, the generators it does not commute with (as the piling test of
+Crisp, Godelle and Wiest does), and derives its edges from them.
 
 The identity problem is decided by a single-pass stack reduction: each
-letter scans down the stack through letters that commute with it or share
-its generator, and cancels the deepest inverse it reaches, or else is
-pushed.  Every letter above the cancelled one commutes with it, so removing
-it cannot unblock a pair; the stack therefore never holds a cancellable
-pair (mutually inverse letters with only commuting or equal letters
-between them).  A nontrivial product equal to the identity always contains
-such a pair, so a nonempty reduction certifies a non-identity element.
-Equality of u and v is decided as ``is_identity(u * v.inverse())``.
+letter scans down the stack to the first letter in its blockers, and
+cancels the deepest inverse it passes, or else is pushed.  Every letter
+above the cancelled one commutes with it, so removing it cannot unblock a
+pair; the stack therefore never holds a cancellable pair (mutually inverse
+letters with only commuting or equal letters between them).  A nontrivial
+product equal to the identity always contains such a pair, so a nonempty
+reduction certifies a non-identity element.  Equality of u and v is
+decided as ``is_identity(u * v.inverse())``.
 
 Word files are parsed one distinct token at a time: a word over KG(6, 2)
 has at most 30 distinct tokens however long it is.  Words built without a
@@ -29,30 +31,44 @@ from .errors import ColoringError, InputError
 from .localcolor import coloring_violation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CommutationGraph:
+    """Built from the generators and the commuting pairs, each a frozenset
+    of two generator names; stored as each generator's blockers."""
     generators: tuple
-    edges: frozenset  # frozensets of two generator names
+    blockers: dict  # generator -> frozenset of the generators it does not commute with
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        if len(gens) != len(self.generators):
+    def __init__(self, generators, edges):
+        gens = set(generators)
+        if len(gens) != len(generators):
             raise InputError("generator names must be unique")
-        for e in self.edges:
+        commuting = {g: {g} for g in generators}
+        for e in edges:
             if len(e) != 2 or not e <= gens:
                 raise InputError("commutation edges must join two distinct generators")
+            a, b = e
+            commuting[a].add(b)
+            commuting[b].add(a)
+        vars(self).update(generators=generators,
+                          blockers={g: frozenset(gens - c) for g, c in commuting.items()})
+
+    @classmethod
+    def _of_blockers(cls, generators: tuple, blockers: dict) -> "CommutationGraph":
+        graph = object.__new__(cls)
+        vars(graph).update(generators=generators, blockers=blockers)
+        return graph
+
+    def __hash__(self):
+        return hash((self.generators, frozenset(self.blockers.items())))
 
     @cached_property
-    def neighbours(self) -> dict:
-        """Generator -> the set of the other generators it commutes with."""
-        out = {g: [] for g in self.generators}
-        for a, b in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        return {g: frozenset(nb) for g, nb in out.items()}
+    def edges(self) -> frozenset:
+        """The commuting pairs, each a frozenset of two generator names."""
+        return frozenset(frozenset((a, b)) for a, b in combinations(self.generators, 2)
+                         if b not in self.blockers[a])
 
     def commutes(self, a, b) -> bool:
-        return a == b or b in self.neighbours.get(a, ())
+        return a == b or (a in self.blockers and b in self.blockers and b not in self.blockers[a])
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,12 @@ class GroupWord:
     letters: tuple  # (generator, +1 | -1)
 
     def __post_init__(self):
-        gens = self.graph.neighbours
-        for g, e in self.letters:
-            if g not in gens or e not in (1, -1):
-                raise InputError(f"invalid letter ({g!r}, {e})")
+        # bulk checks over the distinct letters; the walk names the first bad one
+        gens, distinct = self.graph.blockers, set(self.letters)
+        if not (gens.keys() >= {g for g, _ in distinct} and {e for _, e in distinct} <= {1, -1}):
+            for g, e in self.letters:
+                if g not in gens or e not in (1, -1):
+                    raise InputError(f"invalid letter ({g!r}, {e})")
 
     def __len__(self):
         return len(self.letters)
@@ -78,30 +96,35 @@ class GroupWord:
         return GroupWord(self.graph, tuple((g, -e) for g, e in reversed(self.letters)))
 
 
+def _reduce(w: GroupWord) -> list:
+    blockers = w.graph.blockers
+    out = []
+    for x in w.letters:
+        g, e = x
+        stop = blockers[g]
+        hit = -1
+        p = len(out)
+        for h, d in reversed(out):
+            p -= 1
+            if h in stop:
+                break
+            if d != e and h == g:
+                hit = p
+        if hit < 0:
+            out.append(x)
+        else:
+            del out[hit]
+    return out
+
+
 def reduce_word(w: GroupWord) -> GroupWord:
     """Single-pass stack reduction (see the module docstring); the result
     is the one the leftmost-pair cancellation fixpoint reaches."""
-    neighbours = w.graph.neighbours
-    out = []
-    for g, e in w.letters:
-        passes = neighbours[g]
-        hit = -1
-        for p in range(len(out) - 1, -1, -1):
-            h, d = out[p]
-            if h == g:
-                if d != e:
-                    hit = p
-            elif h not in passes:
-                break
-        if hit < 0:
-            out.append((g, e))
-        else:
-            del out[hit]
-    return GroupWord(w.graph, tuple(out))
+    return GroupWord(w.graph, tuple(_reduce(w)))
 
 
 def is_identity(w: GroupWord) -> bool:
-    return len(reduce_word(w)) == 0
+    return not _reduce(w)
 
 
 def equal_words(u: GroupWord, v: GroupWord) -> bool:
@@ -126,23 +149,25 @@ def pair_name(i: int, j: int) -> str:
 
 def _check_kneser(m: int) -> None:
     if m < 4:
-        raise InputError("kneser_graph needs m >= 2k")
+        raise InputError(f"kneser m 2 needs m >= 4, got m = {m}")
 
 
 def kneser_graph(m: int, pairs=None) -> CommutationGraph:
     """KG(m, 2): 2-subsets of 1..m, adjacent iff disjoint.
 
-    With ``pairs`` (each ``(i, j)`` with ``1 <= i < j <= m``), the subgraph
-    induced on those generators: all that a word over them needs."""
+    With ``pairs`` (each ``(i, j)`` of colors in 1..m, in either order),
+    the subgraph induced on those generators: all that a word over them
+    needs.  A pair's blockers are the other pairs that hold one of its colors."""
     _check_kneser(m)
-    ps = combinations(range(1, m + 1), 2) if pairs is None else sorted(set(pairs))
+    ps = (combinations(range(1, m + 1), 2) if pairs is None
+          else sorted({(min(p), max(p)) for p in pairs}))
     name = {p: pair_name(*p) for p in ps}
-    edges = frozenset(
-        frozenset((name[p], name[q]))
-        for p, q in combinations(name, 2)
-        if p[0] != q[0] and p[0] != q[1] and p[1] != q[0] and p[1] != q[1]
-    )
-    return CommutationGraph(tuple(name.values()), edges)
+    holders = {}  # color -> the names of the pairs that hold it
+    for (i, j), n in name.items():
+        holders.setdefault(i, []).append(n)
+        holders.setdefault(j, []).append(n)
+    blockers = {n: frozenset(holders[i] + holders[j]) - {n} for (i, j), n in name.items()}
+    return CommutationGraph._of_blockers(tuple(name.values()), blockers)
 
 
 def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
@@ -150,8 +175,7 @@ def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
     ``graph`` when given, else on the Kneser graph induced by the pairs it
     uses; a product of words built that way needs one shared ``graph``."""
     _check_kneser(m)
-    letters = []
-    pairs = set()
+    letters, pairs = [], set()
     for i, j in steps:
         if not (1 <= i <= m and 1 <= j <= m):
             raise InputError(f"colors must lie in 1..{m}")
@@ -163,15 +187,13 @@ def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
 
 def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """The color-pair element: identity if i == j, the generator {i, j}
-    if i < j, and its inverse if j < i.  Without ``graph`` the word lives
-    on the Kneser graph induced by the pair it uses."""
+    if i < j, and its inverse if j < i (on ``graph`` as in ``_pair_word``)."""
     return _pair_word(m, ((i, j),), graph)
 
 
 def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWord:
     """Label of a properly colored closed walk: the product of the
-    color-pair elements of each step's flanking colors.  Without ``graph``
-    the word lives on the Kneser graph induced by the pairs it uses."""
+    color-pair elements of each step's flanking colors (see ``_pair_word``)."""
     colors = list(colors)
     if not colors:
         raise InputError("walk needs at least one vertex")
@@ -205,17 +227,15 @@ def medial_edge_label(G, c, medial_dart: int, graph: CommutationGraph | None = N
     ``2*d`` points from the midpoint of d's edge to the midpoint of the
     next edge around d's vertex, dart ``2*d + 1`` the other way.  The label
     is the color-pair element of the two far endpoints; reversal inverts it.
-    Without ``graph`` the label lives on the Kneser graph induced by the
-    pair it uses, so a product of such labels needs one shared ``graph``.
+    It lives on ``graph`` as in ``_pair_word``.
     """
     _check_local3(G, c)
     return _pair_word(c.m, (_edge_colors(G, c, medial_dart),), graph)
 
 
 def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> GroupWord:
-    """Product of oriented-edge labels around a face of the medial graph.
-    Without ``graph`` the word lives on the Kneser graph induced by the
-    pairs it uses."""
+    """Product of oriented-edge labels around a face of the medial graph,
+    on ``graph`` as in ``_pair_word``."""
     _check_local3(G, c)
     return _pair_word(c.m, (_edge_colors(G, c, md) for md in medial_face.tails), graph)
 
@@ -224,14 +244,8 @@ def face_label(G, c, medial_face, graph: CommutationGraph | None = None) -> Grou
 
 
 def _parse_table_word(H: CommutationGraph, compact: str) -> GroupWord:
-    letters = []
-    for tok in compact.split():
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:]
-        letters.append((pair_name(int(tok[0]), int(tok[1])), sign))
-    return GroupWord(H, tuple(letters))
+    return GroupWord(H, tuple((pair_name(int(t[-2]), int(t[-1])), -1 if t[0] == "-" else 1)
+                              for t in compact.split()))
 
 
 TABLE1_ELEMENTS = (
@@ -272,41 +286,29 @@ def verify_table(which: int) -> TableReport:
     """Check the transcribed element tables: the product of squares is the
     identity while the plain product is not, and equals the displayed
     residual word."""
-    if which == 1:
-        m, compact, residual = 6, TABLE1_ELEMENTS, TABLE1_RESIDUAL
-    elif which == 2:
-        m, compact, residual = 5, TABLE2_ELEMENTS, TABLE2_RESIDUAL
-    else:
+    tables = {1: (6, TABLE1_ELEMENTS, TABLE1_RESIDUAL), 2: (5, TABLE2_ELEMENTS, TABLE2_RESIDUAL)}
+    if which not in tables:
         raise InputError("table must be 1 or 2")
+    m, compact, residual = tables[which]
     H = kneser_graph(m)
     zs = [_parse_table_word(H, s) for s in compact]
     res = _parse_table_word(H, residual)
-
     squares = GroupWord(H, tuple(x for z in zs for x in 2 * z.letters))
     plain = GroupWord(H, tuple(x for z in zs for x in z.letters))
-
     lines = []
-    ok = True
 
-    sq_ok = is_identity(squares)
-    ok &= sq_ok
-    lines.append(f"product of squares reduces to identity: {sq_ok}")
+    def check(label, passed):
+        lines.append(f"{label}: {passed}")
+        return passed
 
     plain_red = reduce_word(plain)
-    nontrivial = len(plain_red) > 0
-    ok &= nontrivial
-    lines.append(f"plain product non-identity (reduced length {len(plain_red)}): {nontrivial}")
-
-    matches = equal_words(plain, res)
-    ok &= matches
-    lines.append(f"plain product equals displayed residual: {matches}")
-
-    used = sorted({g for z in zs for g, _ in z.letters})
-    lines.append(f"generators used: {len(used)} of {len(H.generators)}")
+    used = len({g for z in zs for g, _ in z.letters})
+    ok = check("product of squares reduces to identity", is_identity(squares))
+    ok &= check(f"plain product non-identity (reduced length {len(plain_red)})", len(plain_red) > 0)
+    ok &= check("plain product equals displayed residual", equal_words(plain, res))
+    lines.append(f"generators used: {used} of {len(H.generators)}")
     if which == 1:
-        nine = len(used) == 9
-        ok &= nine
-        lines.append(f"exactly nine generators used: {nine}")
+        ok &= check("exactly nine generators used", used == 9)
     if which == 2:
         lines.append("note: seventh element read with its third letter as -1.5")
     return TableReport(which, ok, tuple(lines))
@@ -321,9 +323,7 @@ def parse_word_text(text: str):
 
     Each distinct token is parsed once, in order of first occurrence, so
     the first bad token is the first in the word."""
-    tokens = []
-    for raw in text.splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
+    tokens = [tok for raw in text.splitlines() for tok in raw.split("#", 1)[0].split()]
     if len(tokens) < 3 or tokens[0] != "kneser" or tokens[2] != "2":
         raise InputError("word file needs a 'kneser m 2' header")
     try:

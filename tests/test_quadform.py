@@ -519,6 +519,16 @@ def test_identify_requires_distinct_vertices():
         identify_face_diagonal(G2, c2, 0)
 
 
+@pytest.mark.parametrize("name, index", [("k4p", 5), ("k4p", 3), ("g1p", -1)])
+def test_identify_rejects_a_face_index_out_of_range(request, name, index):
+    # past the end used to raise IndexError; -1 kept the face and raised an AssemblyError
+    G, c = request.getfixturevalue(name)
+    with pytest.raises(InputError) as excinfo:
+        identify_face_diagonal(G, c, index)
+    assert excinfo.type is InputError
+    assert str(excinfo.value) == f"face index {index} is out of range for {len(G.faces)} faces"
+
+
 def test_auxiliary_graph_rejects_improper_coloring():
     G, _ = two_squares_sphere()
     bad = Coloring({"1": 1, "2": 1, "3": 2, "4": 2}, 2)

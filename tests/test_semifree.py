@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -351,6 +352,62 @@ def test_kneser_graph_matches_pair_of_pairs_oracle():
             assert set(sub.edges) == {e for e in brute_kneser_edges(m) if e <= names}
 
 
+def _kneser_pair_subsets(rng):
+    """(m, pairs argument, pairs used): all of KG(m, 2) for m = 4..8, and
+    seeded random pair subsets."""
+    for m in range(4, 9):
+        all_pairs = list(combinations(range(1, m + 1), 2))
+        yield m, None, all_pairs
+        for _ in range(15):
+            pairs = rng.sample(all_pairs, rng.randint(0, len(all_pairs)))
+            yield m, pairs, pairs
+
+
+def test_kneser_blockers_are_the_pairs_sharing_exactly_one_color():
+    for m, pairs, used in _kneser_pair_subsets(random.Random(41)):
+        H = kneser_graph(m, pairs)
+        assert set(H.blockers) == {pair_name(*p) for p in used}
+        for p in used:
+            want = {pair_name(*q) for q in used if len(set(p) & set(q)) == 1}
+            assert H.blockers[pair_name(*p)] == want, (m, p)
+
+
+def test_kneser_graph_equals_the_graph_built_from_brute_force_edges():
+    for m, pairs, _ in _kneser_pair_subsets(random.Random(43)):
+        H = kneser_graph(m, pairs)
+        names = set(H.generators)
+        edges = frozenset(e for e in brute_kneser_edges(m) if e <= names)
+        ref = CommutationGraph(H.generators, edges)
+        assert H == ref and hash(H) == hash(ref)
+        assert H.edges == ref.edges == edges
+        assert H.blockers == ref.blockers
+    assert kneser_graph(5, [(2, 1), (1, 2), (3, 4)]) == kneser_graph(5, [(1, 2), (3, 4)])
+    H = kneser_graph(5)
+    assert H != CommutationGraph(H.generators, H.edges - {frozenset(("1.2", "3.4"))})
+    assert H != CommutationGraph(tuple(reversed(H.generators)), H.edges)
+
+
+def test_walk_label_through_400_colors_is_fast_and_small():
+    # a graph that stored every commuting pair took 0.16-0.65 s and 34-36 MB
+    def label_and_reduce():
+        return reduce_word(walk_label(range(1, 401), 400))
+
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        red = label_and_reduce()
+        elapsed.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        assert label_and_reduce().letters == red.letters
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(red) == 400 and len(red.graph.generators) == 400
+    assert min(elapsed) < 0.05, elapsed
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_parsed_word_reduces_as_over_the_full_kneser_graph():
     rng = random.Random(23)
     for m in (4, 5, 6, 9):
@@ -384,7 +441,7 @@ def test_invalid_letters_rejected_on_used_colors():
             parse_word_text(text)
     with pytest.raises(InputError, match="colors must lie in 1..4"):
         walk_label([1, 2, 5, 2], 4)
-    with pytest.raises(InputError, match="m >= 2k"):
+    with pytest.raises(InputError, match=r"^kneser m 2 needs m >= 4, got m = 3$"):
         parse_word_text("kneser 3 2\n1.2\n")
 
 
@@ -426,7 +483,7 @@ def _parse_outcome(parse, text):
 
 
 PARSE_ERRORS = ("word file needs a 'kneser m 2' header", "bad kneser parameter",
-                "kneser_graph needs m >= 2k", "bad word token", "invalid letter")
+                "kneser m 2 needs m >= 4", "bad word token", "invalid letter")
 
 
 def test_parse_matches_token_by_token_oracle():
