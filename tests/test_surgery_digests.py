@@ -1,12 +1,14 @@
 """Byte-identity of surgery output.
 
 The golden files cover only the builders; these sha256 digests of
-``write_graph`` text pin what the surgeries produce from them, and what
-the medial map (with its face tags) and the orientation double cover
-produce from G0', G1' and K4' before and after one ``refine_3x3``.  They
-also pin the cycle-parity profile certificate of the paper maps, of
-crosscapped and refined primes, and the PHI3 certificate report on G1'
-for the bare, the completed and a truncated edge list.  An error case is
+``write_graph`` text pin what the surgeries produce from them: every
+crosscap family member G0'+K (K = 1..12) and G1'+K (K = 1..8), past the
+last original hexagon, and the medial map (with its face tags) and the
+orientation double cover of G0', G1' and K4' before and after one
+``refine_3x3``.  They also pin the cycle-parity profile certificate of
+the paper maps, of crosscapped and refined primes, and the PHI3
+certificate report on G1' for the bare, the completed and a truncated
+edge list.  An error case is
 pinned by its class name and message.  For the subdivision and the
 refinement of the level-1 G1' and for the assembly of a 1000-cycle with
 seeded names, the traced faces (every slot, from each face's start) are
@@ -70,7 +72,9 @@ def _cases(g0, g1, g0p, g1p, k4p):
     for name, (Q, cq) in (("k4p", k4p), ("g1p", g1p)):
         out[f"{name}.subdivide"] = _digest(write_graph(face_subdivision(Q)[0].graph))
         out[f"{name}.refine3"] = _outcome(refine_3x3, Q, cq)
-    out["family.g1p.3"] = _outcome(build_high_genus_family, "g1p", 3)
+    for base, top in (("g0p", 12), ("g1p", 8)):
+        for k in range(1, top + 1):
+            out[f"family.{base}.{k}"] = _outcome(build_high_genus_family, base, k)
     for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p), ("k4p", k4p)):
         for level, G in ((0, Q), (1, refine_3x3(Q, cq)[0])):
             M, tags = medial_graph(G)
@@ -135,6 +139,25 @@ EXPECTED = {
     "g1p.subdivide": "e81653411dd1f4bda74290e5d09d91042357bc617a9c613fd43df7e25ee2e310",
     "g1p.refine3": "e753b1cdf6b6833eeb900c436a29a66a4b9c103e8e323c2310418d7a4e1ad840",
     "family.g1p.3": "07862d48493629b57f80920ed695881b0134cfd3053ecc08770c93038360e0e1",
+    "family.g0p.1": "2060180e5fe452641800e28bc3fc6332b79e61f4c63e0e4ef77a54c4f0752e87",
+    "family.g0p.2": "1fa665fefe914e51ec4e4cfbd06ddbe39b01f67781a245450d3d223010c6b3c8",
+    "family.g0p.3": "fc5a4362d022d50cbb502e59d597c86f63d265a38abe81e7061bc783c3ded2b0",
+    "family.g0p.4": "afadfa78a418a27a5593119ebc2c526b3f40e9151a9e31decdb9fe3500637117",
+    "family.g0p.5": "e0aad63c34f7b8b6909bc5c1d04ba6709ad5ea10377fda12474314a40b639b5a",
+    "family.g0p.6": "78b8603d706d5821d52e51e1992f4766e80b18bea828d45c107c3ada438e5b03",
+    "family.g0p.7": "1ca87753f468ac09ee456fdcf26aea4142176aac4f05ab09aa51998927ee4b25",
+    "family.g0p.8": "0fd6ad550743c153a9d5222077e271979a779b213f70f7b21df90642b27da23d",
+    "family.g0p.9": "a6079ad850fbe751a39ddce9461d6679cec07e6e8cc88eb80301ae1f55c8c02c",
+    "family.g0p.10": "5d8f777bc0c834bf0c3f17184430199d358a8e1c0012750b2e667f4a60c53760",
+    "family.g0p.11": "0d80684acda33b405b4ad5d3bb98b77f7e91bc24a23044b01f34a55a719ee318",
+    "family.g0p.12": "3e5276f118691300b3a5d5f8d6f3263f1a5ce6bb89c19416d8995aac19e2592a",
+    "family.g1p.1": "92aaf2872608c189e20f0a0fd05251a9c21abac9c81bef0b2003dc26de708ae0",
+    "family.g1p.2": "83825404a166c74c389af66749642568f8b658c438a5279eec718719a7f56dd0",
+    "family.g1p.4": "e5042ce412fe1eafb976f300f72e234898fe64d6ce262b859fa18b36c2930f09",
+    "family.g1p.5": "698bb7732f1bf09119084df17bb41545196a7800fea5482bc25480b486c55529",
+    "family.g1p.6": "7f193d6fc15993c487c4780f77934c0498e64d41a7803059b50b786702c3f047",
+    "family.g1p.7": "d4e59d008e1d5d207676d0456786983db3655e33d49eb451857057842ec84327",
+    "family.g1p.8": "9b49ff40af5256cabdc4ef89501fa46f2aff4ecefa8e7e31795754ab6d6b0362",
     "g0p.L0.medial": "f1a2db811b50bc00e70c3f86167781b93a2e5cc1fcb8a6bc3915e4b8d4637fe4",
     "g0p.L0.double_cover": "c2bf7e8e7a786df3f18384023fff75f1f8cefb21883322ae9d51b852bacaaf17",
     "g0p.L1.medial": "46073f1ab1084b834e585042ae02a525a7b13f7d0ffe57989b32288b13b86bbe",
