@@ -13,10 +13,12 @@ treated.
 G0 and G1 are two rows of one table (m, vertex filter, face census,
 (V, E, F), genus) that one builder and one orbit check read.  Face lists
 are generated programmatically (4-cycle and two-colored 6-cycle censuses)
-so the assembler's disk checks certify the embeddings.
+so the assembler's disk checks certify the embeddings; the 6-cycle census
+cuts a path as soon as it shows a third color.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 from .errors import InputError, InternalConsistencyError
@@ -25,6 +27,7 @@ from .quadform import (
     ODD,
     crosscap_hexagon,
     find_crosscap_candidates,
+    is_crosscap_site,
     quad_parity,
     require_quadrangulation,
 )
@@ -51,21 +54,28 @@ def four_cycles(adj):
 
 
 def six_cycles_two_colored(adj, coloring):
-    """All 6-cycles showing exactly two colors, as canonical vertex walks."""
+    """All 6-cycles showing exactly two colors, as canonical vertex walks.
+
+    Simple paths from their least vertex are grown depth first; a path is
+    cut as soon as it shows a third color, since colors only accumulate.
+    """
     out = set()
-    verts = sorted(adj)
-    for start in verts:
-        stack = [(start, [start])]
+    nbrs = {v: sorted(adj[v]) for v in sorted(adj)}
+    for start in nbrs:
+        stack = [(start, [start], {coloring[start]})]
         while stack:
-            v, path = stack.pop()
+            v, path, colors = stack.pop()
             if len(path) == 6:
-                if start in adj[v] and len({coloring[x] for x in path}) == 2:
+                if start in adj[v] and len(colors) == 2:
                     out.add(canonical_walk(path))
                 continue
-            for w in sorted(adj[v]):
-                if w in path or w < start:
+            for w in nbrs[v]:
+                if w < start or w in path:
                     continue
-                stack.append((w, path + [w]))
+                if len(colors) < 2:
+                    stack.append((w, path + [w], colors | {coloring[w]}))
+                elif coloring[w] in colors:
+                    stack.append((w, path + [w], colors))
     return sorted(out)
 
 
@@ -120,10 +130,6 @@ def build_G1():
     return _build_u_row("g1")
 
 
-def hexagon_faces(G: EmbeddedGraph):
-    return [i for i, f in enumerate(G.faces) if len(f) == 6]
-
-
 def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
     """Add one main diagonal to every hexagonal face.
 
@@ -132,9 +138,7 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
     the lexicographically least endpoint pair is used.  Any choice yields
     an odd quadrangulation and keeps the natural coloring local-3.
     """
-    hex_walks = sorted(
-        tuple(G.face_vertex_walk(G.faces[i])) for i in hexagon_faces(G)
-    )
+    hex_walks = sorted(tuple(G.face_vertex_walk(f)) for f in G.faces if len(f) == 6)
     if choices is not None and len(choices) != len(hex_walks):
         raise InputError("one diagonal choice per hexagon required")
     out = G
@@ -151,6 +155,9 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
             if j not in (0, 1, 2):
                 raise InputError("diagonal choice must be 0, 1 or 2")
         ends = (walk[j], walk[j + 3])
+        # One rebuild per hexagon: splitting all of them in one rebuild gives
+        # a switching-equivalent map, but with the rotation reversed at three
+        # vertices of G0' and of G1', which would change their golden files.
         faces = [f.tails for k, f in enumerate(out.faces) if k != idx]
         faces += split_face(out.faces[idx].tails, j, j + 3, out.n_darts)
         out = rebuild(out, faces, new_ends=[ends])
@@ -211,11 +218,7 @@ def g1_prime_certificate_edges(G: EmbeddedGraph):
         f for f in G.faces
         if sum(1 for d in f.tails if frozenset(G.edges[G.edge_of[d]]) in listed_set) % 2
     ]
-    counts = {}
-    for f in odd_faces:
-        for d in f.tails:
-            e = tuple(sorted(G.edges[G.edge_of[d]]))
-            counts[e] = counts.get(e, 0) + 1
+    counts = Counter(tuple(sorted(G.edges[G.edge_of[d]])) for f in odd_faces for d in f.tails)
     forced = tuple(sorted(
         e for e, n in counts.items() if n == 2 and frozenset(e) not in listed_set
     ))
@@ -233,19 +236,11 @@ def build_K4_projective():
     """
     verts = ["1", "2", "3", "4"]
     pairs = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]]
-    vertex_of = [None] * 12
-    for k, (u, w) in enumerate(pairs):
-        vertex_of[2 * k] = u
-        vertex_of[2 * k + 1] = w
+    vertex_of = [x for pair in pairs for x in pair]
     rotation = [0] * 12
     for v in verts:
-        inc = []
-        for k, (u, w) in enumerate(pairs):
-            if u == v:
-                inc.append((w, 2 * k))
-            elif w == v:
-                inc.append((u, 2 * k + 1))
-        inc.sort()
+        inc = sorted((w, 2 * k) if u == v else (u, 2 * k + 1)
+                     for k, (u, w) in enumerate(pairs) if v in (u, w))
         for i, (_, d) in enumerate(inc):
             rotation[d] = inc[(i + 1) % 3][1]
     pairing = [d ^ 1 for d in range(12)]
@@ -284,7 +279,7 @@ def build_high_genus_family(base: str, extra_genus: int):
             if len(ks) != 1:
                 raise InternalConsistencyError("hexagon diagonal is not a unique edge")
             k = ks[0]
-            if k not in find_crosscap_candidates(G, c):
+            if not is_crosscap_site(G, c, k):
                 raise InternalConsistencyError("hexagon diagonal lost its two-colored face pair")
         else:
             candidates = find_crosscap_candidates(G, c)

@@ -334,7 +334,7 @@ def excess_report(G: EmbeddedGraph) -> ExcessReport:
     total = sum(per.values())
     if total != 4 * (sc.genus - 2):
         raise InternalConsistencyError(
-            f"excess identity violated: {total} != 4*({sc.genus} - 2); malformed embedding"
+            f"excess identity violated: {total} != 4*({sc.genus} - 2) on a validated quadrangulation"
         )
     return ExcessReport(per, total, sc.genus)
 
@@ -355,6 +355,12 @@ def _is_crosscap_site(G: EmbeddedGraph, k: int, colors_of) -> bool:
     return len(colors_of(fa) | colors_of(fb)) == 2
 
 
+def is_crosscap_site(G: EmbeddedGraph, c: Coloring, k: int) -> bool:
+    """Whether ``k`` is an edge of G whose two incident faces are distinct
+    quadrilaterals with a two-colored union; only those two faces are read."""
+    return 0 <= k < G.n_edges and _is_crosscap_site(G, k, partial(_face_colors, G, c))
+
+
 def find_crosscap_candidates(G: EmbeddedGraph, c: Coloring):
     """Edges whose two incident faces are distinct quadrilaterals with a
     two-colored union, in canonical edge order."""
@@ -371,14 +377,15 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     still locally 3-colors the result.
     """
     require_quadrangulation(G)
-    if coloring_violation(G, c, G.n_vertices + 2) is not None:
+    # local 3 implies proper, and a failed test names an improper edge first
+    violation = coloring_violation(G, c, 3)
+    if violation is not None and violation[0] == "edge":
         raise ColoringError("crosscap surgery needs a proper coloring")
-    if not (0 <= shared_edge < G.n_edges
-            and _is_crosscap_site(G, shared_edge, partial(_face_colors, G, c))):
+    if not is_crosscap_site(G, c, shared_edge):
         raise SurgeryRejectedError(
             "shared edge must bound two distinct quadrilaterals with a two-colored union"
         )
-    was_local3 = is_local_coloring(G, c, 3)
+    was_local3 = violation is None
     parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
@@ -411,8 +418,7 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
         raise InternalConsistencyError("crosscap lost the odd parity")
     if was_local3 and not is_local_coloring(G2, c, 3):
         raise InternalConsistencyError("crosscap broke the local 3-coloring")
-    colors2 = partial(_face_colors, G2, c)
-    if not any(_is_crosscap_site(G2, k, colors2) for k in range(G2.n_edges)):
+    if not find_crosscap_candidates(G2, c):
         raise InternalConsistencyError("crosscap left no two-colored face pair to repeat on")
     return G2, c
 

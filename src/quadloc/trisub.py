@@ -178,7 +178,7 @@ def fisk_check(T: Triangulation, c: Coloring) -> FiskReport:
         triples_equal = tx == ty
         if not (colors_equal and triples_equal):
             raise InternalConsistencyError(
-                "odd vertices must share color and neighborhood triple; malformed input"
+                "odd vertices of a checked local 4-coloring must share color and neighborhood triple"
             )
 
     tri_colors = []

@@ -31,12 +31,15 @@ goes.  The orbit oracle answers a word with a nonzero
 abelianization at once and explores the full orbit of the others.  The
 U(m, r) oracle tests every pair of vertices against the definition and
 finds triangles around each vertex, where production lists each vertex's
-neighbors and intersects the neighborhoods of an edge's ends.
+neighbors and intersects the neighborhoods of an edge's ends.  The
+two-colored 6-cycle census is checked against the unpruned path search,
+which counts colors only once a path closes, and against a brute force
+over the orderings of every two-colored 6-set of vertices.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 from quadloc.errors import AssemblyError, FormatError, InputError
 from quadloc.localcolor import (
@@ -373,6 +376,46 @@ def sorted_dart_faces(faces, pairing):
         rev = [pairing[d] for d in reversed(face)]
         forms.append(min(brute_least_rotation(face), brute_least_rotation(rev)))
     return sorted(forms)
+
+
+def least_cycle_form(seq):
+    """Least form of a cyclic sequence up to rotation and reversal."""
+    seq = list(seq)
+    return min(brute_least_rotation(seq), brute_least_rotation(seq[::-1]))
+
+
+def unpruned_two_colored_six_cycles(adj, coloring):
+    """Every simple 6-path from its least vertex, depth first, with the
+    colors counted only when the path closes into a cycle."""
+    out = set()
+    verts = sorted(adj)
+    for start in verts:
+        stack = [(start, [start])]
+        while stack:
+            v, path = stack.pop()
+            if len(path) == 6:
+                if start in adj[v] and len({coloring[x] for x in path}) == 2:
+                    out.add(least_cycle_form(path))
+                continue
+            for w in sorted(adj[v]):
+                if w in path or w < start:
+                    continue
+                stack.append((w, path + [w]))
+    return sorted(out)
+
+
+def brute_two_colored_six_cycles(adj, coloring):
+    """Every ordering of every 6-set of vertices showing exactly two
+    colors, from its least vertex, that closes a cycle in ``adj``."""
+    out = set()
+    for six in combinations(sorted(adj), 6):
+        if len({coloring[v] for v in six}) != 2:
+            continue
+        for rest in permutations(six[1:]):
+            walk = (six[0],) + rest
+            if all(walk[i - 1] in adj[walk[i]] for i in range(6)):
+                out.add(least_cycle_form(walk))
+    return sorted(out)
 
 
 def brute_least_rotation(seq):

@@ -226,6 +226,16 @@ def test_golden_files_match_builders(tmp_path):
         assert fresh.read_text() == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_family_zero_is_the_golden_prime():
+    rc, out = invoke(["build", "family", "g0p", "0"])
+    assert rc == 0 and out == (GOLDEN / "g0p.txt").read_text()
+
+
+def test_family_negative_genus_is_exit_two():
+    rc, err = invoke_err(["build", "family", "g1p", "-1"])
+    assert rc == 2 and err == "error: extra_genus must be non-negative\n"
+
+
 def test_build_u_lists_triangle_edges(tmp_path):
     rc, out = invoke(["build", "u", "5", "3"])
     assert rc == 0

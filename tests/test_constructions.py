@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from quadloc.errors import AssemblyError, InputError
 from quadloc.localcolor import build_U, is_local_coloring, u_vertex_name
 from quadloc.quadform import ODD, excess_report, quad_parity
 from quadloc.surface_map import FaceListComplex, assemble_embedding, classify_surface
+from oracles import brute_two_colored_six_cycles, unpruned_two_colored_six_cycles
 
 
 def test_g0_census(g0):
@@ -157,6 +159,54 @@ def test_six_cycle_census_matches_hexagons(g0):
     assert len(hexes) == 10
     face_sets = {frozenset(G.face_vertex_walk(f)) for f in G.faces if len(f) == 6}
     assert {frozenset(h) for h in hexes} == face_sets
+
+
+def test_six_cycle_census_matches_unpruned_search_on_natural_colorings(g0, g1):
+    for (G, c), n in ((g0, 10), (g1, 6)):
+        hexes = six_cycles_two_colored(G.adjacency, c.assignment)
+        assert len(hexes) == n
+        assert hexes == unpruned_two_colored_six_cycles(G.adjacency, c.assignment)
+
+
+def _random_colored_graph(rng, n, proper):
+    names = [str(i) for i in range(n)]
+    adj = {v: set() for v in names}
+    for _ in range(rng.randint(n, 2 * n + 2)):
+        u, w = rng.sample(names, 2)
+        adj[u].add(w)
+        adj[w].add(u)
+    k = rng.randint(2, 5)
+    coloring = {}
+    for v in names:
+        free = [x for x in range(1, k + 1)
+                if not proper or all(coloring.get(w) != x for w in adj[v])]
+        coloring[v] = rng.choice(free or range(1, k + 1))
+    return adj, coloring
+
+
+def test_six_cycle_census_matches_oracles_on_random_graphs():
+    rng = random.Random(17)
+    found = improper = 0
+    for case in range(240):
+        n = rng.randint(6, 14)
+        adj, coloring = _random_colored_graph(rng, n, proper=case % 3 != 0)
+        got = six_cycles_two_colored(adj, coloring)
+        assert got == unpruned_two_colored_six_cycles(adj, coloring)
+        if n <= 8:
+            assert got == brute_two_colored_six_cycles(adj, coloring)
+        found += bool(got)
+        improper += any(coloring[v] == coloring[w] for v in adj for w in adj[v])
+    assert found >= 40 and improper >= 40, (found, improper)
+
+
+def test_six_cycle_census_of_g0_and_g1_is_fast(g0, g1):
+    elapsed = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for G, c in (g0, g1):
+            six_cycles_two_colored(G.adjacency, c.assignment)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.002, elapsed
 
 
 def test_assembler_error_reports_vertex():

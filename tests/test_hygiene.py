@@ -7,7 +7,9 @@ re-exports) and ``from __future__`` imports are exempt.  A module-level
 ``_private`` function or class is reported when nothing outside its own
 body reads its name.  A ``:func:`` or ``:class:`` reference in a
 docstring must name something the module defines or imports (its first
-dotted part), or be a ``quadloc.`` path that imports and resolves.
+dotted part), or be a ``quadloc.`` path that imports and resolves.  An
+``InternalConsistencyError`` reports a bug, so its message must not say
+the input was malformed.
 """
 from __future__ import annotations
 
@@ -154,3 +156,31 @@ def test_reference_checker_flags_only_unresolved_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_docstring_references_resolve(path):
     assert stale_references(path.read_text()) == []
+
+
+def internal_messages_blaming_input(source: str):
+    """(line, text) of every string part of an ``InternalConsistencyError``
+    message that says "malformed"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "InternalConsistencyError"):
+            for part in ast.walk(node):
+                if (isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and "malformed" in part.value.lower()):
+                    out.append((part.lineno, part.value))
+    return out
+
+
+def test_blame_checker_flags_only_internal_errors():
+    source = (
+        "raise InputError('malformed line')\n"
+        "raise InternalConsistencyError(f'sum {n} off; Malformed input')\n"
+        "raise InternalConsistencyError('identity failed')\n"
+    )
+    assert internal_messages_blaming_input(source) == [(2, " off; Malformed input")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_internal_errors_do_not_blame_the_input(path):
+    assert internal_messages_blaming_input(path.read_text()) == []
