@@ -18,7 +18,6 @@ cuts a path as soon as it shows a third color.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, product
 
 from .errors import InputError, InternalConsistencyError
@@ -70,12 +69,8 @@ def six_cycles_two_colored(adj, coloring):
                     out.add(canonical_walk(path))
                 continue
             for w in nbrs[v]:
-                if w < start or w in path:
-                    continue
-                if len(colors) < 2:
+                if w > start and w not in path and (len(colors) < 2 or coloring[w] in colors):
                     stack.append((w, path + [w], colors | {coloring[w]}))
-                elif coloring[w] in colors:
-                    stack.append((w, path + [w], colors))
     return sorted(out)
 
 
@@ -218,7 +213,11 @@ def g1_prime_certificate_edges(G: EmbeddedGraph):
         f for f in G.faces
         if sum(1 for d in f.tails if frozenset(G.edges[G.edge_of[d]]) in listed_set) % 2
     ]
-    counts = Counter(tuple(sorted(G.edges[G.edge_of[d]])) for f in odd_faces for d in f.tails)
+    counts = {}
+    for f in odd_faces:
+        for d in f.tails:
+            e = tuple(sorted(G.edges[G.edge_of[d]]))
+            counts[e] = counts.get(e, 0) + 1
     forced = tuple(sorted(
         e for e, n in counts.items() if n == 2 and frozenset(e) not in listed_set
     ))
@@ -236,11 +235,19 @@ def build_K4_projective():
     """
     verts = ["1", "2", "3", "4"]
     pairs = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]]
-    vertex_of = [x for pair in pairs for x in pair]
+    vertex_of = [None] * 12
+    for k, (u, w) in enumerate(pairs):
+        vertex_of[2 * k] = u
+        vertex_of[2 * k + 1] = w
     rotation = [0] * 12
     for v in verts:
-        inc = sorted((w, 2 * k) if u == v else (u, 2 * k + 1)
-                     for k, (u, w) in enumerate(pairs) if v in (u, w))
+        inc = []
+        for k, (u, w) in enumerate(pairs):
+            if u == v:
+                inc.append((w, 2 * k))
+            elif w == v:
+                inc.append((u, 2 * k + 1))
+        inc.sort()
         for i, (_, d) in enumerate(inc):
             rotation[d] = inc[(i + 1) % 3][1]
     pairing = [d ^ 1 for d in range(12)]
