@@ -15,7 +15,7 @@ orientability test also propagates signs down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     CertificateMismatchError,
@@ -418,7 +418,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
         raise InternalConsistencyError("crosscap lost the odd parity")
     if was_local3 and not is_local_coloring(G2, c, 3):
         raise InternalConsistencyError("crosscap broke the local 3-coloring")
-    if not find_crosscap_candidates(G2, c):
+    colors2 = cache(partial(_face_colors, G2, c))    # filled as the scan reaches faces
+    if not any(_is_crosscap_site(G2, k, colors2) for k in range(G2.n_edges)):
         raise InternalConsistencyError("crosscap left no two-colored face pair to repeat on")
     return G2, c
 

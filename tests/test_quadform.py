@@ -33,6 +33,7 @@ from quadloc.quadform import (
     find_crosscap_candidates,
     identify_face_diagonal,
     increasing_color_quad_faces,
+    is_crosscap_site,
     odd_faces_parity,
     phi3_certificate,
     quad_parity,
@@ -404,6 +405,36 @@ def test_crosscap_rejects_bad_edge(g1p):
     for k in (bad, -1, G.n_edges):
         with pytest.raises(SurgeryRejectedError):
             crosscap_hexagon(G, c, k)
+
+
+def test_site_test_agrees_with_the_candidate_list(g0p, g1p, k4p):
+    for G, c in (g0p, g1p, k4p, build_high_genus_family("g1p", 7)):
+        sites = [k for k in range(-1, G.n_edges + 1) if is_crosscap_site(G, c, k)]
+        assert sites == find_crosscap_candidates(G, c)
+
+
+def test_crosscap_checks_coloring_before_site(g1p):
+    G, c = g1p
+    candidates = set(find_crosscap_candidates(G, c))
+    bad = next(k for k in range(G.n_edges) if k not in candidates)
+    u, w = G.edges[0]
+    improper = Coloring({**c.assignment, w: c.assignment[u]}, c.m)
+    uncolored = Coloring({v: x for v, x in c.assignment.items() if v != u}, c.m)
+    for coloring in (improper, uncolored):
+        for k in (bad, min(candidates)):
+            with pytest.raises(ColoringError):
+                crosscap_hexagon(G, coloring, k)
+
+
+def test_crosscap_accepts_a_proper_coloring_that_is_not_local3(g1p):
+    G, c = g1p
+    v = G.vertices[0]
+    fresh = Coloring({**c.assignment, v: c.m + 1}, c.m + 1)
+    assert not is_local_coloring(G, fresh, 3)
+    k = next(k for k in find_crosscap_candidates(G, fresh)
+             if v not in {x for f, _ in G.edge_slots[k] for x in G.face_vertex_walk(G.faces[f])})
+    G2, _ = crosscap_hexagon(G, fresh, k)
+    assert classify_surface(G2).genus == classify_surface(G).genus + 1
 
 
 def test_two_crosscaps_reach_genus_seven():
