@@ -9,8 +9,9 @@ one way, one the other); both parities agree for every edge orientation.
 The cycle parity map assigns each homology class the length parity of its
 closed walks; evaluated against the one-sidedness functional it yields the
 four types PHI0..PHI3.  Both are read off the fundamental cycles of
-``EmbeddedGraph.spanning_tree``, the map's one tree, which the
-orientability test also propagates signs down.
+``EmbeddedGraph.spanning_tree``, the map's one tree.  The one sign
+propagation down it, ``surface_map.switching_defect``, decides
+orientability and both halves of the PHI3 certificate check.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .surface_map import (
     fresh_name,
     merge_faces,
     rebuild,
-    signature_is_switching_trivial,
+    switching_defect,
 )
 
 EVEN = "even"
@@ -228,12 +229,16 @@ class CertificateReport:
 def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     """Check a one-sided-edge list certifying type PHI3.
 
-    ``negative_edges`` lists vertex pairs.  They must equal the negative
-    edges of some switching representative of ``G``, which holds exactly
-    when re-signing ``G`` by the listed edges gives a switching-trivial
-    signature; the certificate passes iff removing them leaves a
-    bipartite graph in which each removed edge joins same-class vertices.
+    ``negative_edges`` lists vertex pairs, each naming one edge of ``G``.
+    The listed set L must be the negative edge set of some switching
+    representative of ``G``: re-signing ``G`` by L must give a
+    switching-trivial signature, else :class:`CertificateMismatchError`.
+    The certificate passes iff some 2-coloring of all vertices puts the
+    ends of exactly the listed edges in one class, i.e. iff every cycle
+    holds an even number of unlisted edges; G - L may be disconnected.
     A pass implies every one-sided closed walk has odd length, i.e. PHI3.
+    Both questions go to :func:`switching_defect`; a FAIL names the edge
+    whose fundamental cycle holds an odd number of unlisted edges.
     """
     listed = set()
     for u, w in negative_edges:
@@ -242,39 +247,20 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
             raise CertificateMismatchError(f"edge {u}~{w} matches {len(ks)} edges of the map")
         listed.add(ks[0])
 
-    flipped = [-s if k in listed else s for k, s in enumerate(G.signature)]
-    resigned = EmbeddedGraph(G.rotation, G.pairing, flipped, G.vertex_of)
-    if not signature_is_switching_trivial(resigned):
+    E = G.edge_of
+    resigned = [-s if E[d] in listed else s for d, s in enumerate(G.dart_sign)]
+    if switching_defect(G, resigned) is not None:
         raise CertificateMismatchError(
             "listed set is not the negative edge set of any switching representative"
         )
-
-    # 2-color the graph minus the listed edges
-    side = {G.vertices[0]: 0}
-    stack = [G.vertices[0]]
-    lines = []
-    bipartite = True
-    while stack:
-        v = stack.pop()
-        for d in G.darts_at[v]:
-            if G.edge_of[d] in listed:
-                continue
-            w = G.vertex_of[G.pairing[d]]
-            if w not in side:
-                side[w] = 1 - side[v]
-                stack.append(w)
-            elif side[w] == side[v]:
-                bipartite = False
-    if len(side) != G.n_vertices:
-        bipartite = False
-        lines.append("graph minus listed edges is disconnected")
-    lines.append(f"graph minus listed edges bipartite: {bipartite}")
-    same_class = bipartite and all(
-        side[G.vertex_of[G.edge_reps[k]]] == side[G.vertex_of[G.pairing[G.edge_reps[k]]]]
-        for k in listed
-    )
-    lines.append(f"every removed edge joins same-class vertices: {same_class}")
-    return CertificateReport(bipartite and same_class, tuple(lines))
+    k = switching_defect(G, [1 if e in listed else -1 for e in E])
+    if k is not None:
+        return CertificateReport(False, (
+            "edge %s~%s closes a cycle with an odd number of unlisted edges" % G.edges[k],))
+    return CertificateReport(True, (
+        "graph minus listed edges bipartite: True",
+        "every removed edge joins same-class vertices: True",
+    ))
 
 
 # -- auxiliary graph and excess -------------------------------------------------

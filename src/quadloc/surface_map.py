@@ -12,7 +12,9 @@ are strings, signs are ``+1/-1``, and every rotation step keeps its vertex.
 The cycles that ``EmbeddedGraph.darts_at`` walks are then the vertex fibres
 iff they cover every dart, and the map is connected iff the breadth-first
 ``EmbeddedGraph.spanning_tree`` reaches every vertex; both are kept, so
-every sign and parity question on a map reads its one tree.
+every sign and parity question on a map reads its one tree.  The one sign
+propagation down it, :func:`switching_defect`, answers every switching
+question: orientability, and both halves of the PHI3 certificate check.
 
 Faces are traced with a sign accumulator: a walk state is ``(dart, side)``,
 crossing a negative edge flips the side, and the side decides whether the
@@ -241,10 +243,6 @@ class EmbeddedGraph:
     def degree(self, vid: str) -> int:
         return len(self.darts_at[vid])
 
-    def edge_endpoints(self, k: int):
-        d = self.edge_reps[k]
-        return (self.vertex_of[d], self.vertex_of[self.pairing[d]])
-
     @cached_property
     def edges(self):
         """Edge index -> sorted endpoint pair."""
@@ -363,27 +361,25 @@ class EmbeddedGraph:
 # -- classification ---------------------------------------------------------
 
 
-def signature_is_switching_trivial(G: EmbeddedGraph) -> bool:
-    """True iff some switching makes every edge positive.
-
-    Propagates a vertex sign down ``G.spanning_tree``, which makes every
-    tree edge positive, then checks that every edge is positive under that
-    switching, i.e. that every fundamental cycle is two-sided.
-    """
-    V, P, S = G.vertex_of, G.pairing, G.dart_sign
+def switching_defect(G: EmbeddedGraph, signs):
+    """Propagate vertex signs down ``G.spanning_tree`` under the per-dart
+    ``signs``, making every tree edge positive; return the first edge, in
+    edge order, left negative (its fundamental cycle has negative total
+    sign), or ``None`` iff some switching makes every edge positive."""
+    V, P = G.vertex_of, G.pairing
     sign = {}
     for w, d in G.spanning_tree.items():
-        sign[w] = 1 if d is None else sign[V[d]] * S[d]
-    for d, s in zip(G.edge_reps, G.signature):
-        if sign[V[d]] * sign[V[P[d]]] != s:
-            return False
-    return True
+        sign[w] = 1 if d is None else sign[V[d]] * signs[d]
+    for k, d in enumerate(G.edge_reps):
+        if sign[V[d]] * sign[V[P[d]]] != signs[d]:
+            return k
+    return None
 
 
 def classify_surface(G: EmbeddedGraph) -> SurfaceClass:
     """Euler characteristic, orientability and genus of the carrier surface."""
     chi = G.n_vertices - G.n_edges + len(G.faces)
-    orientable = signature_is_switching_trivial(G)
+    orientable = switching_defect(G, G.dart_sign) is None
     if orientable:
         if chi % 2 != 0 or chi > 2:
             raise InternalConsistencyError(f"orientable map with chi = {chi}")

@@ -471,30 +471,53 @@ def dfs_switching_trivial(G) -> bool:
     return True
 
 
+def root_path(parent, v):
+    """Edge indices from ``v`` up to the root of a tree given as parent
+    ``(vertex, edge index)`` per vertex (``None`` at the root)."""
+    path = []
+    while parent[v] is not None:
+        v, e = parent[v]
+        path.append(e)
+    return path
+
+
+def fundamental_cycle(G, parent, k):
+    """Edge indices of the cycle that edge ``k`` closes in the tree
+    ``parent``: the symmetric difference of its ends' root paths, and ``k``."""
+    u, w = G.edges[k]
+    return (set(root_path(parent, u)) ^ set(root_path(parent, w))) | {k}
+
+
+def spanning_tree_parents(G):
+    """``G.spanning_tree`` in the parent form that :func:`root_path` walks."""
+    return {w: None if d is None else (G.vertex_of[d], G.edge_of[d])
+            for w, d in G.spanning_tree.items()}
+
+
+def _cotree_cycles(G):
+    """The fundamental cycle of every edge off a depth-first tree."""
+    parent = _depth_first_tree(G)
+    tree_edges = {p[1] for p in parent.values() if p is not None}
+    return [fundamental_cycle(G, parent, k) for k in range(G.n_edges) if k not in tree_edges]
+
+
 def listed_set_matches_per_cycle(G, listed) -> bool:
     """True iff the edge indices ``listed`` meet every fundamental cycle of
     a depth-first tree in as many edges, mod 2, as the negative edges do;
     each cycle is the symmetric difference of its two ends' root paths."""
-    parent = _depth_first_tree(G)
-
-    def root_path(v):
-        path = []
-        while parent[v] is not None:
-            v, e = parent[v]
-            path.append(e)
-        return path
-
-    tree_edges = {p[1] for p in parent.values() if p is not None}
-    for k in range(G.n_edges):
-        if k in tree_edges:
-            continue
-        u, w = G.edge_endpoints(k)
-        cycle = (set(root_path(u)) ^ set(root_path(w))) | {k}
+    for cycle in _cotree_cycles(G):
         w1 = sum(1 for e in cycle if G.signature[e] < 0) % 2
         s1 = sum(1 for e in cycle if e in listed) % 2
         if w1 != s1:
             return False
     return True
+
+
+def phi3_passes_per_cycle(G, listed) -> bool:
+    """True iff every fundamental cycle of a depth-first tree holds an even
+    number of edges outside the edge indices ``listed``: some 2-coloring of
+    all vertices then puts the ends of exactly the listed edges in one class."""
+    return all(sum(1 for e in cycle if e not in listed) % 2 == 0 for cycle in _cotree_cycles(G))
 
 
 def validate_map(rotation, pairing, signature, vertex_of):

@@ -130,6 +130,43 @@ def test_phi3_cert_files(tmp_path):
     assert rc == 2  # not a negative set of any representative: input mismatch
 
 
+def _negative_edge_list(G) -> str:
+    return "".join(f"{u} {w}\n" for (u, w), s in zip(G.edges, G.signature) if s < 0)
+
+
+def test_phi3_cert_passes_when_unlisted_edges_disconnect(tmp_path):
+    # every edge of K4' switched at 1 and 3 is negative; golden G1' keeps
+    # 42 negative edges: in both, the unlisted edges leave G disconnected
+    from quadloc.textio import parse_graph, write_graph
+
+    k4 = parse_graph((GOLDEN / "k4p.txt").read_text())[0].switched({"1", "3"})
+    (tmp_path / "k4s.txt").write_text(write_graph(k4))
+    g1p = parse_graph((GOLDEN / "g1p.txt").read_text())[0]
+    for g, G in ((tmp_path / "k4s.txt", k4), (GOLDEN / "g1p.txt", g1p)):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(_negative_edge_list(G))
+        assert invoke(["verify", "phi3-cert", str(cert), str(g)]) == (0, (
+            "phi3-certificate: pass\n"
+            "graph minus listed edges bipartite: True\n"
+            "every removed edge joins same-class vertices: True\n"
+        ))
+
+
+def test_phi3_cert_fail_prints_one_witness_edge(tmp_path):
+    # the 3x3 torus grid is orientable, so the empty list matches its
+    # all-positive representative, and each row is a 3-cycle of unlisted edges
+    from helpers import torus_grid
+    from quadloc.textio import write_graph
+
+    g, cert = tmp_path / "torus.txt", tmp_path / "empty.txt"
+    g.write_text(write_graph(torus_grid(3, 3)[0]))
+    cert.write_text("")
+    assert invoke(["verify", "phi3-cert", str(cert), str(g)]) == (1, (
+        "phi3-certificate: FAIL\n"
+        "edge 0.1~0.2 closes a cycle with an odd number of unlisted edges\n"
+    ))
+
+
 def test_psi_command(tmp_path):
     g = str(tmp_path / "k4p.txt")
     invoke(["build", "k4p", "--out", g])

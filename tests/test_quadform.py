@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,7 @@ from quadloc.quadform import (
     refine_3x3,
 )
 from quadloc.surface_map import EmbeddedGraph, classify_surface
+from quadloc.textio import parse_graph
 from helpers import (
     flip_random_faces,
     klein_bottle_grid,
@@ -48,7 +50,14 @@ from helpers import (
     torus_grid,
     two_squares_sphere,
 )
-from oracles import listed_set_matches_per_cycle
+from oracles import (
+    fundamental_cycle,
+    listed_set_matches_per_cycle,
+    phi3_passes_per_cycle,
+    spanning_tree_parents,
+)
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def tree_edges(G):
@@ -238,7 +247,7 @@ def test_phi_type_parity_consistency(g0p, g1p, k4p):
             )
 
 
-# -- the PHI3 bipartite certificate ---------------------------------------------
+# -- the PHI3 certificate -------------------------------------------------------
 
 
 def test_twelve_edge_list_cannot_match_any_representative(g1p):
@@ -308,6 +317,74 @@ def test_representative_check_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
                 assert matched == listed_set_matches_per_cycle(H, set(listed))
                 verdicts.add(matched)
     assert verdicts == {True, False}
+
+
+PHI3_PASS_TEXT = (
+    "phi3-certificate: pass\n"
+    "graph minus listed edges bipartite: True\n"
+    "every removed edge joins same-class vertices: True\n"
+)
+
+
+def test_phi3_certificate_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
+    # the oracle reads a depth-first tree, not the map's spanning tree; on
+    # even-faced maps a pass is also the profile's PHI3 condition
+    rng = random.Random(18)
+    verdicts = Counter()
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41))
+    for G in maps:
+        for H in (G, G.switched([v for v in G.vertices if rng.random() < 0.5])):
+            pairs = Counter(H.edges)
+            single = [k for k, e in enumerate(H.edges) if pairs[e] == 1]
+            negative = [k for k in single if H.signature[k] < 0]
+            even_faced = all(len(f) % 2 == 0 for f in H.faces)
+            for listed in (negative, [k for k in single if rng.random() < 0.3]):
+                try:
+                    rep = phi3_certificate(H, [H.edges[k] for k in listed])
+                except CertificateMismatchError:
+                    assert not listed_set_matches_per_cycle(H, set(listed))
+                    verdicts["mismatch"] += 1
+                    continue
+                assert listed_set_matches_per_cycle(H, set(listed))
+                assert rep.passed == phi3_passes_per_cycle(H, set(listed))
+                if even_faced:
+                    profile = cycle_parity_profile(H)
+                    assert rep.passed == (profile.phi_values == profile.w1_values)
+                    verdicts["even-faced", rep.passed] += 1
+                verdicts[rep.passed] += 1
+                if rep.passed:
+                    assert rep.text() == PHI3_PASS_TEXT
+                    continue
+                # the witness (one of its parallels, if any) is an edge off the
+                # spanning tree whose cycle holds an odd number of unlisted edges
+                u, w = rep.lines[0].split()[1].split("~")
+                assert rep.lines == (
+                    f"edge {u}~{w} closes a cycle with an odd number of unlisted edges",
+                )
+                parent, tree = spanning_tree_parents(H), tree_edges(H)
+                assert any(
+                    len(fundamental_cycle(H, parent, k) - set(listed)) % 2
+                    for k in H.edges_between(u, w) if k not in tree
+                )
+    assert all(verdicts[key] for key in (
+        True, False, "mismatch", ("even-faced", True), ("even-faced", False)
+    )), verdicts
+
+
+def test_all_six_edges_certify_switched_k4_prime():
+    # switched at 1 and 3 every edge of K4' is negative, so G - L has no
+    # edge at all; putting every vertex in one class certifies PHI3
+    G = parse_graph((GOLDEN / "k4p.txt").read_text())[0].switched({"1", "3"})
+    assert set(G.signature) == {-1}
+    assert phi3_certificate(G, G.edges).text() == PHI3_PASS_TEXT
+
+
+def test_negative_edges_of_golden_g1p_certify_it():
+    # G - L is disconnected here too
+    G, _ = parse_graph((GOLDEN / "g1p.txt").read_text())
+    negative = [e for e, s in zip(G.edges, G.signature) if s < 0]
+    assert len(negative) == 42
+    assert phi3_certificate(G, negative).text() == PHI3_PASS_TEXT
 
 
 def test_empty_certificate_on_bipartite_all_positive():

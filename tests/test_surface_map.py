@@ -30,8 +30,8 @@ from quadloc.surface_map import (
     merge_faces,
     orientation_double_cover,
     rebuild,
-    signature_is_switching_trivial,
     split_face,
+    switching_defect,
 )
 from helpers import (
     cycle_graph,
@@ -46,8 +46,10 @@ from oracles import (
     brute_faces,
     brute_least_rotation,
     dfs_switching_trivial,
+    fundamental_cycle,
     medial_tag_fits,
     sorted_dart_faces,
+    spanning_tree_parents,
     validate_map,
 )
 
@@ -440,14 +442,27 @@ def test_fast_paths_match_oracles_on_golden_maps_and_refinements(g0, g1, g0p, g1
         assert_faces_match_oracle(refine_3x3(G, c)[0])
 
 
-def test_switching_trivial_matches_depth_first_oracle(g0, g1, g0p, g1p, k4p):
+def test_switching_defect_matches_depth_first_oracle(g0, g1, g0p, g1p, k4p):
     rng = random.Random(12)
     verdicts = set()
     for G in [G for G, _ in (g0, g1, g0p, g1p, k4p)] + list(random_maps(41)):
         for H in (G, G.switched([v for v in G.vertices if rng.random() < 0.5])):
-            trivial = signature_is_switching_trivial(H)
+            defect = switching_defect(H, H.dart_sign)
+            trivial = defect is None
             assert trivial == dfs_switching_trivial(H)
             verdicts.add(trivial)
+            if trivial:
+                continue
+            # the edge returned is the first off the tree whose fundamental
+            # cycle, walked through root paths, has negative total sign
+            parent = spanning_tree_parents(H)
+            tree = {p[1] for p in parent.values() if p is not None}
+            for k in range(defect + 1):
+                if k in tree:
+                    assert k != defect
+                    continue
+                negatives = sum(H.signature[e] < 0 for e in fundamental_cycle(H, parent, k))
+                assert negatives % 2 == (k == defect)
     assert verdicts == {True, False}
 
 
