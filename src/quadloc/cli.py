@@ -31,6 +31,14 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+BUILDERS = {
+    "g0": constructions.build_G0,
+    "g1": constructions.build_G1,
+    "g0p": constructions.build_G0_prime,
+    "g1p": constructions.build_G1_prime,
+    "k4p": constructions.build_K4_projective,
+}
+
 
 def _read_text(path) -> str:
     try:
@@ -112,17 +120,10 @@ def cmd_build(args):
             lines.append(f"color {v} {nat.assignment[v]}")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    builders = {
-        "g0": constructions.build_G0,
-        "g1": constructions.build_G1,
-        "g0p": constructions.build_G0_prime,
-        "g1p": constructions.build_G1_prime,
-        "k4p": constructions.build_K4_projective,
-    }
     if args.what == "family":
         G, c = constructions.build_high_genus_family(args.base, args.k)
     else:
-        G, c = builders[args.what]()
+        G, c = BUILDERS[args.what]()
     _emit(write_graph(G, c), args.out)
     return EXIT_OK
 
@@ -156,20 +157,18 @@ def cmd_verify(args):
             return EXIT_OK
         print(f"violation: {' '.join(str(x) for x in violation)}")
         return EXIT_FAIL
-    if args.check == "phi3-cert":
-        G, _ = _read_graph(args.graph)
-        edges = []
-        for lineno, raw in enumerate(_read_text(args.cert).splitlines(), start=1):
-            pair = raw.split("#", 1)[0].split()
-            if not pair:
-                continue
-            if len(pair) != 2:
-                raise InputError(f"{args.cert}: line {lineno}: expected two vertex ids")
-            edges.append(tuple(pair))
-        rep = quadform.phi3_certificate(G, edges)
-        print(rep.text(), end="")
-        return EXIT_OK if rep.passed else EXIT_FAIL
-    raise InputError(f"unknown verify check {args.check}")
+    G, _ = _read_graph(args.graph)
+    edges = []
+    for lineno, raw in enumerate(_read_text(args.cert).splitlines(), start=1):
+        pair = raw.split("#", 1)[0].split()
+        if not pair:
+            continue
+        if len(pair) != 2:
+            raise InputError(f"{args.cert}: line {lineno}: expected two vertex ids")
+        edges.append(tuple(pair))
+    rep = quadform.phi3_certificate(G, edges)
+    print(rep.text(), end="")
+    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 def cmd_classify(args):
@@ -242,11 +241,9 @@ def cmd_group(args):
         red = semifree.reduce_word(w)
         print(semifree.format_word(red, m), end="")
         return EXIT_OK
-    if args.gcmd == "is-identity":
-        ok = semifree.is_identity(w)
-        print("identity" if ok else "non-identity")
-        return EXIT_OK if ok else EXIT_FAIL
-    raise InputError(f"unknown group command {args.gcmd}")
+    ok = semifree.is_identity(w)
+    print("identity" if ok else "non-identity")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_surgery(args):
@@ -256,11 +253,9 @@ def cmd_surgery(args):
         G2, c2 = quadform.crosscap_hexagon(G, c, k)
     elif args.scmd == "refine3":
         G2, c2 = quadform.refine_3x3(G, c)
-    elif args.scmd == "diag-identify":
+    else:
         fi = _resolve_face(G, args.face)
         G2, c2 = quadform.identify_face_diagonal(G, c, fi)
-    else:
-        raise InputError(f"unknown surgery {args.scmd}")
     _emit(write_graph(G2, c2), args.out)
     sc = classify_surface(G2)
     print(f"done: V={G2.n_vertices} E={G2.n_edges} F={len(G2.faces)} {sc.describe()}")
@@ -283,15 +278,13 @@ def cmd_tri(args):
             trisub.link_winding(T, c, v)
         print("winding parity verified at every vertex")
         return EXIT_OK
-    if args.tcmd == "tq-bound":
-        budget = _budget(args.budget)
-        G, c = _read_graph(args.graph)
-        rep = trisub.tq_lower_bound_check(G, c, budget)
-        print(rep.text(), end="")
-        if rep.search_status == BUDGET_EXCEEDED:
-            return EXIT_BUDGET
-        return EXIT_OK if rep.lower_bound else EXIT_FAIL
-    raise InputError(f"unknown tri command {args.tcmd}")
+    budget = _budget(args.budget)
+    G, c = _read_graph(args.graph)
+    rep = trisub.tq_lower_bound_check(G, c, budget)
+    print(rep.text(), end="")
+    if rep.search_status == BUDGET_EXCEEDED:
+        return EXIT_BUDGET
+    return EXIT_OK if rep.lower_bound else EXIT_FAIL
 
 
 @functools.cache
@@ -305,7 +298,7 @@ def build_parser():
 
     b = sub.add_parser("build", help="construct a named embedded graph")
     bs = b.add_subparsers(dest="what", required=True)
-    for name in ("g0", "g1", "g0p", "g1p", "k4p"):
+    for name in BUILDERS:
         sp = bs.add_parser(name)
         sp.add_argument("--out")
     sp = bs.add_parser("u")

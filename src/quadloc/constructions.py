@@ -28,7 +28,6 @@ from .quadform import (
     find_crosscap_candidates,
     is_crosscap_site,
     quad_parity,
-    require_quadrangulation,
 )
 from .surface_map import (
     EmbeddedGraph,
@@ -157,7 +156,6 @@ def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
         faces += split_face(out.faces[idx].tails, j, j + 3, out.n_darts)
         out = rebuild(out, faces, new_ends=[ends])
         diagonals.append(tuple(sorted(ends)))
-    require_quadrangulation(out)
     c2 = Coloring(dict(c.assignment), c.m)
     if quad_parity(out) != ODD:
         raise InternalConsistencyError("diagonal insertion must give an odd quadrangulation")

@@ -362,7 +362,7 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     genus rises by one, an odd quadrangulation stays odd, and the coloring
     still locally 3-colors the result.
     """
-    require_quadrangulation(G)
+    parity_before = quad_parity(G)
     # local 3 implies proper, and a failed test names an improper edge first
     violation = coloring_violation(G, c, 3)
     if violation is not None and violation[0] == "edge":
@@ -372,7 +372,6 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
             "shared edge must bound two distinct quadrilaterals with a two-colored union"
         )
     was_local3 = violation is None
-    parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
     # merge the two quadrilaterals into a hexagon walk
@@ -419,10 +418,9 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
     opposite corner of its face.  That makes the fold onto the original a
     graph homomorphism, so properness and locality carry over verbatim.
     """
-    require_quadrangulation(G)
+    parity_before = quad_parity(G)
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
         raise ColoringError("refinement extends a proper coloring only")
-    parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
     V, P = G.vertex_of, G.pairing
@@ -480,7 +478,7 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     """Cut out a face with four distinct vertices and sew its equal-colored
     diagonal together: x is identified with z, edge xy with zy, xt with zt.
     The surface and the parity stay, the face count drops by one."""
-    require_quadrangulation(G)
+    parity_before = quad_parity(G)
     if not 0 <= face_index < len(G.faces):
         raise InputError(f"face index {face_index} is out of range for {len(G.faces)} faces")
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
@@ -498,7 +496,6 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     i = min(ends, key=names.__getitem__)
     D = walk[i:] + walk[:i]  # D0 at x, D1 at y, D2 at z, D3 at t
     x, y, z, t = names[i:] + names[:i]
-    parity_before = quad_parity(G)
     sc_before = classify_surface(G)
 
     P = G.pairing

@@ -542,8 +542,8 @@ def _assemble(faces, pair, names):
 class FaceListComplex:
     """Faces of a polygonal complex, each a cyclic vertex sequence.
 
-    Only simple graphs can be described this way: every unordered vertex
-    pair occurring on face boundaries must occur exactly twice overall.
+    No two edges may join the same vertex pair, a loop at v being the pair
+    (v, v): every such pair on the face boundaries must occur exactly twice.
     """
 
     faces: tuple

@@ -470,6 +470,88 @@ def test_invalid_word_letters_are_exit_two():
         assert_input_error(["group", "reduce", "--word", word, "--m", "6"])
 
 
+def invoke_all(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+FISK_ROWS = "".join(f"{t}  0  0 0 0\n" for t in ("1,2,3", "1,2,4", "1,3,4", "2,3,4"))
+
+
+def test_fisk_check_prints_the_congruences_and_the_winding_line(tmp_path):
+    from helpers import bipyramid_over_c5
+    from quadloc.localcolor import search_local_coloring
+    from quadloc.textio import write_graph
+    from quadloc.trisub import torus_grid_triangulation
+
+    bipyramid = tmp_path / "bipyramid.txt"
+    bipyramid.write_text(write_graph(*bipyramid_over_c5()))
+    assert invoke_all(["tri", "fisk-check", str(bipyramid)]) == (0, (
+        "odd-degree vertices: a b\n"
+        "odd vertices equally colored: True\n"
+        "equal neighborhood color triples: True\n"
+        "triple  |T|%2  sums%2\n" + FISK_ROWS
+        + "winding parity verified at every vertex\n"), "")
+    G = torus_grid_triangulation(3, 4)
+    grid = tmp_path / "grid.txt"
+    grid.write_text(write_graph(G, search_local_coloring(G, 4, 4).coloring))
+    assert invoke_all(["tri", "fisk-check", str(grid)]) == (0, (
+        "odd-degree vertices: none\n"
+        "triple  |T|%2  sums%2\n" + FISK_ROWS
+        + "winding parity verified at every vertex\n"), "")
+
+
+def test_fisk_check_input_errors_are_exit_two(tmp_path):
+    from helpers import bipyramid_over_c5
+    from quadloc.localcolor import Coloring
+    from quadloc.textio import write_graph
+
+    G, c = bipyramid_over_c5()
+    uncolored = tmp_path / "uncolored.txt"
+    uncolored.write_text(write_graph(G))
+    assert invoke_all(["tri", "fisk-check", str(uncolored)]) == (
+        2, "", f"error: {uncolored}: coloring required (color lines missing)\n")
+    improper = tmp_path / "improper.txt"
+    improper.write_text(write_graph(G, Coloring(dict(c.assignment, v4=1), 4)))
+    rc, out, err = invoke_all(["tri", "fisk-check", str(improper)])
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: needs a local 4-coloring")
+
+
+DIGON = "vertex a : 0 2\nvertex b : 1 3\nedge e0 : 0 1 +\nedge e1 : 2 3 +\ncolor a 1\ncolor b 2\n"
+
+
+@pytest.mark.parametrize("spec, graph, message", [
+    ("x", "g1p", "edge spec must be 'u,v' or 'u,v,k'"),
+    ("zz,yy", "g1p", "no edge zz~yy"),
+    ("1.24,2.15,3", "g1p", "parallel index 3 out of range for 1.24~2.15"),
+    ("1.24,2.15,q", "g1p", "parallel index must be an integer, got 'q'"),
+    ("a,b", "digon", "edge a~b is ambiguous (2 parallels); use 'u,v,k'"),
+    ("b,a,1", "digon", "face of length 2 present"),
+], ids=["one-part", "no-edge", "index-range", "index-type", "ambiguous", "digon-face"])
+def test_crosscap_edge_spec_errors_name_the_fault(tmp_path, spec, graph, message):
+    if graph == "digon":
+        path = tmp_path / "digon.txt"
+        path.write_text(DIGON)
+    else:
+        path = GOLDEN / f"{graph}.txt"
+    assert invoke_all(["surgery", "crosscap", spec, str(path)]) == (2, "", f"error: {message}\n")
+
+
+def test_word_and_surgery_input_paths(tmp_path):
+    # without --m the Kneser size is the largest color in the word
+    assert invoke_all(["group", "is-identity", "--word", "1.2 3.4 -1.2 -3.4"]) == (0, "identity\n", "")
+    assert invoke_all(["group", "reduce"]) == (2, "", "error: need --in FILE or --word TOKENS\n")
+    from quadloc.textio import parse_graph, write_graph
+
+    uncolored = tmp_path / "uncolored.txt"
+    uncolored.write_text(write_graph(parse_graph((GOLDEN / "g1p.txt").read_text())[0]))
+    assert invoke_all(["surgery", "refine3", str(uncolored)]) == (
+        2, "", f"error: {uncolored}: coloring required (color lines missing)\n")
+
+
 @pytest.fixture(scope="module")
 def g1p_refined_twice(tmp_path_factory):
     """G1' after two refine3 rounds: 3,156 vertices, more search levels
@@ -494,10 +576,7 @@ def g1p_refined_twice(tmp_path_factory):
 ], ids=["search", "psi", "tq-bound"])
 def test_searches_on_large_graphs_reach_the_budget(g1p_refined_twice, argv, stdout):
     argv = [a.format(g1p_refined_twice) for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = run(argv)
-    assert (rc, out.getvalue(), err.getvalue()) == (3, stdout, "")
+    assert invoke_all(argv) == (3, stdout, "")
 
 
 @pytest.mark.parametrize("argv", [["search", "local-coloring", "2", "3"], ["psi"]])

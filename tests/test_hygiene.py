@@ -2,14 +2,14 @@
 every private function or class it defines.
 
 Each ``src/quadloc/*.py`` is parsed with :mod:`ast`; an imported name that
-the module never reads is reported.  ``__init__.py`` (whose imports are
-re-exports) and ``from __future__`` imports are exempt.  A module-level
-``_private`` function or class is reported when nothing outside its own
-body reads its name.  A ``:func:`` or ``:class:`` reference in a
-docstring must name something the module defines or imports (its first
-dotted part), or be a ``quadloc.`` path that imports and resolves.  An
-``InternalConsistencyError`` reports a bug, so its message must not say
-the input was malformed.
+the module never reads is reported, ``from __future__`` imports exempt.
+``__init__.py`` is the package docstring alone, so each name has one
+import path, its own module.  A module-level ``_private`` function or
+class is reported when nothing outside its own body reads its name.  A
+``:func:`` or ``:class:`` reference in a docstring must name something the
+module defines or imports (its first dotted part), or be a ``quadloc.``
+path that imports and resolves.  An ``InternalConsistencyError`` reports a
+bug, so its message must not say the input was malformed.
 """
 from __future__ import annotations
 
@@ -21,7 +21,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quadloc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_package_init_is_its_docstring_alone():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
 def unused_imports(source: str):

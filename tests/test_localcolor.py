@@ -199,6 +199,8 @@ def test_search_none_is_monotone_in_m(k4p):
     G, _ = k4p
     assert search_local_coloring(G, 3, 4).status == NONE
     assert search_local_coloring(G, 3, 3).status == NONE
+    with pytest.raises(InputError, match="^search needs m >= r$"):
+        search_local_coloring(G, 3, 2)
 
 
 def test_color_permutation_soundness(g1p):
@@ -376,3 +378,5 @@ def test_find_four_chromatic_face(k4p, g1):
     assert find_four_chromatic_face(G1, c1) is not None
     S, cS = two_squares_sphere()
     assert find_four_chromatic_face(S, cS) is None
+    with pytest.raises(ColoringError, match="^coloring is not proper$"):
+        find_four_chromatic_face(S, Coloring({v: 1 for v in S.vertices}, 1))

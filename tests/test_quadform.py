@@ -556,6 +556,8 @@ def test_refine_3x3_sphere_counts():
     assert classify_surface(G2).euler_characteristic == 2
     assert is_local_coloring(G2, c2, 2)
     assert set(c2.assignment.values()) <= set(c.assignment.values())
+    with pytest.raises(ColoringError, match="^refinement extends a proper coloring only$"):
+        refine_3x3(G, Coloring({v: 1 for v in G.vertices}, 1))
 
 
 def test_refine_3x3_clears_parallel_edges_and_keeps_parity():
@@ -618,6 +620,10 @@ def test_identify_rejects_unequal_diagonals(k4p):
     G, c = k4p
     with pytest.raises(SurgeryRejectedError):
         identify_face_diagonal(G, c, 0)
+    u, w = G.edges[0]
+    improper = Coloring({**c.assignment, w: c.assignment[u]}, c.m)
+    with pytest.raises(ColoringError, match="^identification needs a proper coloring$"):
+        identify_face_diagonal(G, improper, 0)
 
 
 def test_identify_requires_distinct_vertices():

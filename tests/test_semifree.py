@@ -57,6 +57,8 @@ def test_x_pair_cases():
             assert is_identity(x_pair(i, j, 5, H) * x_pair(j, i, 5, H))
     with pytest.raises(InputError):
         x_pair(0, 2, 5)
+    with pytest.raises(InputError, match="^words over different commutation graphs$"):
+        x_pair(1, 2, 5, H) * x_pair(1, 2, 4, kneser_graph(4))
 
 
 def test_reduce_simple_cancellation():
@@ -94,6 +96,8 @@ def test_table2_passes_with_flagged_repair():
     rep = verify_table(2)
     assert rep.passed
     assert any("-1.5" in line for line in rep.lines)
+    with pytest.raises(InputError, match="^table must be 1 or 2$"):
+        verify_table(3)
 
 
 def test_table1_mutation_fails(monkeypatch):
@@ -114,6 +118,8 @@ def test_walk_label_rejects_improper():
         walk_label([1, 1, 2], 3)
     with pytest.raises(ColoringError):
         walk_label([1, 2, 1], 3)  # wraparound: last equals first
+    with pytest.raises(InputError, match="^walk needs at least one vertex$"):
+        walk_label([], 4)
 
 
 def test_two_colored_even_walks_are_identity():
@@ -385,6 +391,10 @@ def test_kneser_graph_equals_the_graph_built_from_brute_force_edges():
     H = kneser_graph(5)
     assert H != CommutationGraph(H.generators, H.edges - {frozenset(("1.2", "3.4"))})
     assert H != CommutationGraph(tuple(reversed(H.generators)), H.edges)
+    with pytest.raises(InputError, match="^generator names must be unique$"):
+        CommutationGraph(("1.2", "3.4", "1.2"), [])
+    with pytest.raises(InputError, match="^commutation edges must join two distinct generators$"):
+        CommutationGraph(("1.2", "3.4"), [frozenset(("1.2", "5.6"))])
 
 
 def test_walk_label_through_400_colors_is_fast_and_small():

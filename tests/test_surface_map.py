@@ -263,6 +263,18 @@ def test_double_cover_of_g1_prime(g1p):
 def test_assembler_rejects_bad_slot_count():
     with pytest.raises(AssemblyError):
         assemble_embedding(FaceListComplex.from_lists([(1, 2, 3)]))
+    with pytest.raises(AssemblyError, match="^faces need at least two sides$"):
+        assemble_embedding(FaceListComplex.from_lists([("a",)]))
+
+
+def test_assembler_uses_each_dart_of_a_loop_once():
+    # a loop's two sides are the slot pair (v, v), each read once as a tail
+    faces = [("a", "a", "b", "b"), ("b", "b", "c", "c"), ("c", "c", "a", "a")]
+    G = assemble_embedding(FaceListComplex.from_lists(faces))
+    assert (G.n_vertices, G.n_edges, len(G.faces)) == (3, 6, 3)
+    sc = classify_surface(G)
+    assert (sc.orientable, sc.genus) == (True, 1)
+    assert G.has_loop()
 
 
 def test_assembler_rejects_pinched_vertex():

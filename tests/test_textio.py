@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadloc.errors import FormatError, InputError
+from quadloc.errors import ColoringError, FormatError, InputError
 from quadloc.textio import parse_graph, write_graph
 from helpers import klein_bottle_grid, two_squares_sphere
 from oracles import parse_graph_by_lines
@@ -81,6 +81,8 @@ def test_parser_rejects_partial_coloring():
     text = "\n".join(line for line in text.splitlines() if not line.startswith("color 4")) + "\n"
     with pytest.raises(FormatError, match="not total"):
         parse_graph(text)
+    with pytest.raises(ColoringError, match=r"^color 0 of 'a' outside 1\.\.1$"):
+        parse_graph("vertex a : 0\nvertex b : 1\nedge e0 : 0 1 +\ncolor a 0\ncolor b 1\n")
 
 
 @pytest.mark.parametrize("line", [

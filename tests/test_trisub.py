@@ -1,6 +1,6 @@
 import pytest
 
-from quadloc.errors import ColoringError, InputError
+from quadloc.errors import ColoringError, InputError, UnsupportedInputError
 from quadloc.localcolor import (
     FOUND,
     NONE,
@@ -8,7 +8,7 @@ from quadloc.localcolor import (
     is_local_coloring,
     search_local_coloring,
 )
-from quadloc.surface_map import classify_surface
+from quadloc.surface_map import FaceListComplex, assemble_embedding, classify_surface
 from quadloc.trisub import (
     Triangulation,
     extend_coloring_to_subdivision,
@@ -143,6 +143,13 @@ def test_fisk_rejects_more_than_two_odd():
     if len(T.odd_vertices) > 2:
         with pytest.raises(InputError):
             fisk_check(T, greedy_coloring(G2))
+    with pytest.raises(InputError, match="^grid needs n, m >= 3 to stay simple$"):
+        torus_grid_triangulation(2, 5)
+    # every vertex of the tetrahedron has degree 3, so no edge flips
+    K4 = assemble_embedding(FaceListComplex.from_lists(
+        [("1", "2", "3"), ("1", "3", "4"), ("1", "4", "2"), ("2", "4", "3")]))
+    with pytest.raises(UnsupportedInputError, match="^edge is not flippable$"):
+        flip_edge(K4, 0)
 
 
 def test_flip_walk_produces_fisk_instance_without_local_4_coloring():
@@ -164,10 +171,12 @@ def test_flip_walk_is_deterministic():
     assert T1.graph.edges == T2.graph.edges
 
 
-def test_vertex_link_rejects_non_triangulation():
+def test_vertex_link_rejects_non_triangulation(k4p):
     G, _ = two_squares_sphere()
     with pytest.raises(InputError):
         vertex_link(G, "1")
+    with pytest.raises(InputError, match="^not a triangulation$"):
+        Triangulation.wrap(k4p[0])
 
 
 def test_face_subdivision_rejects_non_quadrangulations():
