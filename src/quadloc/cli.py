@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import constructions, quadform, semifree, trisub
-from .errors import InputError, InternalConsistencyError, QuadlocError
+from .errors import InputError, InternalConsistencyError
 from .localcolor import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -404,9 +404,6 @@ def run(argv) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except QuadlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main():

@@ -18,7 +18,7 @@ cuts a path as soon as it shows a third color.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring, build_U, is_local_coloring, u_vertex_name
@@ -261,40 +261,38 @@ def build_K4_projective():
     raise InternalConsistencyError("no signature realizes K4 on the projective plane")
 
 
-def build_high_genus_family(base: str, extra_genus: int):
-    """Crosscap surgery applied ``extra_genus`` times to G0' or G1'.
+def high_genus_family(base: str):
+    """G0' or G1' (``base`` 'g0p' or 'g1p') with its coloring, then each
+    crosscap surgery step above it, one genus at a time.
 
-    The first rounds treat each original hexagon once (removing its
-    diagonal and drawing all three through a crosscap); at
-    ``extra_genus = number of hexagons`` the underlying graph is exactly
-    U(5,3) resp. the induced U(6,3) subgraph.  Further rounds continue on
-    the first admissible two-colored face pair in canonical edge order.
+    The first steps treat each original hexagon once, in the order of
+    ``add_main_diagonals`` (removing its diagonal and drawing all three
+    through a crosscap); after the last one the underlying graph is exactly
+    U(5,3) resp. the induced U(6,3) subgraph.  Later steps take the first
+    admissible two-colored face pair in canonical edge order.
+    ``crosscap_hexagon`` checks that each step adds one crosscap and leaves
+    such a pair to repeat on.
     """
-    if extra_genus < 0:
-        raise InputError("extra_genus must be non-negative")
     if base not in ("g0p", "g1p"):
         raise InputError("base must be 'g0p' or 'g1p'")
     G, c, diagonals = add_main_diagonals(*_build_u_row(base[:-1]))
-    genus0 = classify_surface(G).genus
+    yield G, c
+    for u, w in diagonals:
+        ks = G.edges_between(u, w)
+        if len(ks) != 1 or not is_crosscap_site(G, c, ks[0]):
+            raise InternalConsistencyError("hexagon diagonal is not one edge of a two-colored face pair")
+        G, c = crosscap_hexagon(G, c, ks[0])
+        yield G, c
+    while True:
+        G, c = crosscap_hexagon(G, c, find_crosscap_candidates(G, c)[0])
+        yield G, c
 
-    for step in range(extra_genus):
-        if step < len(diagonals):
-            u, w = diagonals[step]
-            ks = G.edges_between(u, w)
-            if len(ks) != 1:
-                raise InternalConsistencyError("hexagon diagonal is not a unique edge")
-            k = ks[0]
-            if not is_crosscap_site(G, c, k):
-                raise InternalConsistencyError("hexagon diagonal lost its two-colored face pair")
-        else:
-            candidates = find_crosscap_candidates(G, c)
-            if not candidates:
-                raise InternalConsistencyError("no admissible two-colored face pair found")
-            k = candidates[0]
-        G, c = crosscap_hexagon(G, c, k)
-        if classify_surface(G).genus != genus0 + step + 1:
-            raise InternalConsistencyError("crosscap failed to raise the genus by one")
-    return G, c
+
+def build_high_genus_family(base: str, extra_genus: int):
+    """Member ``extra_genus`` of ``high_genus_family(base)``."""
+    if extra_genus < 0:
+        raise InputError("extra_genus must be non-negative")
+    return next(islice(high_genus_family(base), extra_genus, None))
 
 
 # -- transitivity checks -------------------------------------------------------

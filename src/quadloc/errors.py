@@ -58,7 +58,7 @@ class UnsupportedInputError(InputError):
     pass
 
 
-class AlreadyOrientableError(QuadlocError):
+class AlreadyOrientableError(UnsupportedInputError):
     """Raised by the orientation double cover on orientable input."""
 
 

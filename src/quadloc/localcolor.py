@@ -169,7 +169,7 @@ def hom_to_U(G, c: Coloring, r: int):
         for w in adj[v]:
             (i, A), (j, B) = image[v], image[w]
             if i not in B or j not in A:
-                raise ColoringError("induced map is not a homomorphism")
+                raise InternalConsistencyError("induced map is not a homomorphism")
     return image
 
 

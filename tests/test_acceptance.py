@@ -6,7 +6,7 @@ zero.
 """
 import random
 import time
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -16,6 +16,7 @@ from quadloc.constructions import (
     build_high_genus_family,
     g1_prime_certificate_edges,
     g1_prime_negative_edges,
+    high_genus_family,
 )
 from quadloc.errors import CertificateMismatchError
 from quadloc.localcolor import (
@@ -108,18 +109,18 @@ def test_criterion_03_primes_odd_and_locally_3_colored(g0p, g1p):
 def test_criterion_04_crosscap_family():
     t0 = time.time()
     ok = True
-    for k in range(1, 4):
-        G, c = build_high_genus_family("g1p", k)
-        ok &= classify_surface(G).genus == 5 + k
-        ok &= quad_parity(G) == ODD and is_local_coloring(G, c, 3)
-    G17, c17 = build_high_genus_family("g0p", 10)
-    ok &= classify_surface(G17).genus == 17
+    chains = {}
+    for base, genus, top in (("g0p", 7, 10), ("g1p", 5, 6)):
+        chains[base] = list(islice(high_genus_family(base), top + 1))
+        for k, (G, c) in enumerate(chains[base]):
+            ok &= classify_surface(G).genus == genus + k
+            ok &= quad_parity(G) == ODD and is_local_coloring(G, c, 3)
+    G17 = chains["g0p"][10][0]
     U = build_U(5, 3)
     ok &= {frozenset(e) for e in G17.edges} == {
         frozenset((u, w)) for u in U.adjacency for w in U.adjacency[u]
     }
-    G11, _ = build_high_genus_family("g1p", 6)
-    ok &= classify_surface(G11).genus == 11
+    G11 = chains["g1p"][6][0]
     U6 = build_U(6, 3)
     keep = {u_vertex_name(i, A) for (i, A) in U6.vertices if len(A & {1, 2, 3}) == 1}
     ok &= {frozenset(e) for e in G11.edges} == {

@@ -1,8 +1,11 @@
 import random
 import time
+from collections import Counter
+from itertools import islice
 
 import pytest
 
+from quadloc import constructions
 from quadloc.constructions import (
     _is_transitive,
     add_main_diagonals,
@@ -13,12 +16,14 @@ from quadloc.constructions import (
     g0_is_edge_transitive,
     g1_is_vertex_transitive,
     g1_prime_negative_edges,
+    high_genus_family,
     six_cycles_two_colored,
 )
 from quadloc.errors import AssemblyError, InputError
 from quadloc.localcolor import build_U, is_local_coloring, u_vertex_name
 from quadloc.quadform import ODD, excess_report, quad_parity
 from quadloc.surface_map import FaceListComplex, assemble_embedding, classify_surface
+from quadloc.textio import write_graph
 from oracles import brute_two_colored_six_cycles, unpruned_two_colored_six_cycles
 
 
@@ -124,13 +129,30 @@ def test_k4_projective(k4p):
 
 
 def test_family_genus_increments(g1p):
-    for k in range(4):
-        G, c = build_high_genus_family("g1p", k)
+    for k, (G, c) in enumerate(islice(high_genus_family("g1p"), 4)):
         sc = classify_surface(G)
         assert sc.genus == 5 + k
         assert quad_parity(G) == ODD
         assert is_local_coloring(G, c, 3)
         assert len(set(c.assignment.values())) == 6
+
+
+def test_family_walks_one_chain(monkeypatch):
+    calls = Counter()
+    for name in ("add_main_diagonals", "crosscap_hexagon"):
+        def counted(*args, _fn=getattr(constructions, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(constructions, name, counted)
+    members = list(islice(high_genus_family("g0p"), 13))
+    assert calls == {"add_main_diagonals": 1, "crosscap_hexagon": 12}
+    # the chain's members are the ones the command line builds one at a time
+    assert write_graph(*build_high_genus_family("g0p", 12)) == write_graph(*members[12])
+    calls.clear()
+    for base, top in (("g0p", 12), ("g1p", 8)):
+        for _ in islice(high_genus_family(base), top + 1):
+            pass
+    assert calls == {"add_main_diagonals": 2, "crosscap_hexagon": 20}
 
 
 def test_family_k0_is_the_prime(g1p):

@@ -9,7 +9,8 @@ class is reported when nothing outside its own body reads its name.  A
 ``:func:`` or ``:class:`` reference in a docstring must name something the
 module defines or imports (its first dotted part), or be a ``quadloc.``
 path that imports and resolves.  An ``InternalConsistencyError`` reports a
-bug, so its message must not say the input was malformed.
+bug, so its message must not say the input was malformed, and every error
+class is one of the two kinds the command line maps to an exit code.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from quadloc import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quadloc"
 MODULES = sorted(SRC.glob("*.py"))
@@ -189,3 +192,13 @@ def test_blame_checker_flags_only_internal_errors():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_internal_errors_do_not_blame_the_input(path):
     assert internal_messages_blaming_input(path.read_text()) == []
+
+
+def test_every_error_is_an_input_error_or_an_internal_one():
+    # the CLI exits 2 on an InputError and 4 on an InternalConsistencyError
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert errors.AlreadyOrientableError in classes
+    kinds = (errors.InputError, errors.InternalConsistencyError)
+    assert [cls.__name__ for cls in classes
+            if cls is not errors.QuadlocError and not issubclass(cls, kinds)] == []

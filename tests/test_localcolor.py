@@ -195,6 +195,18 @@ def test_search_on_vertices_of_degree_zero_and_one(adj, psi):
             assert_same_as_recursive_search(adj, r, m, None, (r, m))
 
 
+def test_search_rejects_a_disconnected_graph():
+    adj = {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}}
+    with pytest.raises(InputError, match="^search requires a connected graph$"):
+        search_local_coloring(adj, 2, 2)
+
+
+def test_u_vertex_name_dots_colors_above_nine():
+    assert u_vertex_name(2, {1, 3}) == "2.13"
+    assert u_vertex_name(10, {1, 2}) == "10.1.2"
+    assert u_vertex_name(1, {2, 10}) == "1.2.10"
+
+
 def test_search_none_is_monotone_in_m(k4p):
     G, _ = k4p
     assert search_local_coloring(G, 3, 4).status == NONE

@@ -18,10 +18,16 @@ from quadloc.errors import (
     InputError,
     LoopError,
     NotQuadrangulationError,
+    OrientationError,
     SurgeryRejectedError,
     UnsupportedInputError,
 )
-from quadloc.localcolor import Coloring, find_four_chromatic_face, is_local_coloring
+from quadloc.localcolor import (
+    Coloring,
+    find_four_chromatic_face,
+    is_local_coloring,
+    search_local_coloring,
+)
 from quadloc.quadform import (
     EVEN,
     ODD,
@@ -128,6 +134,21 @@ def test_odd_faces_parity_rejects_partial_orientation(k4p):
     G, _ = k4p
     with pytest.raises(InputError):
         odd_faces_parity(G, {0: 0})
+
+
+def test_odd_faces_parity_rejects_a_dart_of_another_edge(k4p):
+    G, c = k4p
+    orientation = color_order_orientation(G, c)
+    orientation[0] = orientation[1]
+    with pytest.raises(OrientationError, match="^dart 3 does not belong to edge 0$"):
+        odd_faces_parity(G, orientation)
+
+
+def test_color_order_orientation_rejects_equal_end_colors(k4p):
+    G, _ = k4p
+    c = Coloring({"1": 1, "2": 1, "3": 2, "4": 3}, 3)
+    with pytest.raises(ColoringError, match="^edge 1-2 has equal end colors; orientation undefined$"):
+        color_order_orientation(G, c)
 
 
 def test_color_order_orientation_odd_faces(g0p, g1p):
@@ -415,6 +436,11 @@ def test_auxiliary_graph_face_tags(g1p, k4p):
     assert len(aux.edges) == 2 * bi
     for u, w in aux.edges:
         assert c.assignment[u] == c.assignment[w]
+
+    # a searched local 4-coloring also shows three-colored faces
+    searched = search_local_coloring(G, 4, 4).coloring
+    tags = Counter(auxiliary_graph(G, searched).face_tags)
+    assert tags == {"other": 21, "bichromatic": 15, "four-chromatic": 3}
 
     K, cK = k4p
     auxK = auxiliary_graph(K, cK)

@@ -7,6 +7,7 @@ from quadloc import surface_map
 from quadloc.errors import (
     AlreadyOrientableError,
     AssemblyError,
+    InputError,
     InternalConsistencyError,
     StructureError,
     SurgeryRejectedError,
@@ -18,10 +19,11 @@ from quadloc.quadform import (
     identify_face_diagonal,
     refine_3x3,
 )
-from quadloc.trisub import face_subdivision
+from quadloc.trisub import face_subdivision, torus_grid_triangulation
 from quadloc.surface_map import (
     EmbeddedGraph,
     FaceListComplex,
+    SurfaceClass,
     _canonical_cycle,
     _match_faces,
     assemble_embedding,
@@ -56,6 +58,13 @@ from oracles import (
 
 def single_edge_sphere():
     return EmbeddedGraph([0, 1], [1, 0], [1], ["u", "w"])
+
+
+def test_surface_class_rejects_a_wrong_euler_characteristic():
+    with pytest.raises(StructureError, match="^orientable surface needs chi = 2 - 2g$"):
+        SurfaceClass(True, 1, 0)
+    with pytest.raises(StructureError, match=r"^non-orientable surface needs chi = 2 - g, g >= 1$"):
+        SurfaceClass(False, 2, 0)
 
 
 def test_single_edge_sphere_has_one_bigon():
@@ -250,6 +259,8 @@ def test_double_cover_reports_orientable_input():
     G, _ = two_squares_sphere()
     with pytest.raises(AlreadyOrientableError, match="two disjoint copies"):
         orientation_double_cover(G)
+    with pytest.raises(InputError, match="two disjoint copies"):
+        orientation_double_cover(torus_grid_triangulation(3, 4))
 
 
 def test_double_cover_of_g1_prime(g1p):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 
-from quadloc.constructions import build_high_genus_family
+from quadloc.constructions import high_genus_family
 from quadloc.errors import InputError
 from quadloc.constructions import g1_prime_certificate_edges, g1_prime_negative_edges
 from quadloc.quadform import (
@@ -72,17 +73,20 @@ def _cases(g0, g1, g0p, g1p, k4p):
     for name, (Q, cq) in (("k4p", k4p), ("g1p", g1p)):
         out[f"{name}.subdivide"] = _digest(write_graph(face_subdivision(Q)[0].graph))
         out[f"{name}.refine3"] = _outcome(refine_3x3, Q, cq)
+    family = {}
     for base, top in (("g0p", 12), ("g1p", 8)):
-        for k in range(1, top + 1):
-            out[f"family.{base}.{k}"] = _outcome(build_high_genus_family, base, k)
+        for k, (G, c) in enumerate(islice(high_genus_family(base), top + 1)):
+            family[f"{base}+{k}"] = G
+            if k:
+                out[f"family.{base}.{k}"] = _digest(write_graph(G, c))
     for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p), ("k4p", k4p)):
         for level, G in ((0, Q), (1, refine_3x3(Q, cq)[0])):
             M, tags = medial_graph(G)
             out[f"{name}.L{level}.medial"] = _digest(write_graph(M) + repr(tags))
             out[f"{name}.L{level}.double_cover"] = _digest(write_graph(orientation_double_cover(G)))
     profiled = {"g0": g0[0], "g1": g1[0], "g0p": g0p[0], "g1p": g1p[0], "k4p": k4p[0]}
-    for base, extra in (("g0p", 3), ("g1p", 2), ("g1p", 6)):
-        profiled[f"{base}+{extra}"] = build_high_genus_family(base, extra)[0]
+    for name in ("g0p+3", "g1p+2", "g1p+6"):
+        profiled[name] = family[name]
     for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p)):
         profiled[f"{name}.L1"] = refine_3x3(Q, cq)[0]
     for name, G in profiled.items():

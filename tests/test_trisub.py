@@ -91,6 +91,14 @@ def test_link_winding_rejects_four_colors():
         link_winding(T, bad, "a")
 
 
+def test_link_winding_rejects_an_improper_link_edge():
+    G = torus_grid_triangulation(3, 4)
+    c = search_local_coloring(G, 4, 4).coloring
+    bad = Coloring({**c.assignment, "1.1": c.assignment["0.1"]}, c.m)
+    with pytest.raises(ColoringError, match="^coloring is not proper on a link edge$"):
+        link_winding(Triangulation.wrap(G), bad, "0.0")
+
+
 def test_winding_parity_sweep():
     instances = []
     G, c = bipyramid_over_c5()
