@@ -19,6 +19,7 @@ from .localcolor import (
     build_U,
     coloring_violation,
     local_chromatic_number,
+    require_positive_budget,
     require_positive_r,
     search_local_coloring,
 )
@@ -68,13 +69,6 @@ def _int_arg(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise InputError(f"{what} must be an integer, got {token!r}") from None
-
-
-def _budget(budget):
-    """``--budget`` is optional, and positive when given."""
-    if budget is not None and budget <= 0:
-        raise InputError(f"--budget must be positive, got {budget}")
-    return budget
 
 
 def _resolve_edge(G, spec: str) -> int:
@@ -182,9 +176,9 @@ def cmd_classify(args):
 
 
 def cmd_search(args):
-    budget = _budget(args.budget)
+    require_positive_budget(args.budget, "--budget")
     G, _ = _read_graph(args.graph)
-    out = search_local_coloring(G, args.r, args.m, budget)
+    out = search_local_coloring(G, args.r, args.m, args.budget)
     if args.out:
         _emit(out.certificate_text(), args.out)
     print(f"{out.status} nodes={out.nodes}")
@@ -196,9 +190,9 @@ def cmd_search(args):
 
 
 def cmd_psi(args):
-    budget = _budget(args.budget)
+    require_positive_budget(args.budget, "--budget")
     G, _ = _read_graph(args.graph)
-    res = local_chromatic_number(G, budget)
+    res = local_chromatic_number(G, args.budget)
     for out in res.outcomes:
         print(f"r={out.r} {out.status} nodes={out.nodes}")
     if res.value is None:
@@ -278,9 +272,9 @@ def cmd_tri(args):
             trisub.link_winding(T, c, v)
         print("winding parity verified at every vertex")
         return EXIT_OK
-    budget = _budget(args.budget)
+    require_positive_budget(args.budget, "--budget")
     G, c = _read_graph(args.graph)
-    rep = trisub.tq_lower_bound_check(G, c, budget)
+    rep = trisub.tq_lower_bound_check(G, c, args.budget)
     print(rep.text(), end="")
     if rep.search_status == BUDGET_EXCEEDED:
         return EXIT_BUDGET

@@ -10,15 +10,21 @@ The search enumerates colorings with colors introduced in first-use order
 permutation symmetry; properness and locality are color-name invariant, so
 a NONE verdict over this canonical space is a proof of nonexistence.
 Vertices are colored in breadth-first order, and a search node is one color
-tried at one vertex.  The kernel is one loop with one entry record per
-level, so graph size is not bounded by the interpreter's recursion limit.
-Its state is one bitmask per vertex of the colors on its colored
+tried at one vertex.  The kernel is one loop with one record per level, so
+graph size is not bounded by the interpreter's recursion limit.  Its state
+is a list of one bitmask per vertex, of the colors on its colored
 neighbors; a level reads its neighbors' masks with one ``itemgetter`` call,
-so placing a color opens no Python frame.  The search looks no further
-ahead than the vertex it colors: forward checking cuts the tree on the
-paper's graphs about 3x but costs 2-4.5x more per node, a net loss while
-most searches stop at a node budget.  A FOUND coloring is re-checked by
-``coloring_violation``.
+so placing a color opens no Python frame.  On graphs of up to
+``_COPY_MAX_VERTICES`` vertices a level that has another color to try
+places into a copy of that list, so backtracking restores a saved list
+instead of undoing writes; a larger graph's copies would cost more than the
+writes, so there the kernel writes in place and undoes.  The search looks
+no further ahead than the vertex it colors.  On the benchmark's search
+round, forward checking with an allowed-color mask per vertex, copied with
+the neighbor masks, needs 4.3x fewer nodes on the searches both decide but
+costs 1.3x more per node, and the round, which spends most of its nodes in
+searches that stop at the budget, runs 6-10% slower.  A FOUND coloring is
+re-checked by ``coloring_violation``.
 """
 from __future__ import annotations
 
@@ -35,6 +41,16 @@ BUDGET_EXCEEDED = "BUDGET-EXCEEDED"
 # The node limit of a search without a budget: an int, so the budget test
 # compares two ints, and more nodes than any search can visit.
 _NO_BUDGET = 1 << 62
+
+# The largest graph whose search copies its mask list at a branching level.
+# On psi and the r = 3..5 searches at a budget of 30,000 nodes, copies beat
+# the writes and undo writes they replace by 5-20% up to 180 vertices, break
+# even at 220-264 and cost 5-30% more from 289 to 699 (Klein bottle grids,
+# triangulated torus grids and refined paper maps).  Searches that find a
+# coloring with little backtracking lose earlier, 1.2-1.5x at 72-156
+# vertices.  A FOUND search on 3,156 vertices would hold about 78 MB of
+# copies.
+_COPY_MAX_VERTICES = 200
 
 
 @dataclass
@@ -89,6 +105,12 @@ def require_positive_r(r: int) -> None:
     """Reject an ``r`` below 1, for which no local coloring is defined."""
     if r < 1:
         raise InputError(f"search needs r >= 1, got {r}")
+
+
+def require_positive_budget(budget: int | None, name: str = "budget") -> None:
+    """Reject a node budget below 1, naming it ``name``; ``None`` means no budget."""
+    if budget is not None and budget < 1:
+        raise InputError(f"{name} must be positive, got {budget}")
 
 
 def is_local_coloring(G, c: Coloring, r: int) -> bool:
@@ -251,61 +273,67 @@ def _walk(nbrs, getters, r: int, m: int, budget: int | None):
     Level ``i`` colors position ``i``.  ``seen[v]`` has bit ``k`` set when a
     colored neighbor of ``v`` has color ``k``.  A level computes its allowed
     colors once, on entry: not seen at its vertex, seen at every neighbor
-    that already shows ``r - 1`` colors, and at most ``min(used + 1, m)``.
-    Its entry record keeps its neighbors' masks from before its placement,
-    the allowed colors and the colors in use.  The next color overwrites
-    the neighbors' masks from that record, and an exhausted level restores
-    them from it.  Every color tried is one node, the skipped infeasible
-    ones included, so a budget stops at exactly ``budget + 1`` nodes.
+    that already shows ``r - 1`` colors, and at most ``top``, one above the
+    colors in use but never above ``m``.  It takes them lowest bit first.
+    Each placement saves the level's record: the mask list it was entered
+    with, its neighbors' masks from that list, the colors not yet tried,
+    ``top`` and the color placed.  Up to ``_COPY_MAX_VERTICES`` vertices, a
+    placement with a color left to try writes its neighbors' masks into a
+    copy of the list, and the last color writes into the list itself, which
+    no later color of the level reads; so backtracking restores nothing but
+    the saved list.  On a larger graph the copies cost more than the writes
+    they save, so there is one list, every placement writes into it, and an
+    exhausted level writes its neighbors' masks back.  Every color tried is
+    one node, the skipped infeasible ones included, so a budget stops at
+    exactly ``budget + 1`` nodes.
     """
     n = len(nbrs)
     limit = budget if budget is not None else _NO_BUDGET
     full = r - 1
+    copying = n <= _COPY_MAX_VERTICES
     seen = [0] * n
-    color = [0] * n
-    levels = [None] * n  # per level: (neighbors' masks before it, allowed, colors in use)
+    levels = [None] * n  # per level: (mask list, neighbors' masks, untried, top, color)
     nodes = 0
-    i = u = 0
+    i = 0
+    top = 1
     while True:
         masks = getters[i](seen)
-        top = u + 1 if u < m else m
         a = ((2 << top) - 2) & ~seen[i]
         for s in masks:
             if s.bit_count() >= full:
                 a &= s
-        levels[i] = masks, a, u
         nb = nbrs[i]
         k = 0
         while True:
-            rest = a >> (k + 1)
-            if rest:
-                step = (rest & -rest).bit_length()
-                nodes += step
+            if a:
+                low = a & -a
+                a ^= low
+                c = low.bit_length() - 1
+                nodes += c - k
                 if nodes > limit:
                     return BUDGET_EXCEEDED, budget + 1, None
-                k += step
-                low = 1 << k
+                levels[i] = seen, masks, a, top, c
+                if a and copying:
+                    seen = seen.copy()
                 for w, s in zip(nb, masks):
                     seen[w] = s | low
-                color[i] = k
                 break
             nodes += top - k
             if nodes > limit:
                 return BUDGET_EXCEEDED, budget + 1, None
-            if k:
+            if k and not copying:
                 for w, s in zip(nb, masks):
                     seen[w] = s
             i -= 1
             if i < 0:
                 return NONE, nodes, None
-            masks, a, u = levels[i]
-            nb, k = nbrs[i], color[i]
-            top = u + 1 if u < m else m
+            seen, masks, a, top, k = levels[i]
+            nb = nbrs[i]
         i += 1
         if i == n:
-            return FOUND, nodes, color
-        if k > u:
-            u = k
+            return FOUND, nodes, [level[4] for level in levels]
+        if c == top < m:
+            top += 1
 
 
 def _search(G, space, r: int, m: int, budget: int | None) -> SearchOutcome:
@@ -327,6 +355,7 @@ def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> Searc
     is exhausted.  A budget stop is reported as a distinct status.
     """
     require_positive_r(r)
+    require_positive_budget(budget)
     if m < r:
         raise InputError("search needs m >= r")
     return _search(G, _search_space(G), r, m, budget)
@@ -344,6 +373,7 @@ def local_chromatic_number(G, budget: int | None = None) -> PsiResult:
 
     Restriction to used colors preserves locality, so m = |V| loses nothing.
     """
+    require_positive_budget(budget)
     space = _search_space(G)
     n = len(space[0])
     outcomes = []

@@ -360,6 +360,8 @@ def test_nonpositive_budget_is_exit_two(tmp_path, budget):
     assert_input_error(["search", "local-coloring", "3", "3", g, "--budget", budget])
     assert_input_error(["psi", g, "--budget", budget])
     assert_input_error(["tri", "tq-bound", g, "--budget", budget])
+    assert invoke_err(["psi", g, "--budget", budget]) == \
+        (2, f"error: --budget must be positive, got {budget}\n")
 
 
 @pytest.mark.parametrize("r", ["0", "-1"])

@@ -10,12 +10,16 @@ class is reported when nothing outside its own body reads its name.  A
 module defines or imports (its first dotted part), or be a ``quadloc.``
 path that imports and resolves.  An ``InternalConsistencyError`` reports a
 bug, so its message must not say the input was malformed, and every error
-class is one of the two kinds the command line maps to an exit code.
+class is one of the two kinds the command line maps to an exit code.  Every
+committed ``BENCH_*.json`` names its change, harness, machine and parent
+commit, and a claim on a workload and metric that ``BENCHMARK.json``
+declares.
 """
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -23,7 +27,8 @@ import pytest
 
 from quadloc import errors
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quadloc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quadloc"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -202,3 +207,20 @@ def test_every_error_is_an_input_error_or_an_internal_one():
     kinds = (errors.InputError, errors.InternalConsistencyError)
     assert [cls.__name__ for cls in classes
             if cls is not errors.QuadlocError and not issubclass(cls, kinds)] == []
+
+
+BENCH_KEYS = {"change", "harness", "machine", "parent_commit", "claim"}
+CLAIM_KEYS = {"workload", "metric", "parent_median", "change_median", "median_gain",
+              "parent_iqr", "change_better_in_pairs", "met"}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_names_its_claim(path):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
+    record = json.loads(path.read_text())
+    assert BENCH_KEYS <= set(record), BENCH_KEYS - set(record)
+    claim = record["claim"]
+    assert CLAIM_KEYS <= set(claim), CLAIM_KEYS - set(claim)
+    assert claim["workload"] in workloads and claim["metric"] in metrics

@@ -1,10 +1,12 @@
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from quadloc import localcolor
 from quadloc.constructions import build_high_genus_family
 from quadloc.errors import ColoringError, InputError, LoopError
 from quadloc.localcolor import (
@@ -23,7 +25,7 @@ from quadloc.localcolor import (
 )
 from quadloc.quadform import refine_3x3
 from quadloc.textio import parse_graph
-from quadloc.trisub import face_subdivision
+from quadloc.trisub import face_subdivision, tq_lower_bound_check
 from helpers import klein_bottle_grid, random_maps, two_squares_sphere
 from oracles import brute_U, brute_local_coloring_exists, recursive_search
 
@@ -186,13 +188,13 @@ def test_psi_of_bipartite_graph_is_two():
     ({"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}, 2),
     ({"a": {"b", "c", "x"}, "b": {"a", "c"}, "c": {"a", "b"}, "x": {"a"}}, 3),
 ], ids=["one-vertex", "path", "triangle-with-leaf"])
-def test_search_on_vertices_of_degree_zero_and_one(adj, psi):
+def test_search_on_vertices_of_degree_zero_and_one(monkeypatch, adj, psi):
     # the kernel reads a level's neighbor masks with one getter, and a
     # getter over zero or one position needs its own form
     assert local_chromatic_number(adj).value == psi
     for r in range(1, 4):
         for m in (r, r + 1):
-            assert_same_as_recursive_search(adj, r, m, None, (r, m))
+            assert_same_as_recursive_search(monkeypatch, adj, r, m, None, (r, m))
 
 
 def test_search_rejects_a_disconnected_graph():
@@ -245,6 +247,29 @@ def test_budget_at_a_verdicts_node_count_keeps_the_verdict(k4p, g1p):
         assert (below.status, below.nodes) == (BUDGET_EXCEEDED, out.nodes)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_budget_is_an_input_error(k4p, budget):
+    G, c = k4p
+    with pytest.raises(InputError, match=f"^budget must be positive, got {budget}$"):
+        search_local_coloring(G, 3, 4, budget=budget)
+    with pytest.raises(InputError, match=f"^budget must be positive, got {budget}$"):
+        local_chromatic_number(G, budget=budget)
+    with pytest.raises(InputError, match=f"^budget must be positive, got {budget}$"):
+        tq_lower_bound_check(G, c, budget)
+
+
+# The kernel copies its mask list on graphs up to this many vertices and
+# writes in place above it: 0 puts every test graph in place, 10**6 copies
+# on every one.
+KERNEL_VERTEX_BOUNDS = (0, 10 ** 6)
+
+
+def kernel_modes(monkeypatch):
+    for bound in KERNEL_VERTEX_BOUNDS:
+        monkeypatch.setattr(localcolor, "_COPY_MAX_VERTICES", bound)
+        yield bound
+
+
 def relabelled(G, seed):
     """The adjacency of ``G`` under a seeded shuffle of its vertex names,
     which changes the search order (ties are broken by name)."""
@@ -255,12 +280,16 @@ def relabelled(G, seed):
     return {new[v]: {new[w] for w in ns} for v, ns in G.adjacency.items()}
 
 
-def assert_same_as_recursive_search(adj, r, m, budget, label):
-    want = recursive_search(adj, r, m, budget).certificate_text()
-    assert search_local_coloring(adj, r, m, budget).certificate_text() == want, label
+def assert_same_as_recursive_search(monkeypatch, adj, r, m, budget, label):
+    """Both kernel modes give the oracle's certificate; returns the oracle's outcome."""
+    want = recursive_search(adj, r, m, budget)
+    for bound in kernel_modes(monkeypatch):
+        got = search_local_coloring(adj, r, m, budget).certificate_text()
+        assert got == want.certificate_text(), (label, bound)
+    return want
 
 
-def test_search_matches_recursive_oracle_on_paper_graphs(g0, g1, g0p, g1p, k4p):
+def test_search_matches_recursive_oracle_on_paper_graphs(monkeypatch, g0, g1, g0p, g1p, k4p):
     graphs = {"G0": g0[0], "G1": g1[0], "G0'": g0p[0], "G1'": g1p[0], "K4'": k4p[0]}
     for name in ("K4'", "G0'", "G1'"):
         graphs[f"T({name})"] = face_subdivision(graphs[name])[0].graph
@@ -272,13 +301,19 @@ def test_search_matches_recursive_oracle_on_paper_graphs(g0, g1, g0p, g1p, k4p):
         for seed in range(3):
             adj = relabelled(G, seed)
             for r in range(2, 6):
-                for m in sorted({r, r + 1, max(n, r)}):
+                ms = {r, r + 1, max(n, r)}
+                if name.startswith("T(") and r == 4:
+                    ms.add(6)   # the benchmark searches T(G1') at r = 4 with m = 6
+                for m in sorted(ms):
                     for budget in budgets:
-                        assert_same_as_recursive_search(adj, r, m, budget,
-                                                        (name, seed, r, m, budget))
+                        out = assert_same_as_recursive_search(monkeypatch, adj, r, m, budget,
+                                                              (name, seed, r, m, budget))
+                        if name in ("T(G0')", "T(G1')") and (r, budget) == (4, 30000) and m > 4:
+                            # the budget-capped r = 4 searches of the benchmark and of psi
+                            assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 30001)
 
 
-def test_search_matches_recursive_oracle_on_random_maps():
+def test_search_matches_recursive_oracle_on_random_maps(monkeypatch):
     loopless = 0
     for G in random_maps(41, count=1000):
         if G.has_loop():
@@ -289,26 +324,38 @@ def test_search_matches_recursive_oracle_on_random_maps():
             continue
         for r in range(1, 6):
             for m in sorted({r, r + 1, max(G.n_vertices, r)}):
-                assert_same_as_recursive_search(G, r, m, None, (loopless, r, m))
+                assert_same_as_recursive_search(monkeypatch, G, r, m, None, (loopless, r, m))
         loopless += 1
         if loopless == 300:
             break
     assert loopless == 300
 
 
-def test_search_matches_recursive_oracle_on_a_large_graph(g1p):
+def test_search_matches_recursive_oracle_on_a_large_graph(monkeypatch, g1p):
     # G1' refined twice: 3,156 levels, so the oracle needs a raised recursion limit
     G, c = g1p
     for _ in range(2):
         G, c = refine_3x3(G, c)
     assert G.n_vertices == 3156
+    # above the vertex bound the kernel writes in place: copying the mask
+    # list at each branching level would hold about 78 MB here
+    search_local_coloring(G, 4, 4)
+    tracemalloc.start()
+    try:
+        search_local_coloring(G, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(G.n_vertices + 1000)
     try:
         for r in (4, 5):
-            got = search_local_coloring(G, r, r)
-            assert (got.status, got.nodes) == (FOUND, 5009)
-            assert got.certificate_text() == recursive_search(G, r, r).certificate_text()
+            want = recursive_search(G, r, r).certificate_text()
+            for bound in kernel_modes(monkeypatch):
+                got = search_local_coloring(G, r, r)
+                assert (got.status, got.nodes) == (FOUND, 5009)
+                assert got.certificate_text() == want, bound
     finally:
         sys.setrecursionlimit(limit)
 
@@ -326,12 +373,13 @@ def test_psi_outcomes_equal_standalone_searches(name):
         assert o.certificate_text() == want, (name, o.r)
 
 
-def test_deep_search_needs_no_recursion():
+def test_deep_search_needs_no_recursion(monkeypatch):
     # deeper than the interpreter's default recursion limit of 1000
-    odd = local_chromatic_number(cycle_adjacency(2001))
-    assert (odd.value, [o.nodes for o in odd.outcomes]) == (3, [1, 5997, 3003])
-    even = search_local_coloring(cycle_adjacency(2000), 2, 2)
-    assert even.status == FOUND and is_local_coloring(cycle_adjacency(2000), even.coloring, 2)
+    for bound in kernel_modes(monkeypatch):
+        odd = local_chromatic_number(cycle_adjacency(2001))
+        assert (odd.value, [o.nodes for o in odd.outcomes]) == (3, [1, 5997, 3003]), bound
+        even = search_local_coloring(cycle_adjacency(2000), 2, 2)
+        assert even.status == FOUND and is_local_coloring(cycle_adjacency(2000), even.coloring, 2)
 
 
 def test_search_certificate_text(k4p):
