@@ -16,10 +16,10 @@ product equal to the identity always contains such a pair, so a nonempty
 reduction certifies a non-identity element.  Equality of u and v is
 decided as ``is_identity(u * v.inverse())``.
 
-Word files are parsed one distinct token at a time: a word over KG(6, 2)
-has at most 30 distinct tokens however long it is.  Words built without a
-commutation graph live on the Kneser graph induced by the pairs they use,
-so multiplying two such words needs them built over one shared ``graph``.
+One pass over a word file's distinct tokens (at most 30 over KG(6, 2)), or
+a walk's steps, names each color pair; the blockers are built once from
+the names.  Words built without a commutation graph live on the Kneser
+graph of the pairs they use, so a product of two needs one shared ``graph``.
 """
 from __future__ import annotations
 
@@ -143,8 +143,7 @@ def abelianize(w: GroupWord) -> dict:
 
 
 def pair_name(i: int, j: int) -> str:
-    a, b = sorted((i, j))
-    return f"{a}.{b}"
+    return f"{i}.{j}" if i < j else f"{j}.{i}"
 
 
 def _check_kneser(m: int) -> None:
@@ -159,15 +158,18 @@ def kneser_graph(m: int, pairs=None) -> CommutationGraph:
     the subgraph induced on those generators: all that a word over them
     needs.  A pair's blockers are the other pairs that hold one of its colors."""
     _check_kneser(m)
-    ps = (combinations(range(1, m + 1), 2) if pairs is None
-          else sorted({(min(p), max(p)) for p in pairs}))
-    name = {p: pair_name(*p) for p in ps}
+    ps = combinations(range(1, m + 1), 2) if pairs is None else pairs
+    return _kneser_of({(i, j) if i < j else (j, i): pair_name(i, j) for i, j in ps})
+
+
+def _kneser_of(names: dict) -> CommutationGraph:
+    """``kneser_graph`` on the named pairs ``{(i, j): name}``, i < j, in pair order."""
     holders = {}  # color -> the names of the pairs that hold it
-    for (i, j), n in name.items():
+    for (i, j), n in names.items():
         holders.setdefault(i, []).append(n)
         holders.setdefault(j, []).append(n)
-    blockers = {n: frozenset(holders[i] + holders[j]) - {n} for (i, j), n in name.items()}
-    return CommutationGraph._of_blockers(tuple(name.values()), blockers)
+    blockers = {n: frozenset(holders[i] + holders[j]) - {n} for (i, j), n in sorted(names.items())}
+    return CommutationGraph._of_blockers(tuple(blockers), blockers)
 
 
 def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
@@ -175,14 +177,14 @@ def _pair_word(m: int, steps, graph: CommutationGraph | None) -> GroupWord:
     ``graph`` when given, else on the Kneser graph induced by the pairs it
     uses; a product of words built that way needs one shared ``graph``."""
     _check_kneser(m)
-    letters, pairs = [], set()
+    letters, names = [], {}  # pair (i, j), i < j -> its name
     for i, j in steps:
         if not (1 <= i <= m and 1 <= j <= m):
             raise InputError(f"colors must lie in 1..{m}")
         if i != j:
-            pairs.add((i, j) if i < j else (j, i))
-            letters.append((pair_name(i, j), 1 if i < j else -1))
-    return GroupWord(graph if graph is not None else kneser_graph(m, pairs), tuple(letters))
+            a, b, e = (i, j, 1) if i < j else (j, i, -1)
+            letters.append((names.setdefault((a, b), f"{a}.{b}"), e))
+    return GroupWord(graph if graph is not None else _kneser_of(names), tuple(letters))
 
 
 def x_pair(i: int, j: int, m: int, graph: CommutationGraph | None = None) -> GroupWord:
@@ -332,19 +334,17 @@ def parse_word_text(text: str):
         raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
     _check_kneser(m)
     body = tokens[3:]
-    pairs = {}  # distinct token -> (i, j, sign)
+    letter, names = {}, {}  # distinct token -> letter; valid pair (i, j), i < j -> its name
     for raw in dict.fromkeys(body):
         sign, tok = (-1, raw[1:]) if raw.startswith("-") else (1, raw)
         try:
-            i, j = tok.split(".")
-            pairs[raw] = (int(i), int(j), sign)
+            i, j = map(int, tok.split("."))
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
-    # letters with a color outside 1..m, or i.i, are left for GroupWord to reject
-    H = kneser_graph(m, {(min(i, j), max(i, j)) for i, j, _ in pairs.values()
-                         if i != j and 1 <= i <= m and 1 <= j <= m})
-    letter = {raw: (pair_name(i, j), sign) for raw, (i, j, sign) in pairs.items()}
-    return GroupWord(H, tuple(map(letter.__getitem__, body))), m
+        letter[raw] = (pair_name(i, j), sign)
+        if i != j and 1 <= i <= m and 1 <= j <= m:  # GroupWord rejects the other letters
+            names[(i, j) if i < j else (j, i)] = letter[raw][0]
+    return GroupWord(_kneser_of(names), tuple(map(letter.__getitem__, body))), m
 
 
 def format_word(w: GroupWord, m: int) -> str:

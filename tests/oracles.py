@@ -14,7 +14,11 @@ forms, where the assembler matches each face along an index of tail
 darts; a medial face's tag is checked on the least form of its vertex
 walk, where production matches faces in medial darts.  The word-file
 parser converts every token in turn, where the production parser converts
-each distinct token once.
+each distinct token once.  The reference word parser and walk labels
+name each pair after collecting them and build the Kneser graph from the
+disjoint pairs found by testing every pair of pairs, where production
+names each pair in the one pass over the tokens or steps and builds each
+pair's blockers from the pairs that hold its colors.
 The sign oracles walk their own depth-first tree, where production uses
 the map's one breadth-first ``EmbeddedGraph.spanning_tree``: one propagates
 vertex signs, the other compares two parities on every fundamental cycle
@@ -41,11 +45,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import combinations, permutations
 
-from quadloc.errors import AssemblyError, FormatError, InputError
+from quadloc.errors import AssemblyError, ColoringError, FormatError, InputError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome, u_vertex_name,
 )
-from quadloc.semifree import GroupWord, _check_kneser, kneser_graph, pair_name
+from quadloc.semifree import CommutationGraph, GroupWord, _check_kneser, kneser_graph, pair_name
 from quadloc.surface_map import EmbeddedGraph
 
 
@@ -284,6 +288,73 @@ def token_parse_word_text(text: str):
     used = {(min(i, j), max(i, j)) for i, j, _ in pairs if i != j and 1 <= i <= m and 1 <= j <= m}
     H = kneser_graph(m, used)
     return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
+
+
+def reference_pair_name(i: int, j: int) -> str:
+    a, b = sorted((i, j))
+    return f"{a}.{b}"
+
+
+def reference_kneser_graph(m: int, pairs=None) -> CommutationGraph:
+    """KG(m, 2), or its subgraph induced on ``pairs`` (either order), with
+    the generators in pair order, built from the disjoint pairs found by
+    testing every pair of pairs."""
+    _check_kneser(m)
+    ps = combinations(range(1, m + 1), 2) if pairs is None else pairs
+    ps = sorted({(min(p), max(p)) for p in ps})
+    names = tuple(reference_pair_name(*p) for p in ps)
+    edges = [frozenset((names[x], names[y])) for x, y in combinations(range(len(ps)), 2)
+             if not set(ps[x]) & set(ps[y])]
+    return CommutationGraph(names, edges)
+
+
+def reference_parse_word_text(text: str):
+    """Word-file parser that reads each distinct token to a color pair,
+    then names the valid pairs and builds their Kneser graph with
+    ``reference_kneser_graph``; same format, result and messages as
+    ``semifree.parse_word_text``."""
+    tokens = [tok for raw in text.splitlines() for tok in raw.split("#", 1)[0].split()]
+    if len(tokens) < 3 or tokens[0] != "kneser" or tokens[2] != "2":
+        raise InputError("word file needs a 'kneser m 2' header")
+    try:
+        m = int(tokens[1])
+    except ValueError:
+        raise InputError(f"bad kneser parameter {tokens[1]!r}") from None
+    _check_kneser(m)
+    body = tokens[3:]
+    pairs = {}  # distinct token -> (i, j, sign)
+    for raw in dict.fromkeys(body):
+        sign, tok = (-1, raw[1:]) if raw.startswith("-") else (1, raw)
+        try:
+            i, j = tok.split(".")
+            pairs[raw] = (int(i), int(j), sign)
+        except ValueError as exc:
+            raise InputError(f"bad word token {tok!r}") from exc
+    H = reference_kneser_graph(m, {(min(i, j), max(i, j)) for i, j, _ in pairs.values()
+                                   if i != j and 1 <= i <= m and 1 <= j <= m})
+    letter = {raw: (reference_pair_name(i, j), sign) for raw, (i, j, sign) in pairs.items()}
+    return GroupWord(H, tuple(map(letter.__getitem__, body))), m
+
+
+def reference_walk_label(colors, m: int) -> GroupWord:
+    """``semifree.walk_label`` without a graph: the color-pair element of
+    each step's flanking colors, on ``reference_kneser_graph`` of the pairs
+    the steps use; same messages."""
+    colors = list(colors)
+    if not colors:
+        raise InputError("walk needs at least one vertex")
+    before, after = colors[-1:] + colors[:-1], colors[1:] + colors[:1]
+    if any(a == b for a, b in zip(colors, after)):
+        raise ColoringError("consecutive walk colors must differ")
+    _check_kneser(m)
+    letters, used = [], set()
+    for i, j in zip(before, after):
+        if not (1 <= i <= m and 1 <= j <= m):
+            raise InputError(f"colors must lie in 1..{m}")
+        if i != j:
+            used.add((min(i, j), max(i, j)))
+            letters.append((reference_pair_name(i, j), 1 if i < j else -1))
+    return GroupWord(reference_kneser_graph(m, used), tuple(letters))
 
 
 def brute_kneser_edges(m):

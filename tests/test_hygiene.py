@@ -13,7 +13,7 @@ bug, so its message must not say the input was malformed, and every error
 class is one of the two kinds the command line maps to an exit code.  Every
 committed ``BENCH_*.json`` names its change, harness, machine and parent
 commit, and a claim on a workload and metric that ``BENCHMARK.json``
-declares.
+declares; a claim marked met must agree with its own numbers.
 """
 from __future__ import annotations
 
@@ -224,3 +224,25 @@ def test_bench_record_names_its_claim(path):
     claim = record["claim"]
     assert CLAIM_KEYS <= set(claim), CLAIM_KEYS - set(claim)
     assert claim["workload"] in workloads and claim["metric"] in metrics
+
+
+def _met_claims():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    return [p for p in paths if json.loads(p.read_text())["claim"]["met"]]
+
+
+@pytest.mark.parametrize("path", _met_claims(), ids=lambda p: p.name)
+def test_met_bench_claim_agrees_with_its_numbers(path):
+    # a met claim: the change median beats the parent's in the declared
+    # direction, by the recorded relative gain, by more than the parent's
+    # quartile spread, and in at least 9 of 10 pairs of runs
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    claim = json.loads(path.read_text())["claim"]
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    parent, change = claim["parent_median"], claim["change_median"]
+    gain = (change - parent if better[claim["metric"]] == "higher" else parent - change) / parent
+    assert gain > 0
+    assert abs(claim["median_gain"] - gain) <= 1e-3, (claim["median_gain"], gain)
+    assert abs(change - parent) > claim["parent_iqr"]
+    won, pairs = map(int, claim["change_better_in_pairs"].split("/"))
+    assert 10 * won >= 9 * pairs

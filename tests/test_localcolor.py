@@ -313,6 +313,22 @@ def test_search_matches_recursive_oracle_on_paper_graphs(monkeypatch, g0, g1, g0
                             assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 30001)
 
 
+def test_search_restores_masks_after_deep_backtracking(monkeypatch, k4p):
+    # K4' refined once (28 vertices): at r = 3 the searches backtrack deep and
+    # re-enter levels for thousands of nodes before the budget stops them,
+    # so a level that reads a mask a missed copy or a missed undo left stale
+    # reaches a wrong verdict or node count
+    G, _ = refine_3x3(*k4p)
+    for seed in range(3):
+        adj = relabelled(G, seed)
+        for m in (3, 4, 5):
+            want = recursive_search(adj, 3, m, 2000)
+            assert want.status == BUDGET_EXCEEDED
+            for bound in kernel_modes(monkeypatch):
+                got = search_local_coloring(adj, 3, m, 2000)
+                assert (got.status, got.nodes) == (want.status, want.nodes), (seed, m, bound)
+
+
 def test_search_matches_recursive_oracle_on_random_maps(monkeypatch):
     loopless = 0
     for G in random_maps(41, count=1000):

@@ -32,6 +32,10 @@ from oracles import (
     full_orbit_is_identity,
     orbit_is_identity,
     piling_is_identity,
+    reference_kneser_graph,
+    reference_pair_name,
+    reference_parse_word_text,
+    reference_walk_label,
     token_parse_word_text,
 )
 
@@ -505,6 +509,70 @@ def test_parse_matches_token_by_token_oracle():
         assert got == _parse_outcome(token_parse_word_text, text), text
         kinds.add("word" if got[0] == "word" else next(p for p in PARSE_ERRORS if got[2].startswith(p)))
     assert kinds == {"word", *PARSE_ERRORS}  # every outcome is drawn
+
+
+def _word_outcome(build, *args):
+    """The letters, generators, blockers and ``m`` a word build returns, or
+    the kind and message of the error it raises."""
+    try:
+        out = build(*args)
+    except (InputError, ColoringError) as exc:
+        return "error", type(exc), str(exc)
+    w, m = out if isinstance(out, tuple) else (out, None)
+    return "word", w.letters, m, w.graph.generators, w.graph.blockers
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(3000):
+        text = _random_word_text(rng)
+        got = _word_outcome(parse_word_text, text)
+        assert got == _word_outcome(reference_parse_word_text, text), text
+        kinds.add("word" if got[0] == "word" else next(p for p in PARSE_ERRORS if got[2].startswith(p)))
+    assert kinds == {"word", *PARSE_ERRORS}  # every outcome is drawn
+
+
+def test_walk_labels_and_tables_match_the_reference_path(monkeypatch):
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(1500):
+        m = rng.choice([3, 4, 5, 6, 9])
+        cols = [rng.randint(0 if rng.random() < 0.1 else 1, m + (rng.random() < 0.1))
+                for _ in range(rng.randint(0, 14))]
+        got = _word_outcome(walk_label, cols, m)
+        assert got == _word_outcome(reference_walk_label, cols, m), (cols, m)
+        kinds.add(got[0] if got[0] == "word" else got[2])
+        if got[0] == "word":
+            assert walk_label(cols, m, kneser_graph(m)).letters == got[1]
+    assert kinds >= {"word", "walk needs at least one vertex", "consecutive walk colors must differ",
+                     "kneser m 2 needs m >= 4, got m = 3", "colors must lie in 1..6"}
+    for m in range(4, 10):
+        assert kneser_graph(m).blockers == reference_kneser_graph(m).blockers
+    tables = [verify_table(which).text() for which in (1, 2)]
+    monkeypatch.setattr(semifree, "kneser_graph", reference_kneser_graph)
+    monkeypatch.setattr(semifree, "pair_name", reference_pair_name)
+    assert tables == [verify_table(which).text() for which in (1, 2)]
+
+
+def test_word_layer_names_pairs_in_one_pass_and_builds_blockers_once(monkeypatch):
+    # each pair is named in the pass over the tokens or the steps, and one
+    # build turns those names into blockers, without kneser_graph
+    calls = []
+    build = semifree._kneser_of
+    monkeypatch.setattr(semifree, "_kneser_of", lambda names: calls.append(dict(names)) or build(names))
+    monkeypatch.setattr(semifree, "kneser_graph", lambda *a: pytest.fail("kneser_graph called"))
+    w, _ = parse_word_text("kneser 6 2\n1.2 -2.1 3.4 1.2 -5.6 4.3 # 1.5\n2.1 -3.4\n")
+    assert calls == [{(1, 2): "1.2", (3, 4): "3.4", (5, 6): "5.6"}]
+    assert w.graph.generators == ("1.2", "3.4", "5.6")
+    calls.clear()
+    with pytest.raises(InputError, match=r"^invalid letter \('1.1', 1\)$"):
+        parse_word_text("kneser 6 2\n2.1 1.1 1.7 -1.2\n")
+    assert calls == [{(1, 2): "1.2"}]   # letters GroupWord rejects get no blockers
+    calls.clear()
+    w = walk_label([1, 2, 3, 1, 2, 4], 6)   # steps 4.2 1.3 2.1 3.2 1.4 2.1
+    assert calls == [{(2, 4): "2.4", (1, 3): "1.3", (1, 2): "1.2", (2, 3): "2.3", (1, 4): "1.4"}]
+    assert w.graph.generators == ("1.2", "1.3", "1.4", "2.3", "2.4")
 
 
 def _long_case(rng, kind):
