@@ -488,12 +488,15 @@ def _random_word_text(rng):
     return rng.choice(["\n", "\r\n", "\n\x0b"]).join(out) + rng.choice(["", "\n"])
 
 
-def _parse_outcome(parse, text):
+def _word_outcome(build, *args):
+    """The letters, ``m``, generators and blockers of the word a parser or
+    walk label builds, or the kind and message of the error it raises."""
     try:
-        w, m = parse(text)
-    except InputError as exc:
+        out = build(*args)
+    except (InputError, ColoringError) as exc:
         return "error", type(exc), str(exc)
-    return "word", w.letters, m, w.graph.generators, w.graph.edges
+    w, m = out if isinstance(out, tuple) else (out, None)
+    return "word", w.letters, m, w.graph.generators, w.graph.blockers
 
 
 PARSE_ERRORS = ("word file needs a 'kneser m 2' header", "bad kneser parameter",
@@ -505,21 +508,10 @@ def test_parse_matches_token_by_token_oracle():
     kinds = set()
     for _ in range(4000):
         text = _random_word_text(rng)
-        got = _parse_outcome(parse_word_text, text)
-        assert got == _parse_outcome(token_parse_word_text, text), text
+        got = _word_outcome(parse_word_text, text)
+        assert got == _word_outcome(token_parse_word_text, text), text
         kinds.add("word" if got[0] == "word" else next(p for p in PARSE_ERRORS if got[2].startswith(p)))
     assert kinds == {"word", *PARSE_ERRORS}  # every outcome is drawn
-
-
-def _word_outcome(build, *args):
-    """The letters, generators, blockers and ``m`` a word build returns, or
-    the kind and message of the error it raises."""
-    try:
-        out = build(*args)
-    except (InputError, ColoringError) as exc:
-        return "error", type(exc), str(exc)
-    w, m = out if isinstance(out, tuple) else (out, None)
-    return "word", w.letters, m, w.graph.generators, w.graph.blockers
 
 
 def test_parse_matches_the_reference_parser():
