@@ -230,7 +230,7 @@ class EmbeddedGraph:
         each vertex to the dart at its parent whose edge reaches it (``None``
         at the root).  Every other edge closes one fundamental cycle."""
         V, P, at = self.vertex_of, self.pairing, self.darts_at
-        order = [min(self.darts_at)]
+        order = [min(at)]
         via = {order[0]: None}
         for v in order:
             for d in at[v]:
