@@ -14,11 +14,13 @@ G0 and G1 are two rows of one table (m, vertex filter, face census,
 (V, E, F), genus) that one builder and one orbit check read.  Face lists
 are generated programmatically (4-cycle and two-colored 6-cycle censuses)
 so the assembler's disk checks certify the embeddings; the 6-cycle census
-cuts a path as soon as it shows a third color.
+cuts a path as soon as it shows a third color.  ``K4'``, K4 on the
+projective plane, is the face list of K4's three Hamiltonian 4-cycles
+through the same assembler.
 """
 from __future__ import annotations
 
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring, build_U, is_local_coloring, u_vertex_name
@@ -227,38 +229,18 @@ def g1_prime_certificate_edges(G: EmbeddedGraph):
 def build_K4_projective():
     """K4 with three quadrilateral faces on the projective plane.
 
-    Rotations list the other three vertices in ascending order; the
-    signature is the first one (in lexicographic order, + before -) making
-    the Euler characteristic 1, verified rather than assumed.
+    The faces are K4's three Hamiltonian 4-cycles, so the assembler checks
+    that they trace back exactly; switching at 2, 3 and 4 then makes every
+    rotation list the other three vertices in ascending order.
     """
-    verts = ["1", "2", "3", "4"]
-    pairs = [(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]]
-    vertex_of = [None] * 12
-    for k, (u, w) in enumerate(pairs):
-        vertex_of[2 * k] = u
-        vertex_of[2 * k + 1] = w
-    rotation = [0] * 12
-    for v in verts:
-        inc = []
-        for k, (u, w) in enumerate(pairs):
-            if u == v:
-                inc.append((w, 2 * k))
-            elif w == v:
-                inc.append((u, 2 * k + 1))
-        inc.sort()
-        for i, (_, d) in enumerate(inc):
-            rotation[d] = inc[(i + 1) % 3][1]
-    pairing = [d ^ 1 for d in range(12)]
-
-    for sig in product((1, -1), repeat=6):
-        G = EmbeddedGraph(rotation, pairing, list(sig), vertex_of)
-        sc = classify_surface(G)
-        if sc.euler_characteristic == 1 and sorted(len(f) for f in G.faces) == [4, 4, 4]:
-            c = Coloring({v: int(v) for v in verts}, 4)
-            if quad_parity(G) != ODD:
-                raise InternalConsistencyError("K4 on the projective plane must be odd")
-            return G, c
-    raise InternalConsistencyError("no signature realizes K4 on the projective plane")
+    faces = [("1", "2", "3", "4"), ("1", "3", "4", "2"), ("1", "4", "2", "3")]
+    G = assemble_embedding(FaceListComplex.from_lists(faces)).switched(("2", "3", "4"))
+    sc = classify_surface(G)
+    if sc.orientable or sc.genus != 1:
+        raise InternalConsistencyError("K4 must quadrangulate the projective plane")
+    if quad_parity(G) != ODD:
+        raise InternalConsistencyError("K4 on the projective plane must be odd")
+    return G, Coloring({v: int(v) for v in G.vertices}, 4)
 
 
 def high_genus_family(base: str):

@@ -67,9 +67,8 @@ class Coloring:
 
 
 def neighbor_sets(G):
-    """Adjacency as vertex -> frozenset, from a map, a UGraph, or a dict."""
-    adj = getattr(G, "adjacency", G)
-    return {v: frozenset(ns) for v, ns in adj.items()}
+    """Adjacency as vertex -> frozenset: a map's or a UGraph's as it is, a dict's converted."""
+    return {v: frozenset(ns) for v, ns in G.items()} if isinstance(G, dict) else G.adjacency
 
 
 def coloring_violation(G, c: Coloring, r: int):

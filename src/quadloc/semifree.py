@@ -151,19 +151,16 @@ def _check_kneser(m: int) -> None:
         raise InputError(f"kneser m 2 needs m >= 4, got m = {m}")
 
 
-def kneser_graph(m: int, pairs=None) -> CommutationGraph:
-    """KG(m, 2): 2-subsets of 1..m, adjacent iff disjoint.
-
-    With ``pairs`` (each ``(i, j)`` of colors in 1..m, in either order),
-    the subgraph induced on those generators: all that a word over them
-    needs.  A pair's blockers are the other pairs that hold one of its colors."""
+def kneser_graph(m: int) -> CommutationGraph:
+    """KG(m, 2): 2-subsets of 1..m, adjacent iff disjoint."""
     _check_kneser(m)
-    ps = combinations(range(1, m + 1), 2) if pairs is None else pairs
-    return _kneser_of({(i, j) if i < j else (j, i): pair_name(i, j) for i, j in ps})
+    return _kneser_of({(i, j): pair_name(i, j) for i, j in combinations(range(1, m + 1), 2)})
 
 
 def _kneser_of(names: dict) -> CommutationGraph:
-    """``kneser_graph`` on the named pairs ``{(i, j): name}``, i < j, in pair order."""
+    """The subgraph of a Kneser graph induced on the named pairs
+    ``{(i, j): name}``, i < j, in pair order: all that a word over them
+    needs.  A pair's blockers are the other pairs that hold one of its colors."""
     holders = {}  # color -> the names of the pairs that hold it
     for (i, j), n in names.items():
         holders.setdefault(i, []).append(n)

@@ -49,7 +49,7 @@ from quadloc.errors import AssemblyError, ColoringError, FormatError, InputError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome, u_vertex_name,
 )
-from quadloc.semifree import CommutationGraph, GroupWord, _check_kneser, kneser_graph, pair_name
+from quadloc.semifree import CommutationGraph, GroupWord, _check_kneser, pair_name
 from quadloc.surface_map import EmbeddedGraph
 
 
@@ -286,7 +286,7 @@ def token_parse_word_text(text: str):
         except ValueError as exc:
             raise InputError(f"bad word token {tok!r}") from exc
     used = {(min(i, j), max(i, j)) for i, j, _ in pairs if i != j and 1 <= i <= m and 1 <= j <= m}
-    H = kneser_graph(m, used)
+    H = reference_kneser_graph(m, used)
     return GroupWord(H, tuple((pair_name(i, j), sign) for i, j, sign in pairs)), m
 
 

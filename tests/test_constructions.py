@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,16 @@ from quadloc.constructions import (
 from quadloc.errors import AssemblyError, InputError
 from quadloc.localcolor import build_U, is_local_coloring, u_vertex_name
 from quadloc.quadform import ODD, excess_report, quad_parity
-from quadloc.surface_map import FaceListComplex, assemble_embedding, classify_surface
+from quadloc.surface_map import (
+    FaceListComplex,
+    assemble_embedding,
+    canonical_walk,
+    classify_surface,
+)
 from quadloc.textio import write_graph
 from oracles import brute_two_colored_six_cycles, unpruned_two_colored_six_cycles
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def test_g0_census(g0):
@@ -126,6 +134,13 @@ def test_k4_projective(k4p):
     assert (sc.orientable, sc.euler_characteristic, sc.genus) == (False, 1, 1)
     assert quad_parity(G) == ODD
     assert excess_report(G).total == -4
+    # the faces are exactly K4's 4-cycles, in the ascending-rotation gauge
+    walks = sorted(canonical_walk(G.face_vertex_walk(f)) for f in G.faces)
+    assert walks == four_cycles(G.adjacency)
+    for v, darts in G.darts_at.items():
+        nbrs = [G.vertex_of[G.pairing[d]] for d in darts]
+        assert nbrs == sorted(nbrs), v
+    assert write_graph(G, c) == (GOLDEN / "k4p.txt").read_text()
 
 
 def test_family_genus_increments(g1p):

@@ -13,7 +13,8 @@ bug, so its message must not say the input was malformed, and every error
 class is one of the two kinds the command line maps to an exit code.  Every
 committed ``BENCH_*.json`` names its change, harness, machine and parent
 commit, and a claim on a workload and metric that ``BENCHMARK.json``
-declares; a claim marked met must agree with its own numbers.
+declares; a claim marked met must agree with its own numbers.  The
+modules together stay under the line ceiling of ROADMAP aim 2.
 """
 from __future__ import annotations
 
@@ -35,6 +36,18 @@ MODULES = sorted(SRC.glob("*.py"))
 def test_package_init_is_its_docstring_alone():
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+# ROADMAP aim 2: net lines in src/ fall over the round; a change that
+# raises this ceiling says so in CHANGES.md
+SRC_LINE_CEILING = 3360
+
+
+def test_src_stays_under_the_line_ceiling():
+    lines = sum(len(path.read_text().splitlines()) for path in MODULES)
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/quadloc has {lines} lines, above the ROADMAP aim 2 ceiling of {SRC_LINE_CEILING}"
+    )
 
 
 def unused_imports(source: str):

@@ -347,6 +347,13 @@ def test_word_parser_raises_only_input_errors_on_random_tokens(header, m, tokens
         pass
 
 
+def _induced_kneser(m, pairs):
+    """KG(m, 2) induced on ``pairs`` (each ``(i, j)``, in either order), as
+    the parser builds it for a word that uses exactly those pairs."""
+    text = f"kneser {m} 2\n" + " ".join(f"{i}.{j}" for i, j in pairs) + "\n"
+    return parse_word_text(text)[0].graph
+
+
 def test_kneser_graph_matches_pair_of_pairs_oracle():
     rng = random.Random(19)
     for m in range(4, 10):
@@ -356,26 +363,25 @@ def test_kneser_graph_matches_pair_of_pairs_oracle():
         assert set(H.edges) == brute_kneser_edges(m)
         for _ in range(20):
             pairs = rng.sample(all_pairs, rng.randint(0, len(all_pairs)))
-            sub = kneser_graph(m, pairs)
+            sub = _induced_kneser(m, pairs)
             names = {pair_name(i, j) for i, j in pairs}
             assert sub.generators == tuple(g for g in H.generators if g in names)
             assert set(sub.edges) == {e for e in brute_kneser_edges(m) if e <= names}
 
 
 def _kneser_pair_subsets(rng):
-    """(m, pairs argument, pairs used): all of KG(m, 2) for m = 4..8, and
-    seeded random pair subsets."""
+    """(m, graph, pairs used): all of KG(m, 2) for m = 4..8, and the
+    subgraphs the parser induces on seeded random pair subsets."""
     for m in range(4, 9):
         all_pairs = list(combinations(range(1, m + 1), 2))
-        yield m, None, all_pairs
+        yield m, kneser_graph(m), all_pairs
         for _ in range(15):
             pairs = rng.sample(all_pairs, rng.randint(0, len(all_pairs)))
-            yield m, pairs, pairs
+            yield m, _induced_kneser(m, pairs), pairs
 
 
 def test_kneser_blockers_are_the_pairs_sharing_exactly_one_color():
-    for m, pairs, used in _kneser_pair_subsets(random.Random(41)):
-        H = kneser_graph(m, pairs)
+    for m, H, used in _kneser_pair_subsets(random.Random(41)):
         assert set(H.blockers) == {pair_name(*p) for p in used}
         for p in used:
             want = {pair_name(*q) for q in used if len(set(p) & set(q)) == 1}
@@ -383,15 +389,14 @@ def test_kneser_blockers_are_the_pairs_sharing_exactly_one_color():
 
 
 def test_kneser_graph_equals_the_graph_built_from_brute_force_edges():
-    for m, pairs, _ in _kneser_pair_subsets(random.Random(43)):
-        H = kneser_graph(m, pairs)
+    for m, H, _ in _kneser_pair_subsets(random.Random(43)):
         names = set(H.generators)
         edges = frozenset(e for e in brute_kneser_edges(m) if e <= names)
         ref = CommutationGraph(H.generators, edges)
         assert H == ref and hash(H) == hash(ref)
         assert H.edges == ref.edges == edges
         assert H.blockers == ref.blockers
-    assert kneser_graph(5, [(2, 1), (1, 2), (3, 4)]) == kneser_graph(5, [(1, 2), (3, 4)])
+    assert _induced_kneser(5, [(2, 1), (1, 2), (3, 4)]) == _induced_kneser(5, [(1, 2), (3, 4)])
     H = kneser_graph(5)
     assert H != CommutationGraph(H.generators, H.edges - {frozenset(("1.2", "3.4"))})
     assert H != CommutationGraph(tuple(reversed(H.generators)), H.edges)
