@@ -5,32 +5,31 @@ A proper coloring is *local-r* when every open neighborhood shows at most
 local r-coloring with at most ``m`` colors exactly when it maps
 homomorphically into ``U(m, r)``.
 
-The search enumerates colorings with colors introduced in first-use order
-(color ``k+1`` may appear only after ``1..k``), which collapses the color
-permutation symmetry; properness and locality are color-name invariant, so
-a NONE verdict over this canonical space is a proof of nonexistence.
-Vertices are colored in breadth-first order, and a search node is one color
-tried at one vertex.  The kernel is one loop with one record per level, so
-graph size is not bounded by the interpreter's recursion limit.  Its state
-is a list of one bitmask per vertex, of the colors on its colored
-neighbors; a level reads its neighbors' masks with one ``itemgetter`` call,
-so placing a color opens no Python frame.  On graphs of up to
-``_COPY_MAX_VERTICES`` vertices a level that has another color to try
-places into a copy of that list, so backtracking restores a saved list
-instead of undoing writes; a larger graph's copies would cost more than the
-writes, so there the kernel writes in place and undoes.  The search looks
-no further ahead than the vertex it colors.  On the benchmark's search
-round, forward checking with an allowed-color mask per vertex, copied with
-the neighbor masks, needs 4.3x fewer nodes on the searches both decide but
-costs 1.3x more per node, and the round, which spends most of its nodes in
-searches that stop at the budget, runs 6-10% slower.  A FOUND coloring is
+The search is forward checking (Haralick and Elliott, 1980) over colorings
+with colors in first-use order: a vertex takes a color in use or the next
+one.  Each vertex keeps the colors it may still take.  Coloring a vertex
+removes its color at its neighbors, and a neighbor that comes to show
+``r - 1`` colors cuts its own neighbors down to those: both drop only
+colors that no extension can use, so a vertex left with none ends the
+branch.  The next vertex is the uncolored one with the fewest allowed
+colors per degree (dom/deg, Bessiere and Regin, 1996), ties to the higher
+degree, then to breadth-first order.  First-use order stays a complete
+symmetry reduction under this choice, as under any choice that reads only
+the partial coloring: colors not yet used are interchangeable there, so
+any local coloring can be renamed, vertex by vertex along the search's own
+path, into one the search reaches.  So NONE is a proof of nonexistence.  A
+node is one color tried at one vertex.  T(G0') has no local 4-coloring:
+NONE in 8,740-13,703 nodes with 5 colors (seven seeded renamings), 14,687
+with all 65; T(G1') in 384,733 with all 75.  The breadth-first kernel
+before this one stopped at 2*10^6 nodes on both.  A FOUND coloring is
 re-checked by ``coloring_violation``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
-from operator import itemgetter
+from math import lcm
 
 from .errors import ColoringError, InputError, InternalConsistencyError, LoopError
 
@@ -42,14 +41,11 @@ BUDGET_EXCEEDED = "BUDGET-EXCEEDED"
 # compares two ints, and more nodes than any search can visit.
 _NO_BUDGET = 1 << 62
 
-# The largest graph whose search copies its mask list at a branching level.
-# On psi and the r = 3..5 searches at a budget of 30,000 nodes, copies beat
-# the writes and undo writes they replace by 5-20% up to 180 vertices, break
-# even at 220-264 and cost 5-30% more from 289 to 699 (Klein bottle grids,
-# triangulated torus grids and refined paper maps).  Searches that find a
-# coloring with little backtracking lose earlier, 1.2-1.5x at 72-156
-# vertices.  A FOUND search on 3,156 vertices would hold about 78 MB of
-# copies.
+# The largest graph whose search copies its lists at a branching level and
+# picks each vertex with one max(); a larger one keeps a trail and a heap.
+# Searches that backtrack much (psi and r = 3..5 at a 30,000-node budget)
+# copy 1.3-2.2x faster up to 169 vertices and 1.4-1.5x slower at 310-348;
+# those that find a coloring early are faster on the trail from 64 vertices.
 _COPY_MAX_VERTICES = 200
 
 
@@ -204,13 +200,14 @@ class SearchOutcome:
     nodes: int
     r: int
     m: int
-    order: tuple
+    ranking: tuple
 
     def certificate_text(self) -> str:
         lines = [
             "# quadloc-cert v1",
             f"search local-coloring r={self.r} m={self.m}",
-            "order " + " ".join(self.order),
+            "rule forward-checking fewest-allowed-colors-per-degree",
+            "ranking " + " ".join(self.ranking),
             "canonical colors-in-first-use-order",
             f"nodes {self.nodes}",
             f"result {self.status}",
@@ -239,69 +236,75 @@ def _search_order(adj):
     return tuple(order)
 
 
-def _masks_getter(nb):
-    """One C-level call that reads the masks at positions ``nb`` as a tuple.
-
-    A one-key ``itemgetter`` returns a bare value, so a single neighbor is
-    read twice; the placement loop zips with ``nb`` and stops after one, and
-    ``&`` with the same mask twice is the same mask.
-    """
-    if len(nb) > 1:
-        return itemgetter(*nb)
-    if nb:
-        return itemgetter(nb[0], nb[0])
-    return lambda seen: ()
-
-
 def _search_space(G):
-    """The search order and, per position, the positions of its neighbors
-    with a getter of their masks; every r of a psi run shares it."""
+    """The tie-break ranking (degree descending, then breadth-first order),
+    per position its neighbors' positions, and per position the weight of
+    one allowed color in its priority: minus ``n`` times a common multiple
+    of the degrees over its degree, so fewer allowed colors per degree rank
+    higher and each priority is minus its position modulo ``n``.  Every r of
+    a psi run shares it."""
     adj = neighbor_sets(G)
     order = _search_order(adj)
     for v in order:
         if v in adj[v]:
             raise LoopError(f"local colorings need a loopless graph, {v!r} has a loop")
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = tuple(tuple(pos[w] for w in adj[v]) for v in order)
-    return order, nbrs, tuple(_masks_getter(nb) for nb in nbrs)
+    ranking = tuple(sorted(order, key=lambda v: -len(adj[v])))
+    pos = {v: i for i, v in enumerate(ranking)}
+    nbrs = tuple(tuple(map(pos.__getitem__, adj[v])) for v in ranking)
+    scale = lcm(*(len(nb) or 1 for nb in nbrs)) * len(nbrs)
+    return ranking, nbrs, tuple(-scale // (len(nb) or 1) for nb in nbrs)
 
 
-def _walk(nbrs, getters, r: int, m: int, budget: int | None):
-    """Depth-first walk of the canonical tree; returns (status, nodes, colors).
+def _forward_check(nbrs, weights, r: int, m: int, budget: int | None):
+    """Depth-first walk of the canonical tree in one loop, one record per
+    level, so depth is not bounded by the recursion limit; returns (status,
+    nodes, colors by position).
 
-    Level ``i`` colors position ``i``.  ``seen[v]`` has bit ``k`` set when a
-    colored neighbor of ``v`` has color ``k``.  A level computes its allowed
-    colors once, on entry: not seen at its vertex, seen at every neighbor
-    that already shows ``r - 1`` colors, and at most ``top``, one above the
-    colors in use but never above ``m``.  It takes them lowest bit first.
-    Each placement saves the level's record: the mask list it was entered
-    with, its neighbors' masks from that list, the colors not yet tried,
-    ``top`` and the color placed.  Up to ``_COPY_MAX_VERTICES`` vertices, a
-    placement with a color left to try writes its neighbors' masks into a
-    copy of the list, and the last color writes into the list itself, which
-    no later color of the level reads; so backtracking restores nothing but
-    the saved list.  On a larger graph the copies cost more than the writes
-    they save, so there is one list, every placement writes into it, and an
-    exhausted level writes its neighbors' masks back.  Every color tried is
-    one node, the skipped infeasible ones included, so a budget stops at
-    exactly ``budget + 1`` nodes.
+    ``seen[v]`` holds the colors on the colored neighbors of ``v`` as bits,
+    ``allowed[v]`` the colors of ``1..m`` it may still take (a colored
+    vertex its own color alone, which no later cut changes), and ``prio[v]``
+    is ``count * weights[v] - v`` for ``count`` allowed colors, or ``done``,
+    below every other, once ``v`` is colored.  The vertex with the largest
+    priority is colored next, with its allowed colors up to ``top``, one
+    above the colors in use but never above ``m``, lowest first; a placement
+    makes the two cuts and fails at the first empty allowed mask.  Up to
+    ``_COPY_MAX_VERTICES`` vertices a placement with a color left to try
+    writes into copies of the three lists and the last color into the lists
+    themselves, so backtracking restores the saved lists.  A larger graph
+    has one set of lists: a placement saves each vertex's values on a trail
+    before it writes them, backtracking pops the trail back to the level's
+    mark, and the next vertex comes off a heap of the priorities that drops
+    stale entries as they surface.  Every color tried is one node, the
+    skipped infeasible ones and the failed placements included, so a budget
+    stops at exactly ``budget + 1`` nodes.
     """
     n = len(nbrs)
     limit = budget if budget is not None else _NO_BUDGET
     full = r - 1
-    copying = n <= _COPY_MAX_VERTICES
+    every = (2 << m) - 2
+    # at r = 1 a vertex may show no color, so no vertex with a neighbor has one
+    allowed = [every if full or not nb else 0 for nb in nbrs]
+    prio = [a.bit_count() * w - v for v, (a, w) in enumerate(zip(allowed, weights))]
+    done = m * min(weights) - n
     seen = [0] * n
-    levels = [None] * n  # per level: (mask list, neighbors' masks, untried, top, color)
-    nodes = 0
-    i = 0
+    copying = n <= _COPY_MAX_VERTICES
+    trail = []
+    heap = [] if copying else sorted(-p for p in prio)  # a sorted list is a heap
+    pushed = 0  # the trail entries whose vertices' priorities are on the heap
+    levels = [None] * n  # per level: vertex, lists, trail mark, untried, top, color
+    nodes = i = 0
     top = 1
     while True:
-        masks = getters[i](seen)
-        a = ((2 << top) - 2) & ~seen[i]
-        for s in masks:
-            if s.bit_count() >= full:
-                a &= s
-        nb = nbrs[i]
+        if copying:
+            v = -max(prio) % n
+        else:
+            for e in trail[pushed:]:
+                heappush(heap, -prio[e[0]])
+            pushed = len(trail)
+            while prio[heap[0] % n] != -heap[0]:
+                heappop(heap)
+            v = heap[0] % n
+        a = allowed[v] & ((2 << top) - 2)
         k = 0
         while True:
             if a:
@@ -311,40 +314,75 @@ def _walk(nbrs, getters, r: int, m: int, budget: int | None):
                 nodes += c - k
                 if nodes > limit:
                     return BUDGET_EXCEEDED, budget + 1, None
-                levels[i] = seen, masks, a, top, c
-                if a and copying:
-                    seen = seen.copy()
-                for w, s in zip(nb, masks):
-                    seen[w] = s | low
-                break
-            nodes += top - k
-            if nodes > limit:
-                return BUDGET_EXCEEDED, budget + 1, None
-            if k and not copying:
-                for w, s in zip(nb, masks):
-                    seen[w] = s
-            i -= 1
-            if i < 0:
-                return NONE, nodes, None
-            seen, masks, a, top, k = levels[i]
-            nb = nbrs[i]
+                levels[i] = v, seen, allowed, prio, len(trail), a, top, c
+                if not copying:
+                    trail.append((v, seen[v], allowed[v], prio[v]))
+                elif a:
+                    seen, allowed, prio = seen.copy(), allowed.copy(), prio.copy()
+                allowed[v] = low
+                prio[v] = done
+                for w in nbrs[v]:
+                    s = seen[w]
+                    if s & low:
+                        continue
+                    aw = allowed[w]
+                    if not copying:
+                        trail.append((w, s, aw, prio[w]))
+                    if aw & low:
+                        if aw == low:
+                            break
+                        allowed[w] = aw ^ low
+                        prio[w] -= weights[w]
+                    seen[w] = s = s | low
+                    if s.bit_count() != full:
+                        continue
+                    for x in nbrs[w]:
+                        ax = allowed[x]
+                        cut = ax & s
+                        if cut != ax:
+                            if not cut:
+                                break
+                            if not copying:
+                                trail.append((x, seen[x], ax, prio[x]))
+                            allowed[x] = cut
+                            prio[x] = cut.bit_count() * weights[x] - x
+                    else:
+                        continue
+                    break
+                else:
+                    break
+                k = c
+                seen, allowed, prio, mark = levels[i][1:5]
+            else:
+                nodes += top - k
+                if nodes > limit:
+                    return BUDGET_EXCEEDED, budget + 1, None
+                i -= 1
+                if i < 0:
+                    return NONE, nodes, None
+                v, seen, allowed, prio, mark, a, top, k = levels[i]
+            while len(trail) > mark:
+                w, seen[w], allowed[w], prio[w] = trail.pop()
+                heappush(heap, -prio[w])
+            if pushed > mark:
+                pushed = mark
         i += 1
         if i == n:
-            return FOUND, nodes, [level[4] for level in levels]
+            return FOUND, nodes, [x.bit_length() - 1 for x in allowed]
         if c == top < m:
             top += 1
 
 
 def _search(G, space, r: int, m: int, budget: int | None) -> SearchOutcome:
-    order, nbrs, getters = space
-    status, nodes, colors = _walk(nbrs, getters, r, m, budget)
+    ranking, nbrs, weights = space
+    status, nodes, colors = _forward_check(nbrs, weights, r, m, budget)
     if status != FOUND:
-        return SearchOutcome(status, None, nodes, r, m, order)
-    c = Coloring(dict(zip(order, colors)), m)
+        return SearchOutcome(status, None, nodes, r, m, ranking)
+    c = Coloring(dict(zip(ranking, colors)), m)
     violation = coloring_violation(G, c, r)
     if violation is not None:
         raise InternalConsistencyError(f"search produced an invalid coloring: {violation}")
-    return SearchOutcome(FOUND, c, nodes, r, m, order)
+    return SearchOutcome(FOUND, c, nodes, r, m, ranking)
 
 
 def search_local_coloring(G, r: int, m: int, budget: int | None = None) -> SearchOutcome:

@@ -84,10 +84,11 @@ def brute_local_coloring_exists(adj, r: int, m: int) -> bool:
 
 
 def recursive_search(G, r: int, m: int, budget: int | None = None) -> SearchOutcome:
-    """The canonical search as a recursion: same breadth-first order (from a
-    maximum-degree vertex, ties by name), first-use colors and one node per
-    color tried, so it gives the same outcome and node count as
-    ``search_local_coloring``.  Recursion depth is the vertex count."""
+    """The canonical search as a plain recursion, without look-ahead: a
+    static breadth-first order (from a maximum-degree vertex, ties by name),
+    first-use colors and one node per color tried.  It shares no ordering or
+    pruning with ``search_local_coloring``, so only their verdicts compare.
+    Recursion depth is the vertex count."""
     adj = {v: frozenset(ns) for v, ns in getattr(G, "adjacency", G).items()}
     start = max(sorted(adj), key=lambda v: len(adj[v]))
     order, reached, queue = [start], {start}, deque([start])

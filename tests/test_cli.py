@@ -172,7 +172,7 @@ def test_psi_command(tmp_path):
     invoke(["build", "k4p", "--out", g])
     rc, out = invoke(["psi", g])
     assert rc == 0
-    assert out == ("r=1 NONE nodes=1\nr=2 NONE nodes=3\nr=3 NONE nodes=6\n"
+    assert out == ("r=1 NONE nodes=1\nr=2 NONE nodes=1\nr=3 NONE nodes=3\n"
                    "r=4 FOUND nodes=10\npsi = 4\n")
 
 
@@ -233,6 +233,19 @@ def test_tri_commands(tmp_path):
     assert rc == 0
     rc, out = invoke(["tri", "tq-bound", g])
     assert rc == 0 and "local chromatic number = 5" in out
+
+
+@pytest.mark.parametrize("name", ["g0p", "g1p"])
+def test_tq_bound_proves_psi_five_on_the_paper_quadrangulations(name):
+    """The abstract: face subdivisions of odd quadrangulations have local
+    chromatic number equal to their chromatic number, so psi(T(G0')) =
+    psi(T(G1')) = 5 although psi(G0') = psi(G1') = 3.  The search proves
+    that T(Q) has no local 4-coloring, and the hub extension of the map's
+    local 3-coloring is a local 5-coloring."""
+    rc, out = invoke(["tri", "tq-bound", str(GOLDEN / f"{name}.txt")])
+    assert rc == 0 and out.endswith("local chromatic number >= 5\n"
+                                    "hub-extension witness local-5: True\n"
+                                    "local chromatic number = 5\n"), out
 
 
 def test_malformed_input_is_exit_two(tmp_path):
@@ -570,7 +583,7 @@ def g1p_refined_twice(tmp_path_factory):
     (["search", "local-coloring", "3", "3", "{}", "--budget", "100000"],
      "BUDGET-EXCEEDED nodes=100001\n"),
     (["psi", "{}", "--budget", "100000"],
-     "r=1 NONE nodes=1\nr=2 NONE nodes=4296\nr=3 BUDGET-EXCEEDED nodes=100001\n"
+     "r=1 NONE nodes=1\nr=2 NONE nodes=1379\nr=3 BUDGET-EXCEEDED nodes=100001\n"
      "budget exceeded: psi >= 3\n"),
     (["tri", "tq-bound", "{}", "--budget", "5000"],
      "local 4-coloring search: BUDGET-EXCEEDED (5001 nodes)\n"

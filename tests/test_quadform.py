@@ -440,7 +440,7 @@ def test_auxiliary_graph_face_tags(g1p, k4p):
     # a searched local 4-coloring also shows three-colored faces
     searched = search_local_coloring(G, 4, 4).coloring
     tags = Counter(auxiliary_graph(G, searched).face_tags)
-    assert tags == {"other": 21, "bichromatic": 15, "four-chromatic": 3}
+    assert tags == {"other": 28, "bichromatic": 8, "four-chromatic": 3}
 
     K, cK = k4p
     auxK = auxiliary_graph(K, cK)
