@@ -20,6 +20,7 @@ through the same assembler.
 """
 from __future__ import annotations
 
+import sys
 from itertools import combinations, islice
 
 from .errors import InputError, InternalConsistencyError
@@ -271,9 +272,11 @@ def high_genus_family(base: str):
 
 
 def build_high_genus_family(base: str, extra_genus: int):
-    """Member ``extra_genus`` of ``high_genus_family(base)``."""
+    """Member ``extra_genus`` (0 to ``sys.maxsize``) of ``high_genus_family(base)``."""
     if extra_genus < 0:
         raise InputError("extra_genus must be non-negative")
+    if extra_genus > sys.maxsize:
+        raise InputError(f"extra_genus must be at most {sys.maxsize}, got {extra_genus}")
     return next(islice(high_genus_family(base), extra_genus, None))
 
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
-from .errors import ColoringError, InputError, InternalConsistencyError, LoopError
+from .errors import InputError, InternalConsistencyError
 
 FOUND = "FOUND"
 NONE = "NONE"
@@ -48,6 +48,8 @@ _NO_BUDGET = 1 << 62
 # those that find a coloring early are faster on the trail from 64 vertices.
 _COPY_MAX_VERTICES = 200
 
+_U_MAX_ADJACENCY = 10**5  # the most vertex-neighbor pairs that build_U lists
+
 
 @dataclass
 class Coloring:
@@ -59,12 +61,21 @@ class Coloring:
     def __post_init__(self):
         for v, c in self.assignment.items():
             if not 1 <= c <= self.m:
-                raise ColoringError(f"color {c} of {v!r} outside 1..{self.m}")
+                raise InputError(f"color {c} of {v!r} outside 1..{self.m}")
 
 
 def neighbor_sets(G):
-    """Adjacency as vertex -> frozenset: a map's or a UGraph's as it is, a dict's converted."""
-    return {v: frozenset(ns) for v, ns in G.items()} if isinstance(G, dict) else G.adjacency
+    """Adjacency as vertex -> frozenset: a map's or a UGraph's as it is, a
+    dict's converted, once it is checked to be non-empty and symmetric."""
+    if not isinstance(G, dict):
+        return G.adjacency
+    adj = {v: frozenset(ns) for v, ns in G.items()}
+    if not adj:
+        raise InputError("adjacency has no vertices")
+    for v, ns in adj.items():
+        if any(v not in adj.get(w, ()) for w in ns):
+            raise InputError(f"adjacency is not symmetric at {v!r}")
+    return adj
 
 
 def coloring_violation(G, c: Coloring, r: int):
@@ -78,7 +89,7 @@ def coloring_violation(G, c: Coloring, r: int):
     adj = neighbor_sets(G)
     missing = sorted(set(adj) - set(c.assignment))
     if missing:
-        raise ColoringError(f"coloring is not total, vertex {missing[0]!r} uncolored")
+        raise InputError(f"coloring is not total, vertex {missing[0]!r} uncolored")
     color = c.assignment.__getitem__
     for v, ns in adj.items():
         seen = set(map(color, ns))
@@ -141,6 +152,9 @@ def build_U(m: int, r: int) -> UGraph:
     definition: j in A, C a (r - 2)-subset of the colors other than i, j."""
     if not m >= r >= 2:
         raise InputError("build_U needs m >= r >= 2")
+    # m * (m - 1) * C(m - 2, r - 2)**2 adjacencies; m is bounded before comb() runs
+    if m * (m - 1) > _U_MAX_ADJACENCY or m * (m - 1) * comb(m - 2, r - 2) ** 2 > _U_MAX_ADJACENCY:
+        raise InputError(f"U({m}, {r}) has more than {_U_MAX_ADJACENCY} adjacencies")
     colors = range(1, m + 1)
     verts = [(i, frozenset(A)) for i in colors
              for A in combinations([x for x in colors if x != i], r - 1)]
@@ -168,7 +182,7 @@ def hom_to_U(G, c: Coloring, r: int):
     """
     violation = coloring_violation(G, c, r)
     if violation is not None:
-        raise ColoringError(f"not a local {r}-coloring: {violation}")
+        raise InputError(f"not a local {r}-coloring: {violation}")
     adj = neighbor_sets(G)
     m = c.m
     image = {}
@@ -180,7 +194,7 @@ def hom_to_U(G, c: Coloring, r: int):
                 A.add(pad)
             pad += 1
         if len(A) < r - 1:
-            raise ColoringError("cannot pad neighborhood colors, m too small")
+            raise InputError("cannot pad neighborhood colors, m too small")
         image[v] = (c.assignment[v], frozenset(A))
     for v in sorted(adj):
         for w in adj[v]:
@@ -247,7 +261,7 @@ def _search_space(G):
     order = _search_order(adj)
     for v in order:
         if v in adj[v]:
-            raise LoopError(f"local colorings need a loopless graph, {v!r} has a loop")
+            raise InputError(f"local colorings need a loopless graph, {v!r} has a loop")
     ranking = tuple(sorted(order, key=lambda v: -len(adj[v])))
     pos = {v: i for i, v in enumerate(ranking)}
     nbrs = tuple(tuple(map(pos.__getitem__, adj[v])) for v in ranking)
@@ -375,7 +389,8 @@ def _forward_check(nbrs, weights, r: int, m: int, budget: int | None):
 
 def _search(G, space, r: int, m: int, budget: int | None) -> SearchOutcome:
     ranking, nbrs, weights = space
-    status, nodes, colors = _forward_check(nbrs, weights, r, m, budget)
+    # first-use order never opens more colors than there are vertices
+    status, nodes, colors = _forward_check(nbrs, weights, r, min(m, len(nbrs)), budget)
     if status != FOUND:
         return SearchOutcome(status, None, nodes, r, m, ranking)
     c = Coloring(dict(zip(ranking, colors)), m)
@@ -427,7 +442,7 @@ def local_chromatic_number(G, budget: int | None = None) -> PsiResult:
 def find_four_chromatic_face(G, c: Coloring):
     """A face of the quadrangulation showing four distinct colors, or None."""
     if coloring_violation(G, c, len(G.vertices) + 2) is not None:
-        raise ColoringError("coloring is not proper")
+        raise InputError("coloring is not proper")
     for face in G.faces:
         walk = G.face_vertex_walk(face)
         if len(walk) == 4 and len({c.assignment[v] for v in walk}) == 4:

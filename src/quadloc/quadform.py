@@ -18,17 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .errors import (
-    CertificateMismatchError,
-    ColoringError,
-    InputError,
-    InternalConsistencyError,
-    LoopError,
-    NotQuadrangulationError,
-    OrientationError,
-    SurgeryRejectedError,
-    UnsupportedInputError,
-)
+from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring, coloring_violation, is_local_coloring
 from .surface_map import (
     EmbeddedGraph,
@@ -48,10 +38,10 @@ ODD = "odd"
 
 def require_quadrangulation(G: EmbeddedGraph):
     if G.has_loop():
-        raise LoopError("quadrangulations are loopless")
+        raise InputError("quadrangulations are loopless")
     bad = [len(f.tails) for f in G.faces if len(f.tails) != 4]
     if bad:
-        raise NotQuadrangulationError(f"face of length {bad[0]} present")
+        raise InputError(f"face of length {bad[0]} present")
 
 
 def quad_parity(G: EmbeddedGraph) -> str:
@@ -75,7 +65,7 @@ def color_order_orientation(G: EmbeddedGraph, c: Coloring):
     for k, d in enumerate(G.edge_reps):
         u, w = G.vertex_of[d], G.vertex_of[G.pairing[d]]
         if c.assignment[u] == c.assignment[w]:
-            raise ColoringError(f"edge {u}-{w} has equal end colors; orientation undefined")
+            raise InputError(f"edge {u}-{w} has equal end colors; orientation undefined")
         heads[k] = G.pairing[d] if c.assignment[u] < c.assignment[w] else d
     return heads
 
@@ -90,10 +80,10 @@ def odd_faces_parity(G: EmbeddedGraph, orientation):
     """
     require_quadrangulation(G)
     if sorted(orientation) != list(range(G.n_edges)):
-        raise OrientationError("orientation must pick a head dart for every edge")
+        raise InputError("orientation must pick a head dart for every edge")
     for k, h in orientation.items():
         if G.edge_of[h] != k:
-            raise OrientationError(f"dart {h} does not belong to edge {k}")
+            raise InputError(f"dart {h} does not belong to edge {k}")
     odd_count = 0
     for f in G.faces:
         aligned = sum(1 for d in f.tails if orientation[G.edge_of[d]] == G.pairing[d])
@@ -208,7 +198,7 @@ def classify_phi_type(profile: ParityProfile) -> str:
     coincidence); otherwise PHI1 for odd and PHI2 for even
     quadrangulations, by ``profile.parity``."""
     if profile.surface.orientable:
-        raise UnsupportedInputError("type classification needs a non-orientable surface")
+        raise InputError("type classification needs a non-orientable surface")
     if not any(profile.phi_values):
         return "PHI0"
     if profile.phi_values == profile.w1_values:
@@ -232,7 +222,7 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     ``negative_edges`` lists vertex pairs, each naming one edge of ``G``.
     The listed set L must be the negative edge set of some switching
     representative of ``G``: re-signing ``G`` by L must give a
-    switching-trivial signature, else :class:`CertificateMismatchError`.
+    switching-trivial signature, else :class:`InputError`.
     The certificate passes iff some 2-coloring of all vertices puts the
     ends of exactly the listed edges in one class, i.e. iff every cycle
     holds an even number of unlisted edges; G - L may be disconnected.
@@ -244,15 +234,13 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     for u, w in negative_edges:
         ks = G.edges_between(str(u), str(w))
         if len(ks) != 1:
-            raise CertificateMismatchError(f"edge {u}~{w} matches {len(ks)} edges of the map")
+            raise InputError(f"edge {u}~{w} matches {len(ks)} edges of the map")
         listed.add(ks[0])
 
     E = G.edge_of
     resigned = [-s if E[d] in listed else s for d, s in enumerate(G.dart_sign)]
     if switching_defect(G, resigned) is not None:
-        raise CertificateMismatchError(
-            "listed set is not the negative edge set of any switching representative"
-        )
+        raise InputError("listed set is not the negative edge set of any switching representative")
     k = switching_defect(G, [1 if e in listed else -1 for e in E])
     if k is not None:
         return CertificateReport(False, (
@@ -276,7 +264,7 @@ class AuxiliaryGraph:
 def auxiliary_graph(G: EmbeddedGraph, c: Coloring):
     require_quadrangulation(G)
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
-        raise ColoringError("auxiliary graph needs a proper coloring")
+        raise InputError("auxiliary graph needs a proper coloring")
     tags = []
     edges = []
     for f in G.faces:
@@ -315,7 +303,7 @@ def excess_report(G: EmbeddedGraph) -> ExcessReport:
     require_quadrangulation(G)
     sc = classify_surface(G)
     if sc.orientable:
-        raise UnsupportedInputError("excess identity applies to non-orientable surfaces")
+        raise InputError("excess identity applies to non-orientable surfaces")
     per = {v: G.degree(v) - 4 for v in G.vertices}
     total = sum(per.values())
     if total != 4 * (sc.genus - 2):
@@ -366,11 +354,9 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     # local 3 implies proper, and a failed test names an improper edge first
     violation = coloring_violation(G, c, 3)
     if violation is not None and violation[0] == "edge":
-        raise ColoringError("crosscap surgery needs a proper coloring")
+        raise InputError("crosscap surgery needs a proper coloring")
     if not is_crosscap_site(G, c, shared_edge):
-        raise SurgeryRejectedError(
-            "shared edge must bound two distinct quadrilaterals with a two-colored union"
-        )
+        raise InputError("shared edge must bound two distinct quadrilaterals with a two-colored union")
     was_local3 = violation is None
     sc_before = classify_surface(G)
 
@@ -420,7 +406,7 @@ def refine_3x3(G: EmbeddedGraph, c: Coloring):
     """
     parity_before = quad_parity(G)
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
-        raise ColoringError("refinement extends a proper coloring only")
+        raise InputError("refinement extends a proper coloring only")
     sc_before = classify_surface(G)
 
     V, P = G.vertex_of, G.pairing
@@ -482,16 +468,16 @@ def identify_face_diagonal(G: EmbeddedGraph, c: Coloring, face_index: int):
     if not 0 <= face_index < len(G.faces):
         raise InputError(f"face index {face_index} is out of range for {len(G.faces)} faces")
     if coloring_violation(G, c, G.n_vertices + 2) is not None:
-        raise ColoringError("identification needs a proper coloring")
+        raise InputError("identification needs a proper coloring")
     face = G.faces[face_index]
     walk = list(face.tails)
     names = [G.vertex_of[d] for d in walk]
     if len(set(names)) != 4:
-        raise UnsupportedInputError("identification needs four distinct face vertices")
+        raise InputError("identification needs four distinct face vertices")
 
     ends = [p for p in range(4) if c.assignment[names[p]] == c.assignment[names[p - 2]]]
     if not ends:
-        raise SurgeryRejectedError("no equal-colored diagonal on this face")
+        raise InputError("no equal-colored diagonal on this face")
     # start the walk at the least vertex on an equal-colored diagonal
     i = min(ends, key=names.__getitem__)
     D = walk[i:] + walk[:i]  # D0 at x, D1 at y, D2 at z, D3 at t

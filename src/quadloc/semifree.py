@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import ColoringError, InputError
+from .errors import InputError
 from .localcolor import coloring_violation
 
 
@@ -198,7 +198,7 @@ def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWo
         raise InputError("walk needs at least one vertex")
     before, after = colors[-1:] + colors[:-1], colors[1:] + colors[:1]
     if any(a == b for a, b in zip(colors, after)):
-        raise ColoringError("consecutive walk colors must differ")
+        raise InputError("consecutive walk colors must differ")
     return _pair_word(m, zip(before, after), graph)
 
 
@@ -208,7 +208,7 @@ def walk_label(colors, m: int, graph: CommutationGraph | None = None) -> GroupWo
 def _check_local3(G, c):
     violation = coloring_violation(G, c, 3)
     if violation is not None:
-        raise ColoringError(f"labels need a local 3-coloring, got violation {violation}")
+        raise InputError(f"labels need a local 3-coloring, got violation {violation}")
 
 
 def _edge_colors(G, c, medial_dart: int) -> tuple:

@@ -52,13 +52,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import eq
 
-from .errors import (
-    AlreadyOrientableError,
-    AssemblyError,
-    InternalConsistencyError,
-    StructureError,
-    UnsupportedInputError,
-)
+from .errors import InputError, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -68,15 +62,6 @@ class SurfaceClass:
     orientable: bool
     euler_characteristic: int
     genus: int
-
-    def __post_init__(self):
-        chi = self.euler_characteristic
-        if self.orientable:
-            if chi != 2 - 2 * self.genus:
-                raise StructureError("orientable surface needs chi = 2 - 2g")
-        else:
-            if self.genus < 1 or chi != 2 - self.genus:
-                raise StructureError("non-orientable surface needs chi = 2 - g, g >= 1")
 
     def describe(self) -> str:
         kind = "orientable" if self.orientable else "non-orientable"
@@ -132,26 +117,26 @@ class EmbeddedGraph:
         R, P, V, S = self.rotation, self.pairing, self.vertex_of, self.signature
         n = len(R)
         if n == 0:
-            raise StructureError("empty map")
+            raise InputError("empty map")
         if len(P) != n or len(V) != n:
-            raise StructureError("rotation, pairing and vertex_of must have equal length")
+            raise InputError("rotation, pairing and vertex_of must have equal length")
         darts = range(n)
         # n values that include every dart, or an involution, permute them
         if not set(R).issuperset(darts):
-            raise StructureError("rotation is not a permutation of the darts")
+            raise InputError("rotation is not a permutation of the darts")
         if (min(P) < 0 or max(P) >= n or list(map(P.__getitem__, P)) != list(darts)
                 or any(map(eq, P, darts))):
-            raise StructureError("pairing is not a fixed-point-free involution")
+            raise InputError("pairing is not a fixed-point-free involution")
         if not all(issubclass(t, str) for t in set(map(type, V))):
-            raise StructureError("vertex names must be strings")
+            raise InputError("vertex names must be strings")
         if len(S) != self.n_edges:
-            raise StructureError("signature must assign one sign per edge")
+            raise InputError("signature must assign one sign per edge")
         if S.count(1) + S.count(-1) != len(S):
-            raise StructureError("signature values must be +1 or -1")
+            raise InputError("signature values must be +1 or -1")
         if tuple(map(V.__getitem__, R)) != V or sum(map(len, self.darts_at.values())) != n:
-            raise StructureError(self._cycle_fault())
+            raise InputError(self._cycle_fault())
         if len(self.spanning_tree) != len(self.darts_at):
-            raise StructureError("map is not connected")
+            raise InputError("map is not connected")
 
     def _cycle_fault(self) -> str:
         """Why the rotation cycles are not the vertex fibres: the first fault
@@ -472,7 +457,7 @@ def _assemble(faces, pair, names):
     sequences of tail darts, traversing every edge exactly twice in total;
     both callers build their input that way.  The vertex links implied by
     the faces must close into a single cycle per vertex (disk condition);
-    otherwise :class:`AssemblyError` names the pinched vertex.  Returns the
+    otherwise :class:`InputError` names the pinched vertex.  Returns the
     map and the :func:`_match_faces` match of ``faces``, which checks the
     traced faces of the result against them.
     """
@@ -525,7 +510,7 @@ def _assemble(faces, pair, names):
             if cur == first_flag:
                 break
         if cur != first_flag or i != steps - 1:
-            raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
+            raise InputError(f"vertex {v!r} has no disk neighborhood")
 
     # signatures from how the two link walks meet across each edge
     # (the out-flag of a passage is the mate of its in-flag)
@@ -558,7 +543,7 @@ def assemble_embedding(complex_: FaceListComplex):
     pair_count = {}
     for face in complex_.faces:
         if len(face) < 2:
-            raise AssemblyError("faces need at least two sides")
+            raise InputError("faces need at least two sides")
         for i, u in enumerate(face):
             w = face[(i + 1) % len(face)]
             key = (u, w) if u <= w else (w, u)
@@ -566,7 +551,7 @@ def assemble_embedding(complex_: FaceListComplex):
     bad = {k: c for k, c in pair_count.items() if c != 2}
     if bad:
         k, c = sorted(bad.items())[0]
-        raise AssemblyError(f"edge slot {k} occurs {c} times, need exactly 2")
+        raise InputError(f"edge slot {k} occurs {c} times, need exactly 2")
 
     edges = sorted(pair_count)
     edge_idx = {e: i for i, e in enumerate(edges)}
@@ -609,7 +594,7 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
     disappear.  New edge ``j`` has darts ``n + 2j`` and ``n + 2j + 1``
     (``n = G.n_darts``) at the two vertices ``new_ends[j]``.  ``vertex_of``
     optionally renames the vertices of the darts of ``G``.  An empty face,
-    an unknown dart or an edge not traversed twice is an :class:`AssemblyError`.
+    an unknown dart or an edge not traversed twice is an :class:`InputError`.
     The result is numbered densely in dart order and re-traced by the assembler.
     """
     names = list(G.vertex_of if vertex_of is None else vertex_of)
@@ -626,15 +611,15 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
     covered = [0] * len(pairing)
     for face in faces:
         if not face:
-            raise AssemblyError("empty face")
+            raise InputError("empty face")
         for d in face:
             if not 0 <= d < len(new) or new[d] < 0:
-                raise AssemblyError(f"unknown dart {d} in a face")
+                raise InputError(f"unknown dart {d} in a face")
             covered[d] += 1
     for d in keep:
         count = covered[d] + covered[pairing[d]]
         if count != 2:
-            raise AssemblyError(f"edge of dart {d} is covered {count} times, need 2")
+            raise InputError(f"edge of dart {d} is covered {count} times, need 2")
     faces = [[new[d] for d in face] for face in faces]
     return _assemble(faces, [new[pairing[d]] for d in keep], [names[d] for d in keep])[0]
 
@@ -646,7 +631,7 @@ def merge_faces(G: EmbeddedGraph, edge_index: int):
     darts of their union, which no longer traverses the edge."""
     (f1, p1), (f2, p2) = G.edge_slots[edge_index]
     if f1 == f2:
-        raise UnsupportedInputError("edge borders a single face; deletion unsupported")
+        raise InputError("edge borders a single face; deletion unsupported")
     w1 = G.faces[f1].tails
     w2 = G.faces[f2].tails
     a1 = list(w1[p1 + 1:] + w1[:p1])  # walk 1 without its edge slot
@@ -677,7 +662,7 @@ def medial_graph(G: EmbeddedGraph):
     surface, which is verified.
     """
     if any(len(c) < 2 for c in G.darts_at.values()):
-        raise UnsupportedInputError("medial graph needs minimum degree 2")
+        raise InputError("medial graph needs minimum degree 2")
 
     rho, rho_inv, theta = G.rotation, G.rotation_inv, G.pairing
 
@@ -733,7 +718,7 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     """
     base = classify_surface(G)
     if base.orientable:
-        raise AlreadyOrientableError("already orientable: two disjoint copies")
+        raise InputError("already orientable: two disjoint copies")
     # the lift of dart d to sheet s is 2 * d + (s < 0): sheet -1 turns the
     # other way round every vertex, and a negative edge changes sheet
     R, Ri, P, S = G.rotation, G.rotation_inv, G.pairing, G.dart_sign

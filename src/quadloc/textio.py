@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from operator import itemgetter
 
-from .errors import FormatError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring
 from .surface_map import EmbeddedGraph
 
@@ -37,10 +37,10 @@ def parse_graph(text: str):
     if colors:
         unknown = sorted(set(colors) - set(G.vertices))
         if unknown:
-            raise FormatError(f"color given for unknown vertex {unknown[0]}")
+            raise InputError(f"color given for unknown vertex {unknown[0]}")
         missing = sorted(set(G.vertices) - set(colors))
         if missing:
-            raise FormatError(f"coloring is not total, vertex {missing[0]} uncolored")
+            raise InputError(f"coloring is not total, vertex {missing[0]} uncolored")
         coloring = Coloring(colors, max(colors.values()))
     return G, coloring
 
@@ -85,7 +85,7 @@ def _read(text):
     db = list(map(dense.get, db))
 
     if not vparts or not eparts:
-        raise FormatError("need at least one vertex and one edge line")
+        raise InputError("need at least one vertex and one edge line")
     vids = list(map(itemgetter(1), vparts))
     eids = list(map(itemgetter(1), eparts))
     if (not all(rings) or len(set(darts)) != n or len(set(vids)) != len(vids)
@@ -93,7 +93,7 @@ def _read(text):
         _first_fault(text)
     if 2 * len(da) != n:
         missing = min(set(range(n)).difference(da, db))
-        raise FormatError(f"dart {darts[order[missing]]} belongs to no edge")
+        raise InputError(f"dart {darts[order[missing]]} belongs to no edge")
 
     # each token's successor on its line, the last wrapping round, and
     # each token's vertex; both are read in dense dart order
@@ -133,46 +133,46 @@ def _first_fault(text):
         try:
             if kind == "vertex":
                 if len(parts) < 3 or parts[2] != ":":
-                    raise FormatError(f"line {lineno}: expected ':' after vertex id")
+                    raise InputError(f"line {lineno}: expected ':' after vertex id")
                 vlines.append((lineno, parts[1], list(map(int, parts[3:]))))
             elif kind == "edge":
                 if len(parts) != 6 or parts[2] != ":" or parts[5] not in _SIGN:
-                    raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
+                    raise InputError(f"line {lineno}: edge needs ': dartA dartB +|-'")
                 elines.append((lineno, parts[1], int(parts[3]), int(parts[4])))
             elif kind == "color":
                 if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: color needs 'vid int'")
+                    raise InputError(f"line {lineno}: color needs 'vid int'")
                 if parts[1] in colors:
-                    raise FormatError(f"line {lineno}: duplicate color for {parts[1]}")
+                    raise InputError(f"line {lineno}: duplicate color for {parts[1]}")
                 colors.add(parts[1])
                 int(parts[2])
             else:
-                raise FormatError(f"line {lineno}: unknown construct {kind!r}")
+                raise InputError(f"line {lineno}: unknown construct {kind!r}")
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
     declared, first = set(), {}
     for lineno, vid, darts in vlines:
         if not darts:
-            raise FormatError(f"line {lineno}: vertex {vid} has no darts")
+            raise InputError(f"line {lineno}: vertex {vid} has no darts")
         for d in darts:
             if d in declared:
-                raise FormatError(f"line {lineno}: duplicate dart {d}")
+                raise InputError(f"line {lineno}: duplicate dart {d}")
             declared.add(d)
     for lineno, vid, _ in vlines:
         if first.setdefault(vid, lineno) != lineno:
-            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+            raise InputError(f"line {lineno}: duplicate vertex id {vid}")
     eids, used = set(), set()
     for lineno, eid, da, db in elines:
         if eid in eids:
-            raise FormatError(f"line {lineno}: duplicate edge id {eid}")
+            raise InputError(f"line {lineno}: duplicate edge id {eid}")
         eids.add(eid)
         if da == db:
-            raise FormatError(f"line {lineno}: edge pairs a dart with itself")
+            raise InputError(f"line {lineno}: edge pairs a dart with itself")
         for d in (da, db):
             if d not in declared:
-                raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
+                raise InputError(f"line {lineno}: dart {d} not declared at any vertex")
             if d in used:
-                raise FormatError(f"line {lineno}: dart {d} used by two edges")
+                raise InputError(f"line {lineno}: dart {d} used by two edges")
         used.update((da, db))
     raise InternalConsistencyError("a bulk check rejected a text that the line walk accepts")
 

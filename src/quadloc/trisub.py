@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import (
-    ColoringError,
-    InputError,
-    InternalConsistencyError,
-    UnsupportedInputError,
-)
+from .errors import InputError, InternalConsistencyError
 from .localcolor import (
     NONE,
     Coloring,
@@ -121,14 +116,14 @@ def link_winding(T: Triangulation, c: Coloring, v: str) -> int:
     link = vertex_link(G, v)
     cols = sorted({c.assignment[u] for u in link})
     if len(cols) > 3:
-        raise ColoringError(f"link of {v} shows {len(cols)} colors; not local-4 there")
+        raise InputError(f"link of {v} shows {len(cols)} colors; not local-4 there")
     pos = {col: i for i, col in enumerate(cols)}
     total = 0
     for i, u in enumerate(link):
         w = link[(i + 1) % len(link)]
         a, b = c.assignment[u], c.assignment[w]
         if a == b:
-            raise ColoringError("coloring is not proper on a link edge")
+            raise InputError("coloring is not proper on a link edge")
         step = (pos[b] - pos[a]) % 3
         total += 1 if step == 1 else -1
     if total % 3 != 0:
@@ -167,7 +162,7 @@ def fisk_check(T: Triangulation, c: Coloring) -> FiskReport:
         raise InputError("at most two odd-degree vertices allowed")
     violation = coloring_violation(G, c, 4)
     if violation is not None:
-        raise ColoringError(f"needs a local 4-coloring, got violation {violation}")
+        raise InputError(f"needs a local 4-coloring, got violation {violation}")
 
     colors_equal = triples_equal = None
     if len(T.odd_vertices) == 2:
@@ -281,7 +276,7 @@ def flip_edge(G: EmbeddedGraph, k: int) -> EmbeddedGraph:
     triangles."""
     opp = _flippable(G, k)
     if opp is None:
-        raise UnsupportedInputError("edge is not flippable")
+        raise InputError("edge is not flippable")
     f1, f2, quad = merge_faces(G, k)
     walk = [G.vertex_of[d] for d in quad]
     i, j = sorted((walk.index(opp[0]), walk.index(opp[1])))

@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import combinations, permutations
 
-from quadloc.errors import AssemblyError, ColoringError, FormatError, InputError
+from quadloc.errors import InputError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED, FOUND, NONE, Coloring, SearchOutcome, u_vertex_name,
 )
@@ -346,7 +346,7 @@ def reference_walk_label(colors, m: int) -> GroupWord:
         raise InputError("walk needs at least one vertex")
     before, after = colors[-1:] + colors[:-1], colors[1:] + colors[:1]
     if any(a == b for a, b in zip(colors, after)):
-        raise ColoringError("consecutive walk colors must differ")
+        raise InputError("consecutive walk colors must differ")
     _check_kneser(m)
     letters, used = [], set()
     for i, j in zip(before, after):
@@ -648,7 +648,7 @@ def validate_map(rotation, pairing, signature, vertex_of):
 
 def parse_graph_by_lines(text: str):
     """The map-text reader, line by line: ``(graph, coloring_or_None)``, or
-    the same ``FormatError`` as ``quadloc.textio.parse_graph``."""
+    the same ``InputError`` as ``quadloc.textio.parse_graph``."""
     rot_lines = []
     edge_lines = []
     colors = {}
@@ -660,38 +660,38 @@ def parse_graph_by_lines(text: str):
         try:
             if kind == "vertex":
                 if len(parts) < 3 or parts[2] != ":":
-                    raise FormatError(f"line {lineno}: expected ':' after vertex id")
+                    raise InputError(f"line {lineno}: expected ':' after vertex id")
                 rot_lines.append((lineno, parts[1], list(map(int, parts[3:]))))
             elif kind == "edge":
                 if len(parts) != 6 or parts[2] != ":" or parts[5] not in ("+", "-"):
-                    raise FormatError(f"line {lineno}: edge needs ': dartA dartB +|-'")
+                    raise InputError(f"line {lineno}: edge needs ': dartA dartB +|-'")
                 edge_lines.append((lineno, parts[1], int(parts[3]), int(parts[4]), 1 if parts[5] == "+" else -1))
             elif kind == "color":
                 if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: color needs 'vid int'")
+                    raise InputError(f"line {lineno}: color needs 'vid int'")
                 if parts[1] in colors:
-                    raise FormatError(f"line {lineno}: duplicate color for {parts[1]}")
+                    raise InputError(f"line {lineno}: duplicate color for {parts[1]}")
                 colors[parts[1]] = int(parts[2])
             else:
-                raise FormatError(f"line {lineno}: unknown construct {kind!r}")
+                raise InputError(f"line {lineno}: unknown construct {kind!r}")
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
 
     if not rot_lines or not edge_lines:
-        raise FormatError("need at least one vertex and one edge line")
+        raise InputError("need at least one vertex and one edge line")
 
     seen_darts = {}
     for lineno, vid, darts in rot_lines:
         if not darts:
-            raise FormatError(f"line {lineno}: vertex {vid} has no darts")
+            raise InputError(f"line {lineno}: vertex {vid} has no darts")
         for d in darts:
             if d in seen_darts:
-                raise FormatError(f"line {lineno}: duplicate dart {d}")
+                raise InputError(f"line {lineno}: duplicate dart {d}")
             seen_darts[d] = vid
     vid_lines = {}
     for lineno, vid, _ in rot_lines:
         if vid_lines.setdefault(vid, lineno) != lineno:
-            raise FormatError(f"line {lineno}: duplicate vertex id {vid}")
+            raise InputError(f"line {lineno}: duplicate vertex id {vid}")
 
     order = sorted(seen_darts)
     dense = dict(zip(order, range(len(order))))
@@ -709,21 +709,21 @@ def parse_graph_by_lines(text: str):
     eids = set()
     for lineno, eid, da, db, sg in edge_lines:
         if eid in eids:
-            raise FormatError(f"line {lineno}: duplicate edge id {eid}")
+            raise InputError(f"line {lineno}: duplicate edge id {eid}")
         eids.add(eid)
         if da == db:
-            raise FormatError(f"line {lineno}: edge pairs a dart with itself")
+            raise InputError(f"line {lineno}: edge pairs a dart with itself")
         for d in (da, db):
             if d not in dense:
-                raise FormatError(f"line {lineno}: dart {d} not declared at any vertex")
+                raise InputError(f"line {lineno}: dart {d} not declared at any vertex")
             if pairing[dense[d]] is not None:
-                raise FormatError(f"line {lineno}: dart {d} used by two edges")
+                raise InputError(f"line {lineno}: dart {d} used by two edges")
         a, b = dense[da], dense[db]
         pairing[a], pairing[b] = b, a
         sig_by_dart[a] = sig_by_dart[b] = sg
     if any(p is None for p in pairing):
         missing = order[pairing.index(None)]
-        raise FormatError(f"dart {missing} belongs to no edge")
+        raise InputError(f"dart {missing} belongs to no edge")
 
     signature = [sig_by_dart[d] for d, p in enumerate(pairing) if d < p]
     G = EmbeddedGraph(rotation, pairing, signature, vertex_of)
@@ -732,10 +732,10 @@ def parse_graph_by_lines(text: str):
     if colors:
         unknown = sorted(set(colors) - set(G.vertices))
         if unknown:
-            raise FormatError(f"color given for unknown vertex {unknown[0]}")
+            raise InputError(f"color given for unknown vertex {unknown[0]}")
         missing = sorted(set(G.vertices) - set(colors))
         if missing:
-            raise FormatError(f"coloring is not total, vertex {missing[0]} uncolored")
+            raise InputError(f"coloring is not total, vertex {missing[0]} uncolored")
         coloring = Coloring(dict(colors), max(colors.values()))
     return G, coloring
 
@@ -743,7 +743,7 @@ def parse_graph_by_lines(text: str):
 def assemble_rotation(faces, pair, names):
     """``(rotation, signature)`` of the map realizing a face structure, as
     ``quadloc.surface_map._assemble`` builds it before re-tracing, or the
-    same ``AssemblyError`` for a pinched vertex."""
+    same ``InputError`` for a pinched vertex."""
     n = len(pair)
     corner = []
     for face in faces:
@@ -778,9 +778,9 @@ def assemble_rotation(faces, pair, names):
             if cur == first_flag:
                 break
             if len(cyc) > size:
-                raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
+                raise InputError(f"vertex {v!r} has no disk neighborhood")
         if len(cyc) != size:
-            raise AssemblyError(f"vertex {v!r} has no disk neighborhood", vertex=v)
+            raise InputError(f"vertex {v!r} has no disk neighborhood")
         for i, d in enumerate(cyc):
             rotation[cyc[i - 1]] = d
     signature = [1 if flag_in[a] ^ 1 == flag_out[pair[a]] else -1 for a in range(n) if a < pair[a]]

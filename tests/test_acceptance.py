@@ -18,7 +18,7 @@ from quadloc.constructions import (
     g1_prime_negative_edges,
     high_genus_family,
 )
-from quadloc.errors import CertificateMismatchError
+from quadloc.errors import InputError
 from quadloc.localcolor import (
     FOUND,
     NONE,
@@ -200,8 +200,9 @@ def test_criterion_10_phi_types(g1p):
     literal_rejected = False
     try:
         phi3_certificate(G, g1_prime_negative_edges())
-    except CertificateMismatchError:
-        literal_rejected = True
+    except InputError as exc:
+        literal_rejected = str(exc) == ("listed set is not the negative edge set"
+                                        " of any switching representative")
     ok &= literal_rejected
     completed = g1_prime_certificate_edges(G)
     ok &= len(completed) == 14 and phi3_certificate(G, completed).passed

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import sys
 import time
 import tracemalloc
 from functools import cached_property
@@ -284,6 +285,50 @@ def test_family_zero_is_the_golden_prime():
 def test_family_negative_genus_is_exit_two():
     rc, err = invoke_err(["build", "family", "g1p", "-1"])
     assert rc == 2 and err == "error: extra_genus must be non-negative\n"
+
+
+HUGE = str(10**20)
+K4P = str(GOLDEN / "k4p.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "u", HUGE, "3"],
+    ["build", "u", "5", HUGE],
+    ["build", "family", "g0p", HUGE],
+    ["build", "family", "g1p", HUGE],
+    ["search", "local-coloring", HUGE, "3", K4P],
+    ["search", "local-coloring", "3", HUGE, K4P],
+    ["search", "local-coloring", HUGE, HUGE, K4P],
+    ["search", "local-coloring", "3", "4", K4P, "--budget", HUGE],
+    ["verify", "local-coloring", HUGE, K4P],
+    ["psi", K4P, "--budget", HUGE],
+    ["tri", "tq-bound", K4P, "--budget", HUGE],
+    ["group", "reduce", "--word", "1.2 3.4", "--m", HUGE],
+    ["group", "is-identity", "--word", "1.2 3.4", "--m", HUGE],
+    ["group", "walk-label", "1,2,3", "--m", HUGE],
+    ["group", "table", HUGE],
+], ids=lambda argv: " ".join(argv).replace(HUGE, "1e20").replace(K4P, "k4p.txt"))
+def test_huge_integer_arguments_exit_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc, by_argparse = run(argv), False
+        except SystemExit as exc:  # argparse, which prints its own usage lines
+            rc, by_argparse = exc.code, True
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err, (rc, err)
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert by_argparse or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+def test_huge_family_genus_and_search_colors_are_handled():
+    # family K ended in an islice ValueError (a traceback, exit 1), and
+    # m = 10**20 in an OverflowError; that search now runs with m = |V| = 4
+    assert invoke_err(["build", "family", "g1p", HUGE]) == \
+        (2, f"error: extra_genus must be at most {sys.maxsize}, got {HUGE}\n")
+    assert invoke(["search", "local-coloring", "3", HUGE, K4P]) == \
+        invoke(["search", "local-coloring", "3", "4", K4P]) == (1, "NONE nodes=3\n")
 
 
 def test_build_u_lists_triangle_edges(tmp_path):

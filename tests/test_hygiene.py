@@ -9,8 +9,9 @@ class is reported when nothing outside its own body reads its name.  A
 ``:func:`` or ``:class:`` reference in a docstring must name something the
 module defines or imports (its first dotted part), or be a ``quadloc.``
 path that imports and resolves.  An ``InternalConsistencyError`` reports a
-bug, so its message must not say the input was malformed, and every error
-class is one of the two kinds the command line maps to an exit code.  Every
+bug, so its message must not say the input was malformed.  ``errors``
+defines one class per exit code the command line maps an error to, and
+every ``raise`` in ``src/`` names one of those two classes.  Every
 committed ``BENCH_*.json`` names its change, harness, machine and parent
 commit, and a claim on a workload and metric that ``BENCHMARK.json``
 declares; a claim marked met must agree with its own numbers.  The
@@ -40,7 +41,7 @@ def test_package_init_is_its_docstring_alone():
 
 # ROADMAP aim 2: net lines in src/ fall over the round; a change that
 # raises this ceiling says so in CHANGES.md
-SRC_LINE_CEILING = 3360
+SRC_LINE_CEILING = 3296
 
 
 def test_src_stays_under_the_line_ceiling():
@@ -83,11 +84,11 @@ def test_checker_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
         "import os, sys\n"
-        "from .errors import InputError as IE, LoopError\n"
+        "from .errors import InputError as IE, InternalConsistencyError\n"
         "def f():\n"
         "    raise IE(sys.argv)\n"
     )
-    assert unused_imports(source) == [(2, "os"), (3, "LoopError")]
+    assert unused_imports(source) == [(2, "os"), (3, "InternalConsistencyError")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -212,14 +213,40 @@ def test_internal_errors_do_not_blame_the_input(path):
     assert internal_messages_blaming_input(path.read_text()) == []
 
 
+def raised_names(source: str):
+    """(line, name) of every ``raise`` statement in line order: the class
+    or name it raises, ``None`` for a bare re-raise."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((node.lineno, exc and ast.unparse(exc)))
+    return sorted(out)
+
+
+def test_raise_checker_names_every_raised_class():
+    source = (
+        "raise InputError('bad')\n"
+        "try:\n"
+        "    raise errors.Gone\n"
+        "except ValueError as exc:\n"
+        "    raise InternalConsistencyError(f'{exc}') from exc\n"
+        "raise\n"
+    )
+    assert raised_names(source) == [
+        (1, "InputError"), (3, "errors.Gone"), (5, "InternalConsistencyError"), (6, None),
+    ]
+
+
 def test_every_error_is_an_input_error_or_an_internal_one():
-    # the CLI exits 2 on an InputError and 4 on an InternalConsistencyError
-    classes = [obj for obj in vars(errors).values()
-               if isinstance(obj, type) and obj.__module__ == errors.__name__]
-    assert errors.AlreadyOrientableError in classes
-    kinds = (errors.InputError, errors.InternalConsistencyError)
-    assert [cls.__name__ for cls in classes
-            if cls is not errors.QuadlocError and not issubclass(cls, kinds)] == []
+    # the CLI exits 2 on an InputError and 4 on an InternalConsistencyError:
+    # errors defines those two and their base, and src raises nothing else
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert classes == {"QuadlocError", "InputError", "InternalConsistencyError"}
+    kinds = {"InputError", "InternalConsistencyError"}
+    assert [(path.name, line, name) for path in MODULES
+            for line, name in raised_names(path.read_text()) if name not in kinds] == []
 
 
 BENCH_KEYS = {"change", "harness", "machine", "parent_commit", "claim"}

@@ -1,15 +1,17 @@
 import random
+import re
 import sys
 import time
 import tracemalloc
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from quadloc import localcolor
 from quadloc.constructions import build_high_genus_family
-from quadloc.errors import ColoringError, InputError, LoopError
+from quadloc.errors import InputError
 from quadloc.localcolor import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -74,6 +76,17 @@ def test_build_u_matches_all_pairs_oracle(m, r):
     assert U.triangle_edges == triangles
 
 
+def test_build_u_rejects_more_adjacencies_than_its_bound():
+    # U(m, r) lists m (m - 1) C(m - 2, r - 2)^2 vertex-neighbor pairs
+    for m, r in ((4, 2), (5, 3), (6, 4), (8, 5)):
+        U = build_U(m, r)
+        assert sum(map(len, U.adjacency.values())) == m * (m - 1) * comb(m - 2, r - 2) ** 2
+    # the last two would take C(m - 2, r - 2) of a huge m if m were not bounded first
+    for m, r in ((10, 5), (317, 2), (10**20, 3), (2 * 10**20, 10**20)):
+        with pytest.raises(InputError, match=rf"^U\({m}, {r}\) has more than 100000 adjacencies$"):
+            build_U(m, r)
+
+
 def test_natural_coloring_is_local_r():
     for m, r in ((5, 3), (6, 3), (4, 2), (5, 4)):
         U = build_U(m, r)
@@ -95,7 +108,7 @@ def test_violation_witnesses():
     c = Coloring({"c0": 1, "c1": 2, "c2": 1, "c3": 3}, 3)
     assert coloring_violation(adj, c, 2) == ("vertex", "c0")
     assert coloring_violation(adj, c, 3) is None
-    with pytest.raises(ColoringError):
+    with pytest.raises(InputError, match="^coloring is not total, vertex 'c1' uncolored$"):
         coloring_violation(adj, Coloring({"c0": 1}, 1), 2)
 
 
@@ -149,8 +162,37 @@ def test_hom_to_u_on_k4(k4p):
 
 def test_hom_requires_local_coloring(k4p):
     G, c = k4p
-    with pytest.raises(ColoringError):
+    with pytest.raises(InputError, match=r"^not a local 3-coloring: \('vertex', '1'\)$"):
         hom_to_U(G, c, 3)
+
+
+@pytest.mark.parametrize("adj, message", [
+    ({}, "adjacency has no vertices"),
+    ({"a": {"b"}}, "adjacency is not symmetric at 'a'"),
+    ({"a": {"b"}, "b": set()}, "adjacency is not symmetric at 'a'"),
+    ({"a": {"b"}, "b": {"a", "c"}, "c": {"a", "b"}}, "adjacency is not symmetric at 'c'"),
+], ids=["empty", "not-closed", "one-way", "one-way-last"])
+def test_a_malformed_adjacency_dict_is_an_input_error(adj, message):
+    # the empty dict failed in max(), the unclosed one with a KeyError, and
+    # the one-way edges were searched as given: FOUND
+    for call in (lambda: search_local_coloring(adj, 2, 2), lambda: local_chromatic_number(adj),
+                 lambda: coloring_violation(adj, Coloring({v: 1 for v in adj}, 1), 2)):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_more_colors_than_vertices_search_as_one_color_per_vertex(k4p):
+    # first-use order opens at most |V| colors, so m = 10**20 searches as
+    # m = |V| did, with the same nodes, and the certificate keeps the m asked
+    cases = [(k4p[0], 3), (k4p[0], 4), (cycle_adjacency(5), 2), (cycle_adjacency(5), 3)]
+    cases += [(G, 3) for G in random_maps(43, count=30) if not G.has_loop() and G.n_vertices >= 3]
+    for G, r in cases:
+        n = len(localcolor.neighbor_sets(G))
+        want, got = search_local_coloring(G, r, n), search_local_coloring(G, r, 10**20)
+        assert (got.status, got.nodes, got.ranking) == (want.status, want.nodes, want.ranking)
+        if got.coloring:
+            assert got.coloring.assignment == want.coloring.assignment and got.coloring.m == 10**20
+        assert got.certificate_text() == want.certificate_text().replace(f"m={n}", "m=" + str(10**20))
 
 
 def test_search_k4_matches_brute_force(k4p):
@@ -361,9 +403,9 @@ def test_search_matches_recursive_oracle_on_random_maps(monkeypatch):
     loopless = 0
     for G in random_maps(41, count=1000):
         if G.has_loop():
-            with pytest.raises(LoopError):
+            with pytest.raises(InputError, match="^local colorings need a loopless graph, '.+' has a loop$"):
                 search_local_coloring(G, 3, G.n_vertices + 3)
-            with pytest.raises(LoopError):
+            with pytest.raises(InputError, match="^local colorings need a loopless graph, '.+' has a loop$"):
                 local_chromatic_number(G)
             continue
         for r in range(1, 6):
@@ -508,5 +550,5 @@ def test_find_four_chromatic_face(k4p, g1):
     assert find_four_chromatic_face(G1, c1) is not None
     S, cS = two_squares_sphere()
     assert find_four_chromatic_face(S, cS) is None
-    with pytest.raises(ColoringError, match="^coloring is not proper$"):
+    with pytest.raises(InputError, match="^coloring is not proper$"):
         find_four_chromatic_face(S, Coloring({v: 1 for v in S.vertices}, 1))

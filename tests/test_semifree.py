@@ -6,7 +6,7 @@ from itertools import combinations, islice
 import pytest
 
 from quadloc import semifree
-from quadloc.errors import ColoringError, InputError
+from quadloc.errors import InputError
 from quadloc.semifree import (
     CommutationGraph,
     GroupWord,
@@ -118,9 +118,9 @@ def test_walk_label_nine_cycle_word():
 
 
 def test_walk_label_rejects_improper():
-    with pytest.raises(ColoringError):
+    with pytest.raises(InputError, match="^consecutive walk colors must differ$"):
         walk_label([1, 1, 2], 3)
-    with pytest.raises(ColoringError):
+    with pytest.raises(InputError, match="^consecutive walk colors must differ$"):
         walk_label([1, 2, 1], 3)  # wraparound: last equals first
     with pytest.raises(InputError, match="^walk needs at least one vertex$"):
         walk_label([], 4)
@@ -275,7 +275,7 @@ def test_medial_edge_label_reversal_inverts(g1p):
 
 def test_labels_require_local_three(k4p):
     G, c = k4p  # the proper 4-coloring shows three colors in every neighborhood
-    with pytest.raises(ColoringError):
+    with pytest.raises(InputError, match=r"^labels need a local 3-coloring, got violation \('vertex', '1'\)$"):
         medial_edge_label(G, c, 0)
 
 
@@ -498,7 +498,7 @@ def _word_outcome(build, *args):
     walk label builds, or the kind and message of the error it raises."""
     try:
         out = build(*args)
-    except (InputError, ColoringError) as exc:
+    except InputError as exc:
         return "error", type(exc), str(exc)
     w, m = out if isinstance(out, tuple) else (out, None)
     return "word", w.letters, m, w.graph.generators, w.graph.blockers

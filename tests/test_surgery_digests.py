@@ -103,35 +103,35 @@ EXPECTED = {
     "g1p.crosscap.72": "92aaf2872608c189e20f0a0fd05251a9c21abac9c81bef0b2003dc26de708ae0",
     "g1p.crosscap.73": "474ffd4998ac0b5d2a1df2da3327d99f23b39cb0e49481e13d04811e0db55ba7",
     "g1p.crosscap.74": "92359437a772cb81039a8118174df3a6fa4a06504aa448cd894f97d94092774d",
-    "g0p.identify.0": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.0": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.1": "23bca236adcd03d7757116e4852047185d7fdb06ac1e9900b1c34ed58309c3e0",
     "g0p.identify.2": "e8ae554e52b99d5096bd825d355e4e8cf4334bb3f3b215d6c7e64d7bfe40fb95",
-    "g0p.identify.3": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.3": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.4": "afb62fb21b7dc1fbfd95493b9a40fdf12dadbd4d57fe1a172e77d6d81e9fedbe",
     "g0p.identify.5": "9f5890fd0ebfed302bba8d7a93b8e9caa579daf22ac1ac4157146c29a67cbce4",
-    "g0p.identify.6": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.7": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.6": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.7": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.8": "f1ea181159bd439ba2e9c80fa2b7416f97902e061f6d736ebf5c9046bd996ce5",
     "g0p.identify.9": "3b9f731f3c7fbaa699420912ecb260525e4c3bc5509c890019dc6391f9bb0276",
-    "g0p.identify.10": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.11": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.10": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.11": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.12": "90780305a8706d48b0848cb8bb577a928beea0d8b1d578688cff88b237b60666",
     "g0p.identify.13": "840bd8e714b6790800d550cf93366a6b59bcf8cb2dddf16b73e495ed8baa2437",
-    "g0p.identify.14": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.15": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.16": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.17": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.18": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.19": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.14": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.15": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.16": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.17": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.18": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.19": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.20": "0d42fe3a2ab5b98c4fd0bb53a68088a4ee17ffd1321bd30a834d927eb1aca21c",
     "g0p.identify.21": "afe38f3652322a9a86de732ea9468638a64ef54ffc02898867d446bf4ec81a93",
     "g0p.identify.22": "6d8b6d2b9491c36d8391f7cd349f774913705ebea767a61159389dcbca56e1d6",
     "g0p.identify.23": "48f0509a27e92034e1e08a5504ad623dd4d7b533fb0a269faf4ce90d30b6240e",
     "g0p.identify.24": "601ed77b6549c2cdeea5736a3068966463f1fdb77b41fedfa32f68c9e42e89e1",
     "g0p.identify.25": "b467fb629f9a5fea20f80ec299e0872cc7fd4d39485f0dbb3711ba7d14b2be98",
-    "g0p.identify.26": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.27": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
-    "g0p.identify.28": "bfdc9f045789464d127b0d8ffbf5bcb6b753e84520c32efb158b8e0363e03484",
+    "g0p.identify.26": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.27": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
+    "g0p.identify.28": "e3aa4418606747031642b10d71ebe35eb807e6526c692c94ebb7b573973a7693",
     "g0p.identify.29": "a094b443cadada1c97f77be9f15110d956d0eae95527f099dd5588075e6f25e4",
     "g0p.identify.30": "855053730ddf7679b4e2d65af48bc5d7361e9e7431876a0526a0be49e474dca1",
     "g0p.identify.31": "5e6de1cf336d5c46188096f3a1ebb85742494563e3c46f5af353e5ac3d7524a0",
@@ -184,9 +184,9 @@ EXPECTED = {
     "g1p+6.profile": "6d23463a7e18a207311af65f41309ab4258e26b4ff7d6d13fc6af0a2d0307a69",
     "g0p.L1.profile": "caed170eb4a22f93c2defdf106ab3f4516dae6f63c8e9072d640369b3d3ae846",
     "g1p.L1.profile": "bbf7aff181d0d97bd46f5298699e73f30ba85e91394de2c96a86948e9db59918",
-    "g1p.phi3.bare12": "a6b40ed7cb4e0bb13e45bb96c8e87d777e346eda72d43e641bc4a3178c19647a",
+    "g1p.phi3.bare12": "8bbe2f40e709f4af5b35b88eed69fca8b330a6778d6dcdcf9019e27e12a07022",
     "g1p.phi3.completed": "8b579640174f88d9fa60b67525df24ef94fd1ef178d2a09954702f2ed47dd573",
-    "g1p.phi3.completed_minus_last": "a6b40ed7cb4e0bb13e45bb96c8e87d777e346eda72d43e641bc4a3178c19647a",
+    "g1p.phi3.completed_minus_last": "8bbe2f40e709f4af5b35b88eed69fca8b330a6778d6dcdcf9019e27e12a07022",
 }
 
 

@@ -1,10 +1,11 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadloc.errors import ColoringError, FormatError, InputError
+from quadloc.errors import InputError
 from quadloc.textio import parse_graph, write_graph
 from helpers import klein_bottle_grid, two_squares_sphere
 from oracles import parse_graph_by_lines
@@ -44,25 +45,25 @@ def test_comments_and_blank_lines_ignored():
 
 def test_parser_rejects_duplicate_darts():
     text = "vertex u : 0 1\nvertex w : 1\nedge e0 : 0 1 +\n"
-    with pytest.raises(FormatError, match="duplicate dart"):
+    with pytest.raises(InputError, match="^line 2: duplicate dart 1$"):
         parse_graph(text)
 
 
 def test_parser_names_the_line_and_id_of_a_duplicate_vertex():
     text = "vertex u : 0\nvertex w : 1\n# u again\nvertex u : 2 3\nedge e0 : 0 1 +\nedge e1 : 2 3 +\n"
-    with pytest.raises(FormatError, match=r"^line 4: duplicate vertex id u$"):
+    with pytest.raises(InputError, match=r"^line 4: duplicate vertex id u$"):
         parse_graph(text)
 
 
 def test_parser_rejects_non_involutive_pairing():
     text = "vertex u : 0\nvertex w : 1\nedge e0 : 0 0 +\nedge e1 : 1 1 +\n"
-    with pytest.raises(FormatError, match="itself"):
+    with pytest.raises(InputError, match="^line 3: edge pairs a dart with itself$"):
         parse_graph(text)
 
 
 def test_parser_rejects_dart_on_two_edges():
     text = "vertex u : 0 2\nvertex w : 1 3\nedge e0 : 0 1 +\nedge e1 : 1 2 +\nedge e2 : 2 3 +\n"
-    with pytest.raises(FormatError, match="two edges"):
+    with pytest.raises(InputError, match="^line 4: dart 1 used by two edges$"):
         parse_graph(text)
 
 
@@ -79,9 +80,9 @@ def test_parser_rejects_partial_coloring():
     G, c = two_squares_sphere()
     text = write_graph(G, c)
     text = "\n".join(line for line in text.splitlines() if not line.startswith("color 4")) + "\n"
-    with pytest.raises(FormatError, match="not total"):
+    with pytest.raises(InputError, match="^coloring is not total, vertex 4 uncolored$"):
         parse_graph(text)
-    with pytest.raises(ColoringError, match=r"^color 0 of 'a' outside 1\.\.1$"):
+    with pytest.raises(InputError, match=r"^color 0 of 'a' outside 1\.\.1$"):
         parse_graph("vertex a : 0\nvertex b : 1\nedge e0 : 0 1 +\ncolor a 0\ncolor b 1\n")
 
 
@@ -90,7 +91,8 @@ def test_parser_rejects_partial_coloring():
 ])
 def test_parser_rejects_truncated_or_malformed_lines(line):
     text = "vertex u : 0\nvertex w : 1\nedge e0 : 0 1 +\n" + line + "\n"
-    with pytest.raises(FormatError, match="line 4"):
+    want = "expected ':' after vertex id" if line.startswith("vertex") else "edge needs ': dartA dartB +|-'"
+    with pytest.raises(InputError, match=f"^{re.escape('line 4: ' + want)}$"):
         parse_graph(text)
 
 
