@@ -281,10 +281,18 @@ def cmd_tri(args):
     return EXIT_OK if rep.lower_bound else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an :class:`InputError`, so it gets the
+    one ``error:`` line of every malformed input; subparsers inherit it."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="quadloc",
         description="exact toolkit for quadrangulations, local colorings and group certificates",
     )

@@ -8,15 +8,17 @@ one way, one the other); both parities agree for every edge orientation.
 
 The cycle parity map assigns each homology class the length parity of its
 closed walks; evaluated against the one-sidedness functional it yields the
-four types PHI0..PHI3.  Both are read off the fundamental cycles of
-``EmbeddedGraph.spanning_tree``, the map's one tree.  The one sign
-propagation down it, ``surface_map.switching_defect``, decides
-orientability and both halves of the PHI3 certificate check.
+four types PHI0..PHI3.  Both are read off the 2 - chi cycles of
+``EmbeddedGraph.cut_system``, the fundamental cycles in the map's one tree,
+``EmbeddedGraph.spanning_tree``, of the edges left over by a dual tree.  The
+one sign propagation down that tree, ``surface_map.switching_defect``,
+decides orientability and both halves of the PHI3 certificate check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring, coloring_violation, is_local_coloring
@@ -52,11 +54,10 @@ def quad_parity(G: EmbeddedGraph) -> str:
     were oriented.
     """
     require_quadrangulation(G)
-    faces = G.faces
-    breaking = sum(
-        1 for (f1, p1), (f2, p2) in G.edge_slots if faces[f1].tails[p1] == faces[f2].tails[p2]
-    )
-    return ODD if breaking % 2 else EVEN
+    # every edge has two slots, with the tails d and pairing[d] when they
+    # traverse it in opposite directions and d twice when they agree
+    tails = set(chain.from_iterable(f.tails for f in G.faces))
+    return ODD if (G.n_darts - len(tails)) % 2 else EVEN
 
 
 def color_order_orientation(G: EmbeddedGraph, c: Coloring):
@@ -128,7 +129,7 @@ class BasisCycle:
 class ParityProfile:
     parity: str | None          # quadrangulation parity, when applicable
     surface: SurfaceClass
-    basis: tuple                # BasisCycle per cotree edge
+    basis: tuple                # BasisCycle per leftover edge of G.cut_system
     phi_values: tuple           # length parity bit per basis cycle
     w1_values: tuple            # one-sidedness bit per basis cycle
     phi_type: str | None
@@ -160,12 +161,18 @@ def _fundamental_cycle(G, via, depth, k):
 
 
 def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
-    """Length-parity and one-sidedness bits on a fundamental-cycle basis.
+    """Length-parity and one-sidedness bits on a homology basis.
 
-    Requires every face even (the length parity is then a homology
-    functional).  The basis is that of ``G.spanning_tree``.  The type
-    classification is attached for quadrangulations of non-orientable
-    surfaces; for orientable input only the parity map is reported.
+    Requires every face even.  The basis is the fundamental cycles in
+    ``G.spanning_tree`` of the 2 - chi leftover edges of ``G.cut_system``,
+    and it is exact: a face boundary has even length and sign product +1
+    (its walk returns to its starting side), so the length parity phi and
+    the one-sidedness w1 vanish on face boundaries and are functionals on
+    H1(S; Z2).  Peeling the dual tree from its leaves writes the cycle of
+    each of its edges as faces plus leftover cycles, so these 2 - chi cycles
+    span H1(S; Z2), of dimension 2 - chi, and phi vanishes, or equals w1,
+    on H1 iff it does on them.  The type is attached for quadrangulations
+    of non-orientable surfaces; orientable input gets the parity map alone.
     """
     lengths = [len(f.tails) for f in G.faces]
     if any(k % 2 for k in lengths):
@@ -174,10 +181,7 @@ def cycle_parity_profile(G: EmbeddedGraph) -> ParityProfile:
     depth = {}
     for w, d in via.items():
         depth[w] = 0 if d is None else depth[G.vertex_of[d]] + 1
-    tree_edges = {G.edge_of[d] for d in via.values() if d is not None}
-    basis = tuple(
-        _fundamental_cycle(G, via, depth, k) for k in range(G.n_edges) if k not in tree_edges
-    )
+    basis = tuple(_fundamental_cycle(G, via, depth, k) for k in G.cut_system[1])
     phi = tuple(len(cyc) % 2 for cyc in basis)
     w1 = tuple(
         sum(1 for e in cyc.edges if G.signature[e] < 0) % 2 for cyc in basis
@@ -220,15 +224,15 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     """Check a one-sided-edge list certifying type PHI3.
 
     ``negative_edges`` lists vertex pairs, each naming one edge of ``G``.
-    The listed set L must be the negative edge set of some switching
-    representative of ``G``: re-signing ``G`` by L must give a
-    switching-trivial signature, else :class:`InputError`.
-    The certificate passes iff some 2-coloring of all vertices puts the
-    ends of exactly the listed edges in one class, i.e. iff every cycle
-    holds an even number of unlisted edges; G - L may be disconnected.
-    A pass implies every one-sided closed walk has odd length, i.e. PHI3.
-    Both questions go to :func:`switching_defect`; a FAIL names the edge
-    whose fundamental cycle holds an odd number of unlisted edges.
+    The certificate fails unless the listed set L is the negative edge set
+    of some switching representative of ``G``: re-signing ``G`` by L must
+    give a switching-trivial signature.  It then passes iff some 2-coloring
+    of all vertices puts the ends of exactly the listed edges in one class,
+    i.e. iff every cycle holds an even number of unlisted edges; G - L may
+    be disconnected.  A pass implies every one-sided closed walk has odd
+    length, i.e. PHI3.  Both questions go to :func:`switching_defect`; the
+    second kind of FAIL names the edge whose fundamental cycle holds an odd
+    number of unlisted edges.
     """
     listed = set()
     for u, w in negative_edges:
@@ -240,7 +244,8 @@ def phi3_certificate(G: EmbeddedGraph, negative_edges) -> CertificateReport:
     E = G.edge_of
     resigned = [-s if E[d] in listed else s for d, s in enumerate(G.dart_sign)]
     if switching_defect(G, resigned) is not None:
-        raise InputError("listed set is not the negative edge set of any switching representative")
+        return CertificateReport(False, (
+            "listed set is not the negative edge set of any switching representative",))
     k = switching_defect(G, [1 if e in listed else -1 for e in E])
     if k is not None:
         return CertificateReport(False, (

@@ -28,7 +28,9 @@ a reversed traversal is a single lookup.  A :class:`FaceWalk` carries its
 ``tails`` and ``sides`` as the walk fills them.
 ``EmbeddedGraph.edge_slots`` indexes, once per map, the two face slots of
 every edge; surgeries and checks look an edge up there instead of scanning
-the faces.
+the faces.  ``EmbeddedGraph.cut_system`` reads it to grow a dual tree over
+the faces off the spanning tree; the 2 - chi edges left over in neither
+tree close a basis of the surface's cycles modulo faces.
 
 The module also provides the inverse direction: one assembler,
 :func:`_assemble`, builds a rotation system with signature from a face
@@ -238,11 +240,8 @@ class EmbeddedGraph:
     @cached_property
     def adjacency(self):
         """Vertex name -> frozenset of neighbor names (parallel edges collapsed)."""
-        adj = {v: set() for v in self.vertices}
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        V, P, at = self.vertex_of, self.pairing, self.darts_at
+        return {v: frozenset([V[P[d]] for d in at[v]]) for v in self.vertices}
 
     @cached_property
     def edges_by_ends(self):
@@ -256,7 +255,8 @@ class EmbeddedGraph:
         return self.edges_by_ends.get((u, w) if u <= w else (w, u), ())
 
     def has_loop(self) -> bool:
-        return any(u == w for u, w in self.edges)
+        V = self.vertex_of
+        return any(map(eq, V, map(V.__getitem__, self.pairing)))
 
     # -- face tracing ------------------------------------------------------
 
@@ -317,6 +317,39 @@ class EmbeddedGraph:
         if any(len(s) != 2 for s in slots):
             raise InternalConsistencyError("edge not covered by exactly two slots")
         return tuple(tuple(s) for s in slots)
+
+    @cached_property
+    def cut_system(self):
+        """The tree-cotree cut system (Eppstein, SODA 2003) on ``spanning_tree``.
+
+        A dual spanning tree is grown breadth-first over the faces from face
+        0, crossing only edges off ``spanning_tree``; the edges in neither
+        tree, in edge order, are left over, 2 - chi of them.  Returns
+        ``(dual_tree, leftover)``: a dict, in the order the faces are
+        reached, from each face to the edge it was reached across (``None``
+        at face 0), and the tuple of leftover edge indices."""
+        E, faces, slots = self.edge_of, self.faces, self.edge_slots
+        cut = [False] * self.n_edges
+        for d in self.spanning_tree.values():
+            if d is not None:
+                cut[E[d]] = True
+        dual, order = {0: None}, [0]
+        for f in order:
+            for d in faces[f].tails:
+                k = E[d]
+                if cut[k]:
+                    continue
+                (f1, _), (f2, _) = slots[k]
+                g = f1 + f2 - f
+                if g not in dual:
+                    cut[k] = True
+                    dual[g] = k
+                    order.append(g)
+        leftover = tuple([k for k, c in enumerate(cut) if not c])
+        chi = self.n_vertices - self.n_edges + len(faces)
+        if len(dual) != len(faces) or len(leftover) != 2 - chi:
+            raise InternalConsistencyError("tree-cotree cut system does not span the faces")
+        return dual, leftover
 
     def face_vertex_walk(self, face: FaceWalk):
         return tuple(self.vertex_of[d] for d in face.tails)

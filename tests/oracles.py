@@ -22,7 +22,11 @@ pair's blockers from the pairs that hold its colors.
 The sign oracles walk their own depth-first tree, where production uses
 the map's one breadth-first ``EmbeddedGraph.spanning_tree``: one propagates
 vertex signs, the other compares two parities on every fundamental cycle
-built from root paths.  The map validator walks every rotation cycle dart
+built from root paths.  The cycle-parity verdict is read off all E - V + 1
+of those cycles, where production reads the 2 - chi cycles of its
+tree-cotree cut system, with the parity counted over both slots of each
+edge, where production counts repeated tail darts; a Z2 rank over the face
+boundaries checks that the cut system's cycles are a homology basis.  The map validator walks every rotation cycle dart
 by dart and searches the darts depth-first under rotation and pairing,
 where production checks whole lists and reads connectivity off the
 spanning tree.  The map-text parser reads line by line, converting each
@@ -590,6 +594,67 @@ def phi3_passes_per_cycle(G, listed) -> bool:
     number of edges outside the edge indices ``listed``: some 2-coloring of
     all vertices then puts the ends of exactly the listed edges in one class."""
     return all(sum(1 for e in cycle if e not in listed) % 2 == 0 for cycle in _cotree_cycles(G))
+
+
+def slot_parity(G) -> str:
+    """Quadrangulation parity by the slot formula: the edges whose two face
+    slots in ``G.edge_slots`` leave from the same dart, counted mod 2, where
+    production counts the repeated tail darts of the faces."""
+    faces = G.faces
+    breaking = sum(1 for (f1, p1), (f2, p2) in G.edge_slots
+                   if faces[f1].tails[p1] == faces[f2].tails[p2])
+    return "odd" if breaking % 2 else "even"
+
+
+def full_basis_verdict(G):
+    """The cycle-parity verdict read off all E - V + 1 fundamental cycles of
+    a depth-first tree, where production reads the 2 - chi cycles of its
+    tree-cotree cut system: ``(phi_type, parity, any phi, phi == w1)``.
+    The parity is :func:`slot_parity`'s, on loopless maps whose faces all
+    have length 4; the type is given when, besides, the map is one-sided."""
+    cycles = _cotree_cycles(G)
+    phi = [len(c) % 2 for c in cycles]
+    w1 = [sum(1 for e in c if G.signature[e] < 0) % 2 for c in cycles]
+    quad = all(len(f.tails) == 4 for f in G.faces) and all(u != w for u, w in G.edges)
+    parity = slot_parity(G) if quad else None
+    phi_type = None
+    if parity is not None and not dfs_switching_trivial(G):
+        if not any(phi):
+            phi_type = "PHI0"
+        elif phi == w1:
+            phi_type = "PHI3"
+        else:
+            phi_type = "PHI1" if parity == "odd" else "PHI2"
+    return phi_type, parity, any(phi), phi == w1
+
+
+def z2_rank(vectors) -> int:
+    """Rank over Z2 of vectors given as integer bit masks."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def cut_cycles_span_homology(G, leftover) -> bool:
+    """Whether the fundamental cycles of the ``leftover`` edges in
+    ``G.spanning_tree`` are independent modulo the face boundaries and span,
+    with them, all E - V + 1 dimensions of the cycle space over Z2."""
+    parent = spanning_tree_parents(G)
+    cycles = [sum(1 << e for e in fundamental_cycle(G, parent, k)) for k in leftover]
+    boundaries = []
+    for f in G.faces:
+        mask = 0
+        for d in f.tails:
+            mask ^= 1 << G.edge_of[d]
+        boundaries.append(mask)
+    dim = G.n_edges - G.n_vertices + 1
+    return z2_rank(boundaries) + len(cycles) == z2_rank(boundaries + cycles) == dim
 
 
 def validate_map(rotation, pairing, signature, vertex_of):

@@ -18,7 +18,6 @@ from quadloc.constructions import (
     g1_prime_negative_edges,
     high_genus_family,
 )
-from quadloc.errors import InputError
 from quadloc.localcolor import (
     FOUND,
     NONE,
@@ -197,20 +196,16 @@ def test_criterion_10_phi_types(g1p):
     # the twelve-edge list alone cannot be a representative's negative
     # set (four faces would carry an odd negative count); its completion by
     # the two forced diagonal signs passes; see notes in the repository docs
-    literal_rejected = False
-    try:
-        phi3_certificate(G, g1_prime_negative_edges())
-    except InputError as exc:
-        literal_rejected = str(exc) == ("listed set is not the negative edge set"
-                                        " of any switching representative")
-    ok &= literal_rejected
+    literal = phi3_certificate(G, g1_prime_negative_edges())
+    ok &= literal.text() == ("phi3-certificate: FAIL\nlisted set is not the negative edge set"
+                             " of any switching representative\n")
     completed = g1_prime_certificate_edges(G)
     ok &= len(completed) == 14 and phi3_certificate(G, completed).passed
     KB, _ = klein_bottle_grid()
     ok &= cycle_parity_profile(KB).phi_type == "PHI0"
     report(10, ok, "G1' classified PHI3; bipartite control PHI0; the twelve-edge "
                    "list passes once completed by its two face-parity-forced diagonal "
-                   "signs (flagged repair; the bare list matches no representative)")
+                   "signs (flagged repair; the bare list matches no representative, a FAIL)")
 
 
 def test_criterion_11_semifree_property_suite():

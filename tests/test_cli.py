@@ -127,8 +127,11 @@ def test_phi3_cert_files(tmp_path):
     invoke(["build", "g1p", "--out", g])
     rc, _ = invoke(["verify", "phi3-cert", str(GOLDEN / "g1p_phi3_certificate.txt"), g])
     assert rc == 0
-    rc, _ = invoke(["verify", "phi3-cert", str(GOLDEN / "g1p_negative_edges_12.txt"), g])
-    assert rc == 2  # not a negative set of any representative: input mismatch
+    # well formed, but not the negative set of any representative: it fails
+    assert invoke(["verify", "phi3-cert", str(GOLDEN / "g1p_negative_edges_12.txt"), g]) == (1, (
+        "phi3-certificate: FAIL\n"
+        "listed set is not the negative edge set of any switching representative\n"
+    ))
 
 
 def _negative_edge_list(G) -> str:
@@ -311,15 +314,26 @@ K4P = str(GOLDEN / "k4p.txt")
 def test_huge_integer_arguments_exit_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc, by_argparse = run(argv), False
-        except SystemExit as exc:  # argparse, which prints its own usage lines
-            rc, by_argparse = exc.code, True
+        rc = run(argv)
     err = err.getvalue()
     assert rc in (0, 1, 2, 3) and "Traceback" not in err, (rc, err)
     if rc == 2:
         assert out.getvalue() == ""
-        assert by_argparse or (err.startswith("error: ") and err.count("\n") == 1), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group", "table", HUGE], f"quadloc group table: argument which: invalid choice: {HUGE}"
+                               " (choose from 1, 2)"),
+    (["build", "u", "x", "3"], "quadloc build u: argument m: invalid int value: 'x'"),
+    ([], "quadloc: the following arguments are required: cmd"),
+    (["verify", "phi3-cert", "cert.txt"], "quadloc verify phi3-cert: the following arguments"
+                                          " are required: graph"),
+    (["psi", "g.txt", "--budget"], "quadloc psi: argument --budget: expected one argument"),
+    (["tri", "subdivide", "g.txt", "--bogus"], "quadloc: unrecognized arguments: --bogus"),
+])
+def test_bad_command_lines_print_one_error_line(argv, message):
+    assert invoke_err(argv) == (2, f"error: {message}\n")
 
 
 def test_huge_family_genus_and_search_colors_are_handled():
@@ -715,11 +729,7 @@ def test_cli_inputs_exit_zero_one_or_two(fuzz_file, case):
     fuzz_file.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = run([a.format(f=fuzz_file) for a in argv])
-        except SystemExit as exc:  # argparse, which prints its own usage lines
-            assert exc.code == 2
-            return
+        rc = run([a.format(f=fuzz_file) for a in argv])
     assert rc in (0, 1, 2), (rc, err.getvalue())
     if rc == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

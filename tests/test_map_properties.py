@@ -1,9 +1,11 @@
 """Properties of every map, checked on seeded random rotation systems with
 signatures (Mohar and Thomassen, *Graphs on Surfaces*, ch. 3-4): Euler's
-formula against an independent face count, the orientation double cover,
-the medial map, the text round trip and invariance under relabelling the
-darts.  The maps have 1-10 vertices, loops and parallel edges, and random
-signs, so both orientable and non-orientable surfaces occur.
+formula against an independent face count, the tree-cotree cut system
+against a Z2 rank, loops and neighbours against the edge list, the
+orientation double cover, the medial map, the text round trip and
+invariance under relabelling the darts.  The maps have 1-10 vertices,
+loops and parallel edges, and random signs, so both orientable and
+non-orientable surfaces occur.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from quadloc.errors import InputError
 from quadloc.surface_map import classify_surface, medial_graph, orientation_double_cover
 from quadloc.textio import parse_graph, write_graph
 from helpers import random_rotation_system, relabel_darts
-from oracles import brute_faces
+from oracles import brute_faces, cut_cycles_span_homology
 
 
 def seeded_maps(seed=1729, count=400):
@@ -51,6 +53,27 @@ def test_the_sample_covers_both_kinds_of_surface_and_of_edge():
     assert any(G.has_loop() for G in MAPS)
     assert any(len(set(G.edges)) < G.n_edges for G in MAPS)
     assert sum(min_degree(G) >= 2 for G in MAPS) >= 100
+
+
+def test_cut_system_leaves_a_homology_basis_off_both_trees():
+    for G in MAPS:
+        dual, leftover = G.cut_system
+        chi = G.n_vertices - G.n_edges + len(brute_faces(G.rotation, G.pairing, G.signature))
+        tree = {G.edge_of[d] for d in G.spanning_tree.values() if d is not None}
+        assert sorted(dual) == list(range(len(G.faces))) and dual[0] is None
+        assert len(leftover) == 2 - chi
+        assert not set(leftover) & (tree | set(dual.values()))
+        assert cut_cycles_span_homology(G, leftover)
+
+
+def test_loops_and_neighbours_match_the_edge_list():
+    for G in MAPS:
+        assert G.has_loop() == any(u == w for u, w in G.edges)
+        adj = {v: set() for v in G.vertices}
+        for u, w in G.edges:
+            adj[u].add(w)
+            adj[w].add(u)
+        assert G.adjacency == adj and list(G.adjacency) == list(G.vertices)
 
 
 def test_euler_characteristic_matches_an_independent_face_count():

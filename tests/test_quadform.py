@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from quadloc.constructions import (
     build_high_genus_family,
     g1_prime_certificate_edges,
     g1_prime_negative_edges,
+    high_genus_family,
 )
 from quadloc.errors import InputError
 from quadloc.localcolor import (
@@ -39,7 +41,7 @@ from quadloc.quadform import (
     refine_3x3,
 )
 from quadloc.surface_map import EmbeddedGraph, classify_surface
-from quadloc.textio import parse_graph
+from quadloc.textio import parse_graph, write_graph
 from helpers import (
     flip_random_faces,
     klein_bottle_grid,
@@ -49,6 +51,8 @@ from helpers import (
     two_squares_sphere,
 )
 from oracles import (
+    cut_cycles_span_homology,
+    full_basis_verdict,
     fundamental_cycle,
     listed_set_matches_per_cycle,
     phi3_passes_per_cycle,
@@ -208,6 +212,50 @@ def test_profile_stable_under_tree_choice_and_switching(g1p, k4p):
         assert c.phi_type == a.phi_type
 
 
+def _profiled_maps(g0, g1, g0p, g1p):
+    """The golden maps, G0 and G1, G0'+0..10 and G1'+0..6, the level-1
+    primes and the Klein-bottle and torus grids."""
+    maps = {name: parse_graph((GOLDEN / f"{name}.txt").read_text())[0]
+            for name in ("g0", "g1", "g0p", "g1p", "k4p")}
+    maps.update({"G0": g0[0], "G1": g1[0], "klein": klein_bottle_grid()[0],
+                 "torus": torus_grid(4, 4)[0]})
+    for base, top in (("g0p", 10), ("g1p", 6)):
+        for k, (G, _) in enumerate(islice(high_genus_family(base), top + 1)):
+            maps[f"{base}+{k}"] = G
+    for name, (Q, cq) in (("g0p", g0p), ("g1p", g1p)):
+        maps[f"{name}.L1"] = refine_3x3(Q, cq)[0]
+    return maps
+
+
+def test_profile_matches_the_full_basis_oracle(g0, g1, g0p, g1p):
+    rng = random.Random(26)
+    types = Counter()
+    for name, G in _profiled_maps(g0, g1, g0p, g1p).items():
+        texts = [cycle_parity_profile(H).certificate_text(H)
+                 for H in (parse_graph(write_graph(G))[0] for _ in range(2))]
+        assert texts[0] == texts[1], name
+        rename = dict(zip(G.vertices, rng.sample(G.vertices, G.n_vertices)))
+        variants = (
+            G,
+            G.switched([v for v in G.vertices if rng.random() < 0.5]),
+            EmbeddedGraph(G.rotation, G.pairing, G.signature, [rename[v] for v in G.vertex_of]),
+        )
+        rank = 2 - classify_surface(G).euler_characteristic
+        assert texts[0].count("\ncycle ") == rank, name
+        for H in variants:
+            prof = cycle_parity_profile(H)
+            got = (prof.phi_type, prof.parity, any(prof.phi_values),
+                   prof.phi_values == prof.w1_values)
+            assert got == full_basis_verdict(H), name
+            dual, leftover = H.cut_system
+            assert len(prof.basis) == len(leftover) == rank
+            assert [cyc.cotree_edge for cyc in prof.basis] == list(leftover)
+            assert not set(leftover) & (tree_edges(H) | set(dual.values()))
+            assert cut_cycles_span_homology(H, leftover), name
+            types[prof.phi_type] += 1
+    assert set(types) == {None, "PHI0", "PHI1", "PHI3"}, types
+
+
 def test_parity_map_is_linear_on_cycle_space(g1p):
     # evaluate phi and w1 on random cycle-space elements two ways
     rng = random.Random(8)
@@ -269,8 +317,8 @@ def test_twelve_edge_list_cannot_match_any_representative(g1p):
     # whichever diagonal splits them leaves a face with an odd negative
     # count; no switching representative of any diagonal completion matches
     G, _ = g1p
-    with pytest.raises(InputError, match=f"^{MISMATCH}$"):
-        phi3_certificate(G, g1_prime_negative_edges())
+    rep = phi3_certificate(G, g1_prime_negative_edges())
+    assert (rep.passed, rep.lines) == (False, (MISMATCH,))
 
 
 def test_completed_certificate_passes(g1p):
@@ -304,11 +352,8 @@ def test_tampered_certificate_fails(g1p):
     replacement = next(
         e for e in G.edges if e not in [tuple(sorted(x)) for x in edges] and e != victim
     )
-    try:
-        rep = phi3_certificate(G, edges + [replacement])
-        assert not rep.passed
-    except InputError as exc:  # tampering may already clash with every representative
-        assert str(exc) == MISMATCH
+    # tampering may already clash with every representative, which fails too
+    assert not phi3_certificate(G, edges + [replacement]).passed
 
 
 def test_representative_check_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
@@ -323,12 +368,9 @@ def test_representative_check_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
             single = [k for k, e in enumerate(H.edges) if pairs[e] == 1]
             negative = [k for k in single if H.signature[k] < 0]
             for listed in (negative, [k for k in single if rng.random() < 0.3]):
-                try:
-                    phi3_certificate(H, [H.edges[k] for k in listed])
-                    matched = True
-                except InputError as exc:
-                    assert str(exc) == MISMATCH
-                    matched = False
+                rep = phi3_certificate(H, [H.edges[k] for k in listed])
+                matched = rep.lines != (MISMATCH,)
+                assert matched or not rep.passed
                 assert matched == listed_set_matches_per_cycle(H, set(listed))
                 verdicts.add(matched)
     assert verdicts == {True, False}
@@ -354,10 +396,9 @@ def test_phi3_certificate_matches_per_cycle_oracle(g0, g1, g0p, g1p, k4p):
             negative = [k for k in single if H.signature[k] < 0]
             even_faced = all(len(f) % 2 == 0 for f in H.faces)
             for listed in (negative, [k for k in single if rng.random() < 0.3]):
-                try:
-                    rep = phi3_certificate(H, [H.edges[k] for k in listed])
-                except InputError as exc:
-                    assert str(exc) == MISMATCH
+                rep = phi3_certificate(H, [H.edges[k] for k in listed])
+                if rep.lines == (MISMATCH,):
+                    assert not rep.passed
                     assert not listed_set_matches_per_cycle(H, set(listed))
                     verdicts["mismatch"] += 1
                     continue
