@@ -11,7 +11,8 @@ induced U(6,3) subgraph (genus 11) once every original hexagon has been
 treated.
 
 G0 and G1 are two rows of one table (m, vertex filter, face census,
-(V, E, F), genus) that one builder and one orbit check read.  Face lists
+(V, E, F), genus) that one builder reads; the tests read their edge and
+vertex transitivity off ``surface_map.automorphisms``.  Face lists
 are generated programmatically (4-cycle and two-colored 6-cycle censuses)
 so the assembler's disk checks certify the embeddings; the 6-cycle census
 cuts a path as soon as it shows a third color.  ``K4'``, K4 on the
@@ -84,25 +85,17 @@ _U_ROWS = {
 }
 
 
-def _u_minus_triangles(name: str):
-    """Name -> (i, A) for the row's vertices of U(m,3), and their
-    adjacency without triangle edges."""
-    m, keep = _U_ROWS[name][:2]
-    U = build_U(m, 3)
-    pairs = {u_vertex_name(i, A): (i, A) for (i, A) in U.vertices if keep(i, A)}
-    adj = {
-        v: {w for w in U.adjacency[v] if w in pairs and frozenset((v, w)) not in U.triangle_edges}
-        for v in pairs
-    }
-    return pairs, adj
-
-
 def _build_u_row(name: str):
-    """Assemble a row from its face census, check its surface, and give it
-    the natural coloring (i, A) -> i."""
-    m, _, n_quads, n_hexes, census, genus = _U_ROWS[name]
-    pairs, adj = _u_minus_triangles(name)
-    natural = {v: pairs[v][0] for v in adj}
+    """Assemble a row, the filtered vertices of U(m,3) without its triangle
+    edges, from its face census, check its surface, and give it the natural
+    coloring (i, A) -> i."""
+    m, keep, n_quads, n_hexes, census, genus = _U_ROWS[name]
+    U = build_U(m, 3)
+    natural = {u_vertex_name(i, A): i for (i, A) in U.vertices if keep(i, A)}
+    adj = {
+        v: {w for w in U.adjacency[v] if w in natural and frozenset((v, w)) not in U.triangle_edges}
+        for v in natural
+    }
     quads = four_cycles(adj)
     hexes = six_cycles_two_colored(adj, natural)
     if len(quads) != n_quads or len(hexes) != n_hexes:
@@ -127,30 +120,20 @@ def build_G1():
     return _build_u_row("g1")
 
 
-def add_main_diagonals(G: EmbeddedGraph, c: Coloring, choices=None):
-    """Add one main diagonal to every hexagonal face.
-
-    ``choices`` optionally picks the diagonal (0, 1 or 2, by walk position)
-    per hexagon in canonical hexagon order; by default the diagonal with
-    the lexicographically least endpoint pair is used.  Any choice yields
-    an odd quadrangulation and keeps the natural coloring local-3.
-    """
+def add_main_diagonals(G: EmbeddedGraph, c: Coloring):
+    """Add to every hexagonal face, in canonical hexagon order, the main
+    diagonal with the lexicographically least endpoint pair.  Any choice of
+    main diagonals yields an odd quadrangulation and keeps the natural
+    coloring local-3."""
     hex_walks = sorted(tuple(G.face_vertex_walk(f)) for f in G.faces if len(f) == 6)
-    if choices is not None and len(choices) != len(hex_walks):
-        raise InputError("one diagonal choice per hexagon required")
     out = G
     diagonals = []
-    for n, walk in enumerate(hex_walks):
+    for walk in hex_walks:
         idx = next(
             i for i, f in enumerate(out.faces)
             if len(f) == 6 and tuple(out.face_vertex_walk(f)) == walk
         )
-        if choices is None:
-            j = min(range(3), key=lambda j: tuple(sorted((walk[j], walk[j + 3]))))
-        else:
-            j = choices[n]
-            if j not in (0, 1, 2):
-                raise InputError("diagonal choice must be 0, 1 or 2")
+        j = min(range(3), key=lambda j: tuple(sorted((walk[j], walk[j + 3]))))
         ends = (walk[j], walk[j + 3])
         # One rebuild per hexagon: splitting all of them in one rebuild gives
         # a switching-equivalent map, but with the rotation reversed at three
@@ -279,53 +262,3 @@ def build_high_genus_family(base: str, extra_genus: int):
         raise InputError(f"extra_genus must be at most {sys.maxsize}, got {extra_genus}")
     return next(islice(high_genus_family(base), extra_genus, None))
 
-
-# -- transitivity checks -------------------------------------------------------
-
-
-def _is_transitive(name: str, perms, on_edges: bool) -> bool:
-    """Whether every color permutation in ``perms`` (one-line notation:
-    ``perm[c - 1]`` is the image of color c) is an automorphism of the
-    row's graph, and together they move one vertex, or one edge when
-    ``on_edges``, onto all of them."""
-    pairs, adj = _u_minus_triangles(name)
-    images = []
-    for perm in perms:
-        image = {v: u_vertex_name(perm[i - 1], {perm[a - 1] for a in A}) for v, (i, A) in pairs.items()}
-        if any({image[w] for w in ns} != adj.get(image[v]) for v, ns in adj.items()):
-            return False
-        images.append(image)
-    items = {tuple(sorted((v, w))) for v in adj for w in adj[v]} if on_edges else {(v,) for v in adj}
-    seen = {min(items)}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for image in images:
-            y = tuple(sorted(image[v] for v in x))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen == items
-
-
-def g0_is_edge_transitive() -> bool:
-    """Color permutations act on G0; one edge orbit must cover all 60."""
-    swaps = []
-    for a, b in combinations(range(5), 2):
-        perm = [1, 2, 3, 4, 5]
-        perm[a], perm[b] = perm[b], perm[a]
-        swaps.append(perm)
-    return _is_transitive("g0", swaps, on_edges=True)
-
-
-def g1_is_vertex_transitive() -> bool:
-    """Permutations preserving the split {1,2,3} | {4,5,6} (and the swap of
-    the two classes) act on G1; one vertex orbit must cover all 36."""
-    gens = [
-        (2, 1, 3, 4, 5, 6),
-        (2, 3, 1, 4, 5, 6),
-        (1, 2, 3, 5, 4, 6),
-        (1, 2, 3, 5, 6, 4),
-        (4, 5, 6, 1, 2, 3),
-    ]
-    return _is_transitive("g1", gens, on_edges=False)

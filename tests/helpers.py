@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from quadloc.localcolor import Coloring
-from quadloc.surface_map import EmbeddedGraph, FaceListComplex, assemble_embedding
+from quadloc.surface_map import EmbeddedGraph, FaceListComplex, assemble_embedding, rebuild, split_face
 from oracles import dart_signs, reversed_slot
 
 
@@ -54,6 +54,19 @@ def two_squares_sphere():
     G = assemble_embedding(FaceListComplex.from_lists([(1, 2, 3, 4), (1, 2, 3, 4)]))
     c = Coloring({"1": 1, "2": 2, "3": 1, "4": 2}, 2)
     return G, c
+
+
+def split_hexagons(G: EmbeddedGraph, choices) -> EmbeddedGraph:
+    """``G`` with every hexagon split, in one rebuild, by a main diagonal:
+    hexagon ``k``, in the order of its vertex walk, gets the one from corner
+    ``choices[k]`` (0, 1 or 2) of its traced walk to the opposite corner."""
+    hexagons = sorted((f for f in G.faces if len(f) == 6), key=G.face_vertex_walk)
+    faces = [f.tails for f in G.faces if len(f) != 6]
+    ends = []
+    for f, j in zip(hexagons, choices, strict=True):
+        faces += split_face(f.tails, j, j + 3, G.n_darts + 2 * len(ends))
+        ends.append((G.vertex_of[f.tails[j]], G.vertex_of[f.tails[j + 3]]))
+    return rebuild(G, faces, new_ends=ends)
 
 
 def greedy_coloring(G: EmbeddedGraph) -> Coloring:

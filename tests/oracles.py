@@ -26,8 +26,11 @@ built from root paths.  The cycle-parity verdict is read off all E - V + 1
 of those cycles, where production reads the 2 - chi cycles of its
 tree-cotree cut system, with the parity counted over both slots of each
 edge, where production counts repeated tail darts; a Z2 rank over the face
-boundaries checks that the cut system's cycles are a homology basis.  The map validator walks every rotation cycle dart
-by dart and searches the darts depth-first under rotation and pairing,
+boundaries checks that the cut system's cycles are a homology basis.  A
+map automorphism is checked on the pairing, the rotation cycles and the
+brute-force faces, each mapped and compared whole, where production walks
+the flags of the map in lockstep from each candidate image of one flag.
+The map validator walks every rotation cycle dart by dart and searches the darts depth-first under rotation and pairing,
 where production checks whole lists and reads connectivity off the
 spanning tree.  The map-text parser reads line by line, converting each
 token where it stands and checking each dart and id as it comes, where
@@ -452,6 +455,34 @@ def sorted_dart_faces(faces, pairing):
         rev = [pairing[d] for d in reversed(face)]
         forms.append(min(brute_least_rotation(face), brute_least_rotation(rev)))
     return sorted(forms)
+
+
+def is_map_automorphism(G: EmbeddedGraph, perm) -> bool:
+    """Whether the dart permutation ``perm`` is an automorphism of ``G``: it
+    keeps the pairing, maps every rotation cycle onto one, forward or
+    reversed, and maps the faces that :func:`brute_faces` traces onto them,
+    each forward or reversed through the pairing."""
+    R, P, n = G.rotation, G.pairing, G.n_darts
+    if sorted(perm) != list(range(n)) or any(perm[P[d]] != P[perm[d]] for d in range(n)):
+        return False
+    rotation_inv = [0] * n
+    for d, e in enumerate(R):
+        rotation_inv[e] = d
+    seen = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        cycle = [start]
+        while R[cycle[-1]] != start:
+            cycle.append(R[cycle[-1]])
+        seen.update(cycle)
+        if not (all(perm[R[d]] == R[perm[d]] for d in cycle)
+                or all(perm[R[d]] == rotation_inv[perm[d]] for d in cycle)):
+            return False
+    faces = [[d for d, _ in walk] for walk in brute_faces(R, P, G.signature)]
+    return sorted_dart_faces(faces, P) == sorted_dart_faces(
+        [[perm[d] for d in face] for face in faces], P
+    )
 
 
 def least_cycle_form(seq):

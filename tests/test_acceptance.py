@@ -50,7 +50,7 @@ from quadloc.semifree import (
     walk_label,
     x_pair,
 )
-from quadloc.surface_map import classify_surface
+from quadloc.surface_map import automorphisms, classify_surface
 from quadloc.trisub import (
     Triangulation,
     face_subdivision,
@@ -72,13 +72,17 @@ def test_criterion_01_g0_census(g0):
     G, _ = g0
     lengths = sorted(len(f) for f in G.faces)
     sc = classify_surface(G)
+    group = automorphisms(G)
     ok = (
         (G.n_vertices, G.n_edges) == (30, 60)
         and lengths.count(4) == 15
         and lengths.count(6) == 10
         and (sc.orientable, sc.euler_characteristic, sc.genus) == (False, -5, 7)
+        and len(group) == 120
+        and {G.edge_of[a[0]] for a in group} == set(range(G.n_edges))
     )
-    report(1, ok, "G0: 30 vertices, 60 edges, 15 quads + 10 hexagons, chi -5, genus 7")
+    report(1, ok, "G0: 30 vertices, 60 edges, 15 quads + 10 hexagons, chi -5, genus 7; "
+                  f"|Aut| = {len(group)}, edge-transitive")
 
 
 def test_criterion_02_g1_census(g1):
@@ -88,12 +92,15 @@ def test_criterion_02_g1_census(g1):
     four = sum(1 for f in quads if len({c.assignment[v] for v in G.face_vertex_walk(f)}) == 4)
     bi = sum(1 for f in quads if len({c.assignment[v] for v in G.face_vertex_walk(f)}) == 2)
     sc = classify_surface(G)
+    group = automorphisms(G)
     ok = (
         (G.n_vertices, G.n_edges) == (36, 72)
         and (four, bi, len(hexes)) == (18, 9, 6)
         and (sc.euler_characteristic, sc.genus, sc.orientable) == (-3, 5, False)
+        and len(group) == 72
+        and {G.vertex_of[a[0]] for a in group} == set(G.vertices)
     )
-    report(2, ok, "G1: 36/72, faces 18+9+6, chi -3, genus 5")
+    report(2, ok, f"G1: 36/72, faces 18+9+6, chi -3, genus 5; |Aut| = {len(group)}, vertex-transitive")
 
 
 def test_criterion_03_primes_odd_and_locally_3_colored(g0p, g1p):

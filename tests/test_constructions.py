@@ -1,21 +1,18 @@
 import random
 import time
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
 
 from quadloc import constructions
 from quadloc.constructions import (
-    _is_transitive,
     add_main_diagonals,
     build_G0,
     build_G1,
     build_high_genus_family,
     four_cycles,
-    g0_is_edge_transitive,
-    g1_is_vertex_transitive,
     g1_prime_negative_edges,
     high_genus_family,
     six_cycles_two_colored,
@@ -26,11 +23,17 @@ from quadloc.quadform import ODD, excess_report, quad_parity
 from quadloc.surface_map import (
     FaceListComplex,
     assemble_embedding,
+    automorphisms,
     canonical_walk,
     classify_surface,
 )
 from quadloc.textio import write_graph
-from oracles import brute_two_colored_six_cycles, unpruned_two_colored_six_cycles
+from helpers import split_hexagons
+from oracles import (
+    brute_two_colored_six_cycles,
+    is_map_automorphism,
+    unpruned_two_colored_six_cycles,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -77,18 +80,45 @@ def test_g1_census(g1):
     assert is_local_coloring(G, c, 3)
 
 
-def test_transitivity_checks():
-    assert g0_is_edge_transitive()
-    assert g1_is_vertex_transitive()
+def test_transitivity_checks(g0, g1):
+    # G0 is edge-transitive and G1 vertex-transitive: the image of one dart
+    # under the automorphism group meets every edge, resp. every vertex
+    G0, G1 = g0[0], g1[0]
+    assert {G0.edge_of[a[0]] for a in automorphisms(G0)} == set(range(G0.n_edges))
+    assert {G1.vertex_of[a[0]] for a in automorphisms(G1)} == set(G1.vertices)
 
 
-def test_transitivity_check_rejects_too_few_or_foreign_permutations():
-    # the identity alone leaves every vertex and edge in an orbit of its own
-    for on_edges in (False, True):
-        assert not _is_transitive("g0", [(1, 2, 3, 4, 5)], on_edges)
-        assert not _is_transitive("g1", [(1, 2, 3, 4, 5, 6)], on_edges)
-    # 1 <-> 4 alone sends 2.15 to 2.45, which is not a vertex of G1
-    assert not _is_transitive("g1", [(4, 2, 3, 1, 5, 6)], on_edges=False)
+def test_primes_are_not_vertex_transitive(g0p, g1p):
+    for G, _ in (g0p, g1p):
+        group = automorphisms(G)
+        assert all(is_map_automorphism(G, a) for a in group)
+        assert len({G.vertex_of[a[0]] for a in group}) < G.n_vertices
+
+
+def color_permutation_darts(G, m, keep):
+    """The dart permutation each permutation of the colors 1..m induces on
+    ``G``, a simple graph on vertices of U(m,3), over the permutations that
+    ``keep`` accepts: (i, A) goes to (perm(i), perm(A))."""
+    U = build_U(m, 3)
+    pairs = {u_vertex_name(i, A): (i, A) for (i, A) in U.vertices}
+    dart = {(G.vertex_of[d], G.vertex_of[G.pairing[d]]): d for d in range(G.n_darts)}
+    for perm in permutations(range(1, m + 1)):
+        image = {}
+        for v in G.vertices:
+            i, A = pairs[v]
+            image[v] = u_vertex_name(perm[i - 1], {perm[a - 1] for a in A})
+        if keep(set(image.values())):
+            yield tuple(dart[image[u], image[w]] for u, w in dart)
+
+
+def test_color_permutations_induce_the_automorphism_groups(g0, g1):
+    # all 120 color permutations act on G0; on G1, the 72 that keep its
+    # vertex set, those preserving or swapping the split {1,2,3} | {4,5,6}
+    G0, G1 = g0[0], g1[0]
+    from_colors = set(color_permutation_darts(G0, 5, lambda vs: True))
+    assert len(from_colors) == 120 and from_colors == set(automorphisms(G0))
+    from_colors = set(color_permutation_darts(G1, 6, lambda vs: vs == set(G1.vertices)))
+    assert len(from_colors) == 72 and from_colors == set(automorphisms(G1))
 
 
 def test_g0_prime(g0p):
@@ -121,10 +151,9 @@ def test_arbitrary_diagonal_choices_stay_odd(g0):
     rng = random.Random(42)
     G0, c0 = g0
     for _ in range(20):
-        choices = tuple(rng.randrange(3) for _ in range(10))
-        G, c, _ = add_main_diagonals(G0, c0, choices)
+        G = split_hexagons(G0, [rng.randrange(3) for _ in range(10)])
         assert quad_parity(G) == ODD
-        assert is_local_coloring(G, c, 3)
+        assert is_local_coloring(G, c0, 3)
 
 
 def test_k4_projective(k4p):

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from quadloc.constructions import (
-    add_main_diagonals,
     build_G0,
     build_G1,
     build_high_genus_family,
@@ -47,6 +46,7 @@ from helpers import (
     klein_bottle_grid,
     random_maps,
     random_orientation,
+    split_hexagons,
     torus_grid,
     two_squares_sphere,
 )
@@ -330,9 +330,9 @@ def test_completed_certificate_passes(g1p):
 
 
 def test_completed_certificate_passes_for_other_diagonal_choices():
-    G1, c1 = build_G1()
+    G1, _ = build_G1()
     for choices in ((1, 1, 1, 1, 1, 1), (2, 0, 1, 2, 0, 1)):
-        G, _, _ = add_main_diagonals(G1, c1, choices)
+        G = split_hexagons(G1, choices)
         edges = g1_prime_certificate_edges(G)
         assert phi3_certificate(G, edges).passed
 
@@ -643,9 +643,7 @@ def test_refine_3x3_parity_preserved_across_family():
     instances.append(klein_bottle_grid())
     G1, c1 = build_G1()
     for _ in range(3):
-        choices = tuple(rng.randrange(3) for _ in range(6))
-        G, c, _ = add_main_diagonals(G1, c1, choices)
-        instances.append((G, c))
+        instances.append((split_hexagons(G1, [rng.randrange(3) for _ in range(6)]), c1))
     for G, c in instances:
         want = quad_parity(G)
         G2, _ = refine_3x3(G, c)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from quadloc.surface_map import (
     _canonical_cycle,
     _match_faces,
     assemble_embedding,
+    automorphisms,
     classify_surface,
     medial_graph,
     merge_faces,
@@ -30,6 +32,7 @@ from helpers import (
     cycle_graph,
     klein_bottle_grid,
     random_maps,
+    random_rotation_system,
     relabel_darts,
     torus_grid,
     two_squares_sphere,
@@ -40,6 +43,7 @@ from oracles import (
     brute_least_rotation,
     dfs_switching_trivial,
     fundamental_cycle,
+    is_map_automorphism,
     medial_tag_fits,
     sorted_dart_faces,
     spanning_tree_parents,
@@ -632,3 +636,66 @@ def test_assemble_embedding_rejects_changed_vertex_walks(monkeypatch):
     monkeypatch.setattr(surface_map, "_assemble", renamed)
     with pytest.raises(InternalConsistencyError, match="changed the vertex walks"):
         assemble_embedding(complex_)
+
+
+# -- automorphisms -------------------------------------------------------------
+
+
+def pairing_preserving_permutations(G):
+    """Every dart permutation that maps edges onto edges: each edge goes to
+    some edge, either way round."""
+    reps, P = G.edge_reps, G.pairing
+    for targets in permutations(reps):
+        for flips in product((False, True), repeat=len(reps)):
+            perm = [0] * G.n_darts
+            for d, e, flip in zip(reps, targets, flips):
+                perm[d], perm[P[d]] = (P[e], e) if flip else (e, P[e])
+            yield tuple(perm)
+
+
+@pytest.mark.parametrize("name, size", [
+    ("k4p", 24), ("g0", 120), ("g1", 72), ("g0p", 2), ("g1p", 8),
+    ("torus_grid_triangulation", 24), ("klein_bottle_grid", 32),
+])
+def test_automorphisms_pass_the_oracle(request, name, size):
+    if name == "torus_grid_triangulation":
+        G = torus_grid_triangulation(3, 4)
+    elif name == "klein_bottle_grid":
+        G = klein_bottle_grid(4)[0]
+    else:
+        G = request.getfixturevalue(name)[0]
+    group = automorphisms(G)
+    assert len(group) == len(set(group)) == size
+    assert group[0] == tuple(range(G.n_darts))
+    assert all(is_map_automorphism(G, a) for a in group)
+
+
+def test_automorphisms_match_brute_force_on_two_squares():
+    # C4 on the sphere has 16 flag automorphisms; the reflection that swaps
+    # its two faces moves no dart, so they give 8 dart permutations
+    G, _ = two_squares_sphere()
+    perms = list(pairing_preserving_permutations(G))
+    assert len(perms) == 384
+    assert {a for a in perms if is_map_automorphism(G, a)} == set(automorphisms(G))
+    assert len(automorphisms(G)) == 8
+
+
+def test_automorphisms_match_brute_force_on_small_random_maps():
+    rng = random.Random(27)
+    sizes = Counter()
+    for _ in range(40):
+        n_vertices = rng.randint(1, 5)
+        G = random_rotation_system(rng, n_vertices, rng.randint(max(1, n_vertices - 1), 5))
+        group = automorphisms(G)
+        assert group[0] == tuple(range(G.n_darts)) and len(set(group)) == len(group)
+        assert {a for a in pairing_preserving_permutations(G) if is_map_automorphism(G, a)} == set(group)
+        sizes[classify_surface(G).orientable, len(group) > 1] += 1
+    # the sample holds orientable maps and non-orientable ones with and
+    # without a symmetry
+    assert sizes[True, True] and sizes[False, True] and sizes[False, False]
+
+
+def test_automorphisms_survive_dart_relabelling(g1p):
+    rng = random.Random(5)
+    for G in (g1p[0], klein_bottle_grid(4)[0], torus_grid_triangulation(3, 4)):
+        assert len(automorphisms(relabel_darts(G, rng))) == len(automorphisms(G))
