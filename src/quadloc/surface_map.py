@@ -55,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import eq
+from operator import eq, mul
 
 from .errors import InputError, InternalConsistencyError
 
@@ -681,25 +681,27 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
     names += chain.from_iterable(new_ends)
     pairing = list(G.pairing)
     pairing += [d ^ 1 for d in range(len(pairing), len(names))]
-    # new[d]: the dense number of dart d, -1 once its edge is dropped
-    new = [0] * len(pairing)
-    for k in drop:
-        new[G.edge_reps[k]] = new[G.pairing[G.edge_reps[k]]] = -1
-    keep = [d for d, x in enumerate(new) if x == 0]
-    for i, d in enumerate(keep):
-        new[d] = i
-    covered = [0] * len(pairing)
+    n = len(pairing)
+    dropped = {d for k in drop for d in (G.edge_reps[k], G.pairing[G.edge_reps[k]])}
+    covered = [0] * n
     for face in faces:
         if not face:
             raise InputError("empty face")
         for d in face:
-            if not 0 <= d < len(new) or new[d] < 0:
+            if not 0 <= d < n or d in dropped:
                 raise InputError(f"unknown dart {d} in a face")
             covered[d] += 1
+    keep = [d for d in range(n) if d not in dropped] if dropped else range(n)
     for d in keep:
         count = covered[d] + covered[pairing[d]]
         if count != 2:
             raise InputError(f"edge of dart {d} is covered {count} times, need 2")
+    if not dropped:  # every dart keeps its number
+        return _assemble(list(map(list, faces)), pairing, names)[0]
+    # new[d]: the dense number of kept dart d
+    new = [-1] * n
+    for i, d in enumerate(keep):
+        new[d] = i
     faces = [[new[d] for d in face] for face in faces]
     return _assemble(faces, [new[pairing[d]] for d in keep], [names[d] for d in keep])[0]
 
@@ -746,28 +748,27 @@ def medial_graph(G: EmbeddedGraph):
 
     rho, rho_inv, theta = G.rotation, G.rotation_inv, G.pairing
 
-    def tau(d):
-        return 1 if d < theta[d] else G.dart_sign[d]
-
     # medial edge d joins the midpoints of the edges of d and rho(d): its
     # dart 2d sits at d's midpoint, 2d + 1 at rho(d)'s
     n = G.n_darts
     rotation = [0] * (2 * n)
-    vertex_of = [""] * (2 * n)
-    for k, a in enumerate(G.edge_reps):
+    for a, s in zip(G.edge_reps, G.signature):
         b = theta[a]
-        if G.signature[k] > 0:
-            cyc = (2 * b, 2 * rho_inv[b] + 1, 2 * a, 2 * rho_inv[a] + 1)
-        else:
-            cyc = (2 * rho_inv[b] + 1, 2 * b, 2 * a, 2 * rho_inv[a] + 1)
-        for i, md in enumerate(cyc):
-            rotation[md] = cyc[(i + 1) % 4]
-            vertex_of[md] = f"e{k}"
+        a2, b2, a1, b1 = 2 * a, 2 * b, 2 * rho_inv[a] + 1, 2 * rho_inv[b] + 1
+        if s < 0:  # the cycle b1, b2, a2, a1 in place of b2, b1, a2, a1
+            b2, b1 = b1, b2
+        rotation[b2], rotation[b1], rotation[a2], rotation[a1] = b1, a2, a1, b2
+    names = [f"e{k}" for k in range(G.n_edges)]
+    at = list(map(names.__getitem__, G.edge_of))
+    vertex_of = [""] * (2 * n)
+    vertex_of[0::2] = at
+    vertex_of[1::2] = map(at.__getitem__, rho)
     pairing = [md ^ 1 for md in range(2 * n)]
-    signature = [tau(d) * tau(rho[d]) for d in range(n)]
+    tau = [1 if d < e else s for d, e, s in zip(range(n), theta, G.dart_sign)]
+    signature = list(map(mul, tau, map(tau.__getitem__, rho)))
     M = EmbeddedGraph(rotation, pairing, signature, vertex_of)
 
-    if any(M.degree(v) != 4 for v in M.vertices) or M.n_vertices != G.n_edges:
+    if any(len(c) != 4 for c in M.darts_at.values()) or M.n_vertices != G.n_edges:
         raise InternalConsistencyError("medial map is not 4-regular on the edge set")
 
     # expected faces in medial darts, the stars and then the cycles, which
@@ -805,7 +806,8 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     rotation = [x for d, e in enumerate(R) for x in (2 * e, 2 * Ri[d] + 1)]
     pairing = [x for d, e in enumerate(P)
                for x in ((2 * e, 2 * e + 1) if S[d] > 0 else (2 * e + 1, 2 * e))]
-    vertex_of = [f"{v}|{t}" for v in G.vertex_of for t in "+-"]
+    lifts = {v: (f"{v}|+", f"{v}|-") for v in G.darts_at}
+    vertex_of = list(chain.from_iterable(map(lifts.__getitem__, G.vertex_of)))
     cover = EmbeddedGraph(rotation, pairing, [1] * G.n_darts, vertex_of)
 
     top = classify_surface(cover)

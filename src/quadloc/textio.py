@@ -88,7 +88,7 @@ def _read(text):
         raise InputError("need at least one vertex and one edge line")
     vids = list(map(itemgetter(1), vparts))
     eids = list(map(itemgetter(1), eparts))
-    if (not all(rings) or len(set(darts)) != n or len(set(vids)) != len(vids)
+    if (not all(rings) or len(dense) != n or len(set(vids)) != len(vids)
             or len(set(eids)) != len(eids) or None in da or None in db or len(set(da + db)) != 2 * len(da)):
         _first_fault(text)
     if 2 * len(da) != n:
@@ -117,6 +117,8 @@ def _read(text):
 
 def _lines(text):
     """The lines of a text, without their comments."""
+    if "#" not in text:
+        return text.splitlines()
     return [raw.partition("#")[0] for raw in text.splitlines()]
 
 
@@ -178,14 +180,10 @@ def _first_fault(text):
 
 
 def write_graph(G: EmbeddedGraph, coloring: Coloring | None = None) -> str:
-    lines = []
-    for vid in G.vertices:
-        darts = " ".join(str(d) for d in G.darts_at[vid])
-        lines.append(f"vertex {vid} : {darts}")
-    for k, d in enumerate(G.edge_reps):
-        sg = "+" if G.signature[k] > 0 else "-"
-        lines.append(f"edge e{k} : {d} {G.pairing[d]} {sg}")
+    at, P, sign = G.darts_at, G.pairing, G.signature
+    lines = [f"vertex {vid} : {' '.join(map(str, at[vid]))}" for vid in G.vertices]
+    lines += [f"edge e{k} : {d} {P[d]} {'+' if sign[k] > 0 else '-'}"
+              for k, d in enumerate(G.edge_reps)]
     if coloring is not None:
-        for vid in G.vertices:
-            lines.append(f"color {vid} {coloring.assignment[vid]}")
+        lines += [f"color {vid} {coloring.assignment[vid]}" for vid in G.vertices]
     return "\n".join(lines) + "\n"

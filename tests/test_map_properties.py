@@ -5,7 +5,9 @@ against a Z2 rank, loops and neighbours against the edge list, the
 orientation double cover, the medial map, the text round trip and
 invariance under relabelling the darts.  The maps have 1-10 vertices,
 loops and parallel edges, and random signs, so both orientable and
-non-orientable surfaces occur.
+non-orientable surfaces occur.  ``rebuild`` without a dropped edge must keep
+every dart's number, on these maps and on the golden maps and their
+refinements.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ import random
 import pytest
 
 from quadloc.errors import InputError
-from quadloc.surface_map import classify_surface, medial_graph, orientation_double_cover
+from quadloc.quadform import refine_3x3
+from quadloc.surface_map import (classify_surface, medial_graph, orientation_double_cover, rebuild,
+                                 split_face)
 from quadloc.textio import parse_graph, write_graph
 from helpers import random_rotation_system, relabel_darts
 from oracles import brute_faces, cut_cycles_span_homology
@@ -122,3 +126,37 @@ def test_relabelling_the_darts_changes_no_verdict():
     for G in MAPS:
         H = relabel_darts(G, rng)
         assert verdicts(H) == verdicts(G)
+
+
+def face_forms(faces, pairing):
+    """Each face's tail darts up to rotation and reversal (the paired darts
+    in reverse order), sorted."""
+    def least(seq):
+        return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    return sorted(min(least(list(f)), least([pairing[d] for d in reversed(f)])) for f in faces)
+
+
+def test_rebuild_without_a_drop_keeps_every_dart(g0, g1, g0p, g1p, k4p):
+    refined = [refine_3x3(G, c)[0] for G, c in (g0p, g1p, k4p)]
+    maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)] + refined + MAPS
+    for G in maps:
+        faces = [list(f.tails) for f in G.faces]
+        H = rebuild(G, faces)
+        assert H.pairing == G.pairing and H.vertex_of == G.vertex_of
+        assert face_forms([f.tails for f in H.faces], H.pairing) == face_forms(faces, G.pairing)
+        # one chord across each face of two or more slots: new edge j has
+        # darts n + 2j at the chord's first corner and n + 2j + 1 at its second
+        n, split, ends = G.n_darts, [], []
+        for face in faces:
+            if len(face) < 2:
+                split.append(face)
+                continue
+            i = len(face) // 2
+            split += split_face(face, 0, i, n + 2 * len(ends))
+            ends.append((G.vertex_of[face[0]], G.vertex_of[face[i]]))
+        H = rebuild(G, split, new_ends=ends)
+        assert H.pairing[:n] == G.pairing and H.vertex_of[:n] == G.vertex_of
+        for j, (u, w) in enumerate(ends):
+            assert H.pairing[n + 2 * j] == n + 2 * j + 1
+            assert H.vertex_of[n + 2 * j:n + 2 * j + 2] == (u, w)
+        assert face_forms([f.tails for f in H.faces], H.pairing) == face_forms(split, H.pairing)

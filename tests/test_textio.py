@@ -210,3 +210,25 @@ def read_outcome(parse, text):
 @given(reader_inputs())
 def test_parser_matches_line_by_line_oracle(text):
     assert read_outcome(parse_graph, text) == read_outcome(parse_graph_by_lines, text)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
+def test_parser_matches_the_oracle_with_and_without_comments(name):
+    # a text without '#' skips the comment cut; both readings must agree
+    # with the oracle, and a repeated dart is named by its line either way
+    text = GOLDEN_TEXTS[name]
+    assert "#" not in text
+    lines = text.splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("vertex"))
+    commented = lines[:k] + [lines[k] + "  # vertex x : 1 2"] + lines[k + 1:]
+    commented = "# a comment line\n" + "\n".join(commented) + "\n"
+    # the next vertex line repeats the first dart of line k + 1
+    dart = lines[k].split()[3]
+    repeated = lines[:k + 1] + [f"{lines[k + 1]} {dart}"] + lines[k + 2:]
+    repeated = "\n".join(repeated) + "\n"
+    assert "#" not in repeated
+    for t in (text, commented, repeated, "# c\n" + repeated):
+        assert read_outcome(parse_graph, t) == read_outcome(parse_graph_by_lines, t)
+    assert read_outcome(parse_graph, commented) == read_outcome(parse_graph, text)
+    assert read_outcome(parse_graph, repeated) == (InputError, f"line {k + 2}: duplicate dart {dart}")
+    assert read_outcome(parse_graph, "# c\n" + repeated) == (InputError, f"line {k + 3}: duplicate dart {dart}")
