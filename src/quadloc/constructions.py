@@ -189,23 +189,15 @@ def g1_prime_certificate_edges(G: EmbeddedGraph):
     positions, so whichever main diagonal splits them leaves one listed
     edge on each quadrilateral; that diagonal must then be negative too.
     The bare list is therefore not a valid negative set for any diagonal
-    choice; the completed one is.
+    choice; the completed one is.  The forced diagonals are the unlisted
+    edges whose two ``edge_slots`` faces both hold an odd listed count.
     """
     listed = g1_prime_negative_edges()
-    listed_set = {frozenset(e) for e in listed}
-    odd_faces = [
-        f for f in G.faces
-        if sum(1 for d in f.tails if frozenset(G.edges[G.edge_of[d]]) in listed_set) % 2
-    ]
-    counts = {}
-    for f in odd_faces:
-        for d in f.tails:
-            e = tuple(sorted(G.edges[G.edge_of[d]]))
-            counts[e] = counts.get(e, 0) + 1
-    forced = tuple(sorted(
-        e for e, n in counts.items() if n == 2 and frozenset(e) not in listed_set
-    ))
-    if len(forced) != len(odd_faces) // 2:
+    listed_ks = {k for u, w in listed for k in G.edges_between(u, w)}
+    odd = [sum(G.edge_of[d] in listed_ks for d in f.tails) % 2 for f in G.faces]
+    forced = tuple(sorted(G.edges[k] for k, ((fa, _), (fb, _)) in enumerate(G.edge_slots)
+                          if odd[fa] and odd[fb] and k not in listed_ks))
+    if len(forced) != sum(odd) // 2:
         raise InternalConsistencyError("certificate completion did not find one diagonal per face pair")
     return tuple(listed) + forced
 

@@ -13,11 +13,14 @@ four types PHI0..PHI3.  Both are read off the 2 - chi cycles of
 ``EmbeddedGraph.spanning_tree``, of the edges left over by a dual tree.  The
 one sign propagation down that tree, ``surface_map.switching_defect``,
 decides orientability and both halves of the PHI3 certificate check.
+
+A crosscap site is an edge whose two ``edge_slots`` faces are distinct
+quadrilaterals with a two-colored union; the site test, the candidate list
+and the crosscap surgery's post-check all read one lazy scan over edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import chain
 
 from .errors import InputError, InternalConsistencyError
@@ -321,30 +324,29 @@ def excess_report(G: EmbeddedGraph) -> ExcessReport:
 # -- surgeries -------------------------------------------------------------------
 
 
-def _face_colors(G: EmbeddedGraph, c: Coloring, i: int):
-    return {c.assignment[v] for v in G.face_vertex_walk(G.faces[i])}
-
-
-def _is_crosscap_site(G: EmbeddedGraph, k: int, colors_of) -> bool:
-    """Edge ``k`` bounds two distinct quadrilaterals with a two-colored
-    union; ``colors_of(i)`` is the color set of face ``i``."""
-    (fa, _), (fb, _) = G.edge_slots[k]
-    if fa == fb or len(G.faces[fa]) != 4 or len(G.faces[fb]) != 4:
-        return False
-    return len(colors_of(fa) | colors_of(fb)) == 2
+def _crosscap_sites(G: EmbeddedGraph, c: Coloring, ks):
+    """The crosscap sites among the edges ``ks``, lazily and in order; a
+    face's color set is read when an edge first needs it."""
+    faces, V, col = G.faces, G.vertex_of, c.assignment
+    colors = {}
+    for k in ks:
+        (fa, _), (fb, _) = G.edge_slots[k]
+        if fa != fb and len(faces[fa].tails) == len(faces[fb].tails) == 4:
+            for f in (fa, fb):
+                if f not in colors:
+                    colors[f] = {col[V[d]] for d in faces[f].tails}
+            if len(colors[fa] | colors[fb]) == 2:
+                yield k
 
 
 def is_crosscap_site(G: EmbeddedGraph, c: Coloring, k: int) -> bool:
-    """Whether ``k`` is an edge of G whose two incident faces are distinct
-    quadrilaterals with a two-colored union; only those two faces are read."""
-    return 0 <= k < G.n_edges and _is_crosscap_site(G, k, partial(_face_colors, G, c))
+    """Whether ``k`` is an edge of G and a crosscap site; only its two faces are read."""
+    return 0 <= k < G.n_edges and k in _crosscap_sites(G, c, (k,))
 
 
 def find_crosscap_candidates(G: EmbeddedGraph, c: Coloring):
-    """Edges whose two incident faces are distinct quadrilaterals with a
-    two-colored union, in canonical edge order."""
-    face_colors = [_face_colors(G, c, i) for i in range(len(G.faces))]
-    return [k for k in range(G.n_edges) if _is_crosscap_site(G, k, face_colors.__getitem__)]
+    """The crosscap sites of G, in canonical edge order."""
+    return list(_crosscap_sites(G, c, range(G.n_edges)))
 
 
 def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
@@ -386,16 +388,15 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     ends = [(G.vertex_of[hexagon[j]], G.vertex_of[hexagon[j + 3]]) for j in range(3)]
     G2 = rebuild(G, faces, drop=[shared_edge], new_ends=ends)
 
-    require_quadrangulation(G2)
+    parity_after = quad_parity(G2)
     sc_after = classify_surface(G2)
     if sc_after.orientable or sc_after.euler_characteristic != sc_before.euler_characteristic - 1:
         raise InternalConsistencyError("crosscap must lower chi by exactly one")
-    if parity_before == ODD and quad_parity(G2) != ODD:
+    if parity_before == ODD and parity_after != ODD:
         raise InternalConsistencyError("crosscap lost the odd parity")
     if was_local3 and not is_local_coloring(G2, c, 3):
         raise InternalConsistencyError("crosscap broke the local 3-coloring")
-    colors2 = cache(partial(_face_colors, G2, c))    # filled as the scan reaches faces
-    if not any(_is_crosscap_site(G2, k, colors2) for k in range(G2.n_edges)):
+    if next(_crosscap_sites(G2, c, range(G2.n_edges)), None) is None:
         raise InternalConsistencyError("crosscap left no two-colored face pair to repeat on")
     return G2, c
 

@@ -31,15 +31,17 @@ every edge; surgeries and checks look an edge up there instead of scanning
 the faces.  ``EmbeddedGraph.cut_system`` reads it to grow a dual tree over
 the faces off the spanning tree; the 2 - chi edges left over in neither
 tree close a basis of the surface's cycles modulo faces.  The same
-``(dart, side)`` states are the map's flags: :func:`automorphisms` walks
-them in lockstep from each candidate image of one flag (after Lins's
-graph-encoded maps, 1982) to list the automorphism group.
+``(dart, side)`` states are the map's flags, with the turn and cross moves
+of :func:`_flag_moves`: the double cover is the map of those two moves,
+and :func:`automorphisms` walks them in lockstep from each candidate image
+of one flag (after Lins's graph-encoded maps, 1982) to list the group.
 
 The module also provides the inverse direction: one assembler,
 :func:`_assemble`, builds a rotation system with signature from a face
 structure on the dense darts ``0 .. n-1``.  One face matcher,
 :func:`_match_faces`, checks every map the module builds: it indexes the
-traced faces by tail dart and compares each expected face, forward or
+traced faces by tail dart (its own index: the maps it checks seldom read
+``edge_slots``) and compares each expected face as a tuple, forward or
 reversed, with the traced faces found there, matching each at most once.
 It checks the assembler's output, tags the medial map's faces and finds
 both lifts of every face in the double cover.  The assembler's callers are
@@ -430,14 +432,22 @@ def _lockstep(moves, start: int):
     return img
 
 
+def _flag_moves(G: EmbeddedGraph):
+    """Turn, ``(rotation[d] if s > 0 else rotation_inv[d], s)``, and cross
+    the edge, ``(pairing[d], s * dart_sign[d])``, as lists over the face
+    tracer's states ``(d, s)``, numbered ``2 * d + (s < 0)``: the flags."""
+    Ri, P, S = G.rotation_inv, G.pairing, G.dart_sign
+    turn = [x for d, e in enumerate(G.rotation) for x in (2 * e, 2 * Ri[d] + 1)]
+    cross = [x for d, e in enumerate(P) for x in ((2 * e, 2 * e + 1) if S[d] > 0 else (2 * e + 1, 2 * e))]
+    return turn, cross
+
+
 def automorphisms(G: EmbeddedGraph):
     """Every automorphism of the map once, as a dart permutation ``a``
     (``a[d]`` is the image of dart ``d``), the identity first.
 
-    The face tracer's states ``(d, s)``, numbered ``2 * d + (s < 0)``, are
-    the map's flags; three moves generate its flag structure: turn,
-    ``(rotation[d] if s > 0 else rotation_inv[d], s)``; cross the edge,
-    ``(pairing[d], s * dart_sign[d])``; change side, ``(d, -s)``.  On a
+    Three moves generate the map's flag structure: turn and cross the edge,
+    from :func:`_flag_moves`, and change side, ``(d, -s)``.  On a
     connected map they reach every state, so a state map commuting with
     them is fixed by the image of ``(0, +1)`` and is onto, so a bijection.
     Each of the 2 * n_darts candidate images is walked in lockstep,
@@ -446,9 +456,7 @@ def automorphisms(G: EmbeddedGraph):
     darts.  Where no vertex has degree above 2, swapping all sides moves no
     dart: listed once.
     """
-    Ri, S = G.rotation_inv, G.dart_sign
-    turn = [x for d, e in enumerate(G.rotation) for x in (2 * e, 2 * Ri[d] + 1)]
-    cross = [x for d, e in enumerate(G.pairing) for x in (2 * e + (S[d] < 0), 2 * e + (S[d] > 0))]
+    turn, cross = _flag_moves(G)
     moves = (turn, cross, [x ^ 1 for x in range(len(turn))])
     found = (_lockstep(moves, start) for start in range(len(turn)))
     return tuple(dict.fromkeys(tuple([y >> 1 for y in img[0::2]]) for img in found if img))
@@ -484,14 +492,14 @@ def fresh_name(base: str, taken: set) -> str:
 def _match_faces(G: EmbeddedGraph, faces):
     """The traced face of ``G`` that each requested face is, in linear time.
 
-    ``faces`` lists faces as lists of tail darts of ``G``.  Returns one
-    ``(face, pos, forward)`` per requested face: from position ``pos`` on,
-    the traced face has the requested darts (forward) or their paired darts
-    in reverse order (reversed).  The traced faces are indexed by tail dart;
-    a dart is the tail of two slots when both passages of a one-sided edge
-    leave from it.  A requested face is compared, forward and then
-    reversed, with the traced faces at the index entries of its first dart,
-    and each traced face is matched at most once.  Raises
+    ``faces`` lists faces as lists or tuples of tail darts of ``G``.
+    Returns one ``(face, pos, forward)`` per requested face: from position
+    ``pos`` on, the traced face has the requested darts (forward) or their
+    paired darts in reverse order (reversed).  The traced faces are indexed
+    by tail dart; a dart is the tail of two slots when both passages of a
+    one-sided edge leave from it.  A requested face is compared, forward and
+    then reversed, with the traced faces at the index entries of its first
+    dart, and each traced face is matched at most once.  Raises
     :class:`InternalConsistencyError` unless the requested faces are the
     traced faces up to order, rotation and reversal.
     """
@@ -500,7 +508,7 @@ def _match_faces(G: EmbeddedGraph, faces):
         raise InternalConsistencyError("built map does not reproduce the input faces")
     # traced slot g is position g - offset[f] of face f = face_of[g], with
     # tail tails[g]; at[2d + j] is the j-th slot with tail d, -1 if none
-    tails = list(chain.from_iterable(walk.tails for walk in traced))
+    tails = tuple(chain.from_iterable(walk.tails for walk in traced))
     lengths = [len(walk.tails) for walk in traced]
     face_of = list(chain.from_iterable(map(repeat, range(len(traced)), lengths)))
     offset = list(accumulate(lengths, initial=0))
@@ -512,7 +520,7 @@ def _match_faces(G: EmbeddedGraph, faces):
     for face in faces:
         hit = None
         for forward in (True, False):
-            seq = face if forward else [pair[d] for d in reversed(face)]
+            seq = tuple(face) if forward else tuple([pair[d] for d in reversed(face)])
             for g in at[2 * seq[0]:2 * seq[0] + 2]:
                 if g < 0 or used[face_of[g]]:
                     continue
@@ -697,7 +705,7 @@ def rebuild(G: EmbeddedGraph, faces, drop=(), new_ends=(), vertex_of=None) -> Em
         if count != 2:
             raise InputError(f"edge of dart {d} is covered {count} times, need 2")
     if not dropped:  # every dart keeps its number
-        return _assemble(list(map(list, faces)), pairing, names)[0]
+        return _assemble(faces, pairing, names)[0]
     # new[d]: the dense number of kept dart d
     new = [-1] * n
     for i, d in enumerate(keep):
@@ -791,7 +799,9 @@ def medial_graph(G: EmbeddedGraph):
 
 
 def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
-    """The orientable double cover of a non-orientable map.
+    """The orientable double cover of a non-orientable map: the map of the
+    turn and cross moves of :func:`_flag_moves`, every edge positive, whose
+    dart ``2 * d + (s < 0)`` is the lift of dart ``d`` to sheet ``s``.
 
     Doubles the Euler characteristic and duplicates every face.  For
     orientable input the cover would be two disjoint copies, so the
@@ -800,12 +810,7 @@ def orientation_double_cover(G: EmbeddedGraph) -> EmbeddedGraph:
     base = classify_surface(G)
     if base.orientable:
         raise InputError("already orientable: two disjoint copies")
-    # the lift of dart d to sheet s is 2 * d + (s < 0): sheet -1 turns the
-    # other way round every vertex, and a negative edge changes sheet
-    R, Ri, P, S = G.rotation, G.rotation_inv, G.pairing, G.dart_sign
-    rotation = [x for d, e in enumerate(R) for x in (2 * e, 2 * Ri[d] + 1)]
-    pairing = [x for d, e in enumerate(P)
-               for x in ((2 * e, 2 * e + 1) if S[d] > 0 else (2 * e + 1, 2 * e))]
+    rotation, pairing = _flag_moves(G)
     lifts = {v: (f"{v}|+", f"{v}|-") for v in G.darts_at}
     vertex_of = list(chain.from_iterable(map(lifts.__getitem__, G.vertex_of)))
     cover = EmbeddedGraph(rotation, pairing, [1] * G.n_darts, vertex_of)

@@ -69,7 +69,7 @@ def face_subdivision(Q: EmbeddedGraph):
     back[3::4] = range(n, n + 2 * len(rim), 8)
     out = range(n + 1, n + 2 * len(rim), 2)
     ends = list(zip([Q.vertex_of[d] for d in rim], chain.from_iterable(zip(hubs, hubs, hubs, hubs))))
-    G = rebuild(Q, list(map(list, zip(rim, back, out))), new_ends=ends)
+    G = rebuild(Q, list(zip(rim, back, out)), new_ends=ends)
 
     if (G.n_vertices, G.n_edges, len(G.faces)) != (
         Q.n_vertices + len(Q.faces),

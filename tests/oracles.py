@@ -45,7 +45,12 @@ finds triangles around each vertex, where production lists each vertex's
 neighbors and intersects the neighborhoods of an edge's ends.  The
 two-colored 6-cycle census is checked against the unpruned path search,
 which counts colors only once a path closes, and against a brute force
-over the orderings of every two-colored 6-set of vertices.
+over the orderings of every two-colored 6-set of vertices.  Crosscap sites
+are found face by face, each face filing its edges as its vertex walk is
+scanned, where production looks each edge's two faces up in
+``edge_slots`` and reads a face's colors once.  The PHI3 certificate's
+forced diagonals are counted by endpoint pair over the odd faces, where
+production reads them off ``edge_slots`` by edge index.
 """
 from __future__ import annotations
 
@@ -625,6 +630,39 @@ def phi3_passes_per_cycle(G, listed) -> bool:
     number of edges outside the edge indices ``listed``: some 2-coloring of
     all vertices then puts the ends of exactly the listed edges in one class."""
     return all(sum(1 for e in cycle if e not in listed) % 2 == 0 for cycle in _cotree_cycles(G))
+
+
+def endpoint_pair_completion(G, listed):
+    """``listed`` (vertex pairs) completed by the diagonals it forces, counted
+    by endpoint pair over the boundaries of the faces that hold an odd
+    number of listed edges: an unlisted pair met twice there is forced.
+    Production reads the forced edges off ``G.edge_slots`` by edge index;
+    on a simple map both give the same edges."""
+    listed_set = {frozenset(e) for e in listed}
+    odd_faces = [f for f in G.faces
+                 if sum(1 for d in f.tails if frozenset(G.edges[G.edge_of[d]]) in listed_set) % 2]
+    counts = Counter(tuple(sorted(G.edges[G.edge_of[d]])) for f in odd_faces for d in f.tails)
+    forced = sorted(e for e, n in counts.items() if n == 2 and frozenset(e) not in listed_set)
+    return tuple(listed) + tuple(forced)
+
+
+def face_by_face_crosscap_sites(G, c):
+    """Crosscap sites found face by face, without ``G.edge_slots``: each
+    face's vertex walk is scanned and its edges are filed under it; an edge
+    is a site when it lies on two distinct faces that are both 4-gons and
+    whose walks show two colors together."""
+    faces_on = [[] for _ in range(G.n_edges)]
+    walks = []
+    for i, f in enumerate(G.faces):
+        walks.append(G.face_vertex_walk(f))
+        for d in f.tails:
+            faces_on[G.edge_of[d]].append(i)
+    sites = []
+    for k, (a, b) in enumerate(faces_on):
+        colors = {c.assignment[v] for v in walks[a] + walks[b]}
+        if a != b and len(walks[a]) == len(walks[b]) == 4 and len(colors) == 2:
+            sites.append(k)
+    return sites
 
 
 def slot_parity(G) -> str:

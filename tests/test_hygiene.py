@@ -41,7 +41,7 @@ def test_package_init_is_its_docstring_alone():
 
 # ROADMAP aim 2: net lines in src/ fall over the round; a change that
 # raises this ceiling says so in CHANGES.md
-SRC_LINE_CEILING = 3322
+SRC_LINE_CEILING = 3320
 
 
 def test_src_stays_under_the_line_ceiling():

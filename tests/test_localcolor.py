@@ -160,6 +160,14 @@ def test_hom_to_u_on_k4(k4p):
         assert A == frozenset({1, 2, 3, 4} - {i})
 
 
+def test_hom_to_u_rejects_an_m_too_small_to_pad():
+    # each end of a~b sees one color; r = 3 asks for two, and with m = 2 the
+    # only other color is the vertex's own
+    c = Coloring({"a": 1, "b": 2}, 2)
+    with pytest.raises(InputError, match="^cannot pad neighborhood colors, m too small$"):
+        hom_to_U({"a": {"b"}, "b": {"a"}}, c, 3)
+
+
 def test_hom_requires_local_coloring(k4p):
     G, c = k4p
     with pytest.raises(InputError, match=r"^not a local 3-coloring: \('vertex', '1'\)$"):

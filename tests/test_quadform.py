@@ -39,19 +39,27 @@ from quadloc.quadform import (
     quad_parity,
     refine_3x3,
 )
-from quadloc.surface_map import EmbeddedGraph, classify_surface
+from quadloc.surface_map import (
+    EmbeddedGraph,
+    FaceListComplex,
+    assemble_embedding,
+    classify_surface,
+)
 from quadloc.textio import parse_graph, write_graph
 from helpers import (
     flip_random_faces,
     klein_bottle_grid,
     random_maps,
     random_orientation,
+    relabel_darts,
     split_hexagons,
     torus_grid,
     two_squares_sphere,
 )
 from oracles import (
     cut_cycles_span_homology,
+    endpoint_pair_completion,
+    face_by_face_crosscap_sites,
     full_basis_verdict,
     fundamental_cycle,
     listed_set_matches_per_cycle,
@@ -100,8 +108,6 @@ def test_parity_independent_of_face_orientations(k4p, g1p):
 
 
 def test_parity_invariant_under_switching_and_relabeling(g1p):
-    from helpers import relabel_darts
-
     rng = random.Random(4)
     G, _ = g1p
     for _ in range(5):
@@ -325,6 +331,7 @@ def test_completed_certificate_passes(g1p):
     G, _ = g1p
     edges = g1_prime_certificate_edges(G)
     assert len(edges) == 14
+    assert edges == endpoint_pair_completion(G, g1_prime_negative_edges())
     rep = phi3_certificate(G, edges)
     assert rep.passed
 
@@ -334,6 +341,7 @@ def test_completed_certificate_passes_for_other_diagonal_choices():
     for choices in ((1, 1, 1, 1, 1, 1), (2, 0, 1, 2, 0, 1)):
         G = split_hexagons(G1, choices)
         edges = g1_prime_certificate_edges(G)
+        assert edges == endpoint_pair_completion(G, g1_prime_negative_edges())
         assert phi3_certificate(G, edges).passed
 
 
@@ -547,10 +555,26 @@ def test_crosscap_rejects_bad_edge(g1p):
             crosscap_hexagon(G, c, k)
 
 
-def test_site_test_agrees_with_the_candidate_list(g0p, g1p, k4p):
-    for G, c in (g0p, g1p, k4p, build_high_genus_family("g1p", 7)):
-        sites = [k for k in range(-1, G.n_edges + 1) if is_crosscap_site(G, c, k)]
-        assert sites == find_crosscap_candidates(G, c)
+def test_site_test_agrees_with_the_candidate_list(g0, g1, g0p, g1p, k4p):
+    # both read one scan, so both are checked against the face-by-face oracle
+    rng = random.Random(29)
+    squares = two_squares_sphere()
+    # the path a-b-c on the sphere: one 4-gon, on both sides of each edge
+    path = assemble_embedding(FaceListComplex.from_lists([("a", "b", "c", "b")]))
+    cases = [g0, g1, g0p, g1p, k4p, build_high_genus_family("g1p", 7), squares,
+             (squares[0], Coloring(dict.fromkeys(squares[0].vertices, 1), 1)),
+             (path, Coloring({"a": 1, "b": 2, "c": 1}, 2))]
+    # faces of every length and improper colorings
+    cases += [(G, Coloring({v: rng.randint(1, 2) for v in G.vertices}, 2))
+              for G in random_maps(29, 60)]
+    found = 0
+    for G, c in cases:
+        for H in (G, relabel_darts(G, rng), relabel_darts(G, rng)):
+            sites = face_by_face_crosscap_sites(H, c)
+            assert find_crosscap_candidates(H, c) == sites
+            assert [k for k in range(-1, H.n_edges + 1) if is_crosscap_site(H, c, k)] == sites
+            found += len(sites)
+    assert found > 100
 
 
 def test_crosscap_checks_coloring_before_site(g1p):

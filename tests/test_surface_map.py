@@ -562,6 +562,14 @@ def one_face_mutations(G, faces, rng):
                 break
 
 
+def test_face_check_takes_traced_faces_as_tuples(g0, g1, g0p, g1p, k4p):
+    for G, _ in (g0, g1, g0p, g1p, k4p):
+        faces = [f.tails for f in G.faces]
+        identity = [(i, 0, True) for i in range(len(faces))]
+        assert _match_faces(G, faces) == _match_faces(G, list(map(list, faces))) == identity
+        assert rebuild(G, faces).face_lengths() == G.face_lengths()
+
+
 def test_face_check_matches_sort_oracle_on_scrambled_and_mutated_faces(g0, g1, g0p, g1p, k4p):
     rng = random.Random(17)
     maps = [G for G, _ in (g0, g1, g0p, g1p, k4p)]
@@ -572,6 +580,7 @@ def test_face_check_matches_sort_oracle_on_scrambled_and_mutated_faces(g0, g1, g
         for _ in range(2):
             faces = scrambled_faces(G, rng)
             assert check_accepts(G, faces) and oracle_accepts(G, faces)
+            assert check_accepts(G, list(map(tuple, faces)))
             for kind, mutated in one_face_mutations(G, faces, rng):
                 assert not check_accepts(G, mutated), kind
                 assert not oracle_accepts(G, mutated), kind

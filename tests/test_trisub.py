@@ -1,5 +1,6 @@
 import pytest
 
+from quadloc import trisub
 from quadloc.errors import InputError
 from quadloc.localcolor import (
     FOUND,
@@ -177,6 +178,13 @@ def test_flip_walk_is_deterministic():
     T2, s2 = find_fisk_triangulation(seed=3)
     assert s1 == s2
     assert T1.graph.edges == T2.graph.edges
+
+
+def test_flip_walk_reports_a_walk_that_runs_out_of_flips(monkeypatch):
+    # the even 3 x 4 grid has no odd vertex, so one flip cannot end the walk
+    monkeypatch.setattr(trisub, "_FISK_MAX_FLIPS", 1)
+    with pytest.raises(InputError, match="^no two-adjacent-odd-vertex triangulation within 1 flips$"):
+        find_fisk_triangulation(seed=0)
 
 
 def test_vertex_link_rejects_non_triangulation(k4p):
