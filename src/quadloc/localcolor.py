@@ -104,7 +104,7 @@ def coloring_violation(G, c: Coloring, r: int):
     for v in sorted(adj):
         if len({c.assignment[w] for w in adj[v]}) > r - 1:
             return ("vertex", v)
-    return None
+    raise InternalConsistencyError("the unsorted pass found a fault that the sorted walks did not")
 
 
 def require_positive_r(r: int) -> None:

@@ -354,8 +354,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
 
     The shared edge is removed, restoring a hexagonal region, and the three
     main diagonals are drawn through a crosscap added in its middle.  The
-    genus rises by one, an odd quadrangulation stays odd, and the coloring
-    still locally 3-colors the result.
+    genus rises by one, the parity stays, and the coloring still locally
+    3-colors the result.
     """
     parity_before = quad_parity(G)
     # local 3 implies proper, and a failed test names an improper edge first
@@ -392,8 +392,8 @@ def crosscap_hexagon(G: EmbeddedGraph, c: Coloring, shared_edge: int):
     sc_after = classify_surface(G2)
     if sc_after.orientable or sc_after.euler_characteristic != sc_before.euler_characteristic - 1:
         raise InternalConsistencyError("crosscap must lower chi by exactly one")
-    if parity_before == ODD and parity_after != ODD:
-        raise InternalConsistencyError("crosscap lost the odd parity")
+    if parity_after != parity_before:
+        raise InternalConsistencyError("crosscap changed the parity")
     if was_local3 and not is_local_coloring(G2, c, 3):
         raise InternalConsistencyError("crosscap broke the local 3-coloring")
     if next(_crosscap_sites(G2, c, range(G2.n_edges)), None) is None:

@@ -11,16 +11,16 @@ whitespace-free tokens.  The writer emits a canonical form, so a written
 graph re-reads and re-writes byte-identically.
 
 The reader works on whole lists.  One loop splits the lines, checks the
-shape of each and files its parts by kind.  The vertex, edge and color
-tokens are converted with one ``map(int)`` each, the dense dart numbering
-comes from one sort, and one dict renumbers the edge lines' darts.  Bulk
-tests find faults; a walk over the lines then names the first fault in
-file order, as a line-by-line reading does.
+shape of each and files only the tokens read later: vertex ids and dart
+tokens, edge ids, dart tokens and signs, color ids and values.  The dart
+and color tokens are converted with one ``map(int)`` each, the dense dart
+numbering comes from one sort, and one dict renumbers the edge lines'
+darts.  Bulk tests find faults; a walk over the lines then names the first
+fault in file order, as a line-by-line reading does.
 """
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import Coloring
@@ -49,27 +49,25 @@ def _read(text):
     """The rotation, pairing, signature and vertex names of a text, in dense
     darts, and its colors; the lines and tokens are freed on return, before
     the map is validated."""
-    vparts, eparts, cparts = [], [], []
+    vids, rings, eids, ends, signs, colors = [], [], [], [], [], {}
     for parts in filter(None, map(str.split, _lines(text))):
         kind = parts[0]
         if kind == "vertex" and len(parts) > 2 and parts[2] == ":":
-            vparts.append(parts)
+            vids.append(parts[1])
+            rings.append(parts[3:])
         elif kind == "edge" and len(parts) == 6 and parts[2] == ":" and parts[5] in _SIGN:
-            eparts.append(parts)
-        elif kind == "color" and len(parts) == 3:
-            cparts.append(parts)
+            eids.append(parts[1])
+            ends += parts[3:5]
+            signs.append(_SIGN[parts[5]])
+        elif kind == "color" and len(parts) == 3 and parts[1] not in colors:
+            colors[parts[1]] = parts[2]
         else:
             _first_fault(text)
-
-    rings = list(map(itemgetter(slice(3, None)), vparts))
     try:
         darts = list(map(int, chain.from_iterable(rings)))
-        da = list(map(int, map(itemgetter(3), eparts)))
-        db = list(map(int, map(itemgetter(4), eparts)))
-        colors = dict(zip(map(itemgetter(1), cparts), map(int, map(itemgetter(2), cparts))))
+        ends = list(map(int, ends))
+        colors = dict(zip(colors, map(int, colors.values())))
     except ValueError:
-        _first_fault(text)
-    if len(colors) != len(cparts):
         _first_fault(text)
 
     # order: token positions in increasing dart order; ranks[p]: the dense
@@ -81,18 +79,15 @@ def _read(text):
         ranks[p] = k
     # the edge lines' darts in dense numbers, None for an undeclared dart
     dense = dict(zip(darts, ranks))
-    da = list(map(dense.get, da))
-    db = list(map(dense.get, db))
+    ends = list(map(dense.get, ends))
 
-    if not vparts or not eparts:
+    if not vids or not eids:
         raise InputError("need at least one vertex and one edge line")
-    vids = list(map(itemgetter(1), vparts))
-    eids = list(map(itemgetter(1), eparts))
     if (not all(rings) or len(dense) != n or len(set(vids)) != len(vids)
-            or len(set(eids)) != len(eids) or None in da or None in db or len(set(da + db)) != 2 * len(da)):
+            or len(set(eids)) != len(eids) or None in ends or len(set(ends)) != len(ends)):
         _first_fault(text)
-    if 2 * len(da) != n:
-        missing = min(set(range(n)).difference(da, db))
+    if len(ends) != n:
+        missing = min(set(range(n)).difference(ends))
         raise InputError(f"dart {darts[order[missing]]} belongs to no edge")
 
     # each token's successor on its line, the last wrapping round, and
@@ -108,9 +103,9 @@ def _read(text):
     vertex_of = [at[p] for p in order]
     pairing = [0] * n
     sign = [0] * n
-    for a, b, parts in zip(da, db, eparts):
+    for a, b, s in zip(ends[0::2], ends[1::2], signs):
         pairing[a], pairing[b] = b, a
-        sign[a] = sign[b] = _SIGN[parts[5]]
+        sign[a] = sign[b] = s
     signature = [s for d, p, s in zip(range(n), pairing, sign) if d < p]
     return rotation, pairing, signature, vertex_of, colors
 

@@ -14,7 +14,7 @@ from quadloc.constructions import (
     g1_prime_negative_edges,
     high_genus_family,
 )
-from quadloc.errors import InputError
+from quadloc.errors import InputError, InternalConsistencyError
 from quadloc.localcolor import (
     Coloring,
     find_four_chromatic_face,
@@ -336,6 +336,31 @@ def test_completed_certificate_passes(g1p):
     assert rep.passed
 
 
+def test_completion_keeps_a_listed_edge_out_of_the_forced_ones(g1p, monkeypatch):
+    # one more listed edge between two even faces turns both odd; the guard
+    # on listed edges keeps it out of the forced ones, so it is never
+    # returned twice, and where no other unlisted edge meets the count the
+    # count check raises
+    G, _ = g1p
+    listed = g1_prime_negative_edges()
+    listed_ks = {k for u, w in listed for k in G.edges_between(u, w)}
+    odd = [sum(G.edge_of[d] in listed_ks for d in f.tails) % 2 for f in G.faces]
+    extras = [G.edges[k] for k, ((fa, _), (fb, _)) in enumerate(G.edge_slots)
+              if k not in listed_ks and not odd[fa] and not odd[fb]]
+    assert len(extras) == 56
+    raised = 0
+    for extra in extras:
+        monkeypatch.setattr("quadloc.constructions.g1_prime_negative_edges", lambda: listed + (extra,))
+        try:
+            edges = g1_prime_certificate_edges(G)
+        except InternalConsistencyError as exc:
+            assert str(exc) == "certificate completion did not find one diagonal per face pair"
+            raised += 1
+        else:
+            assert len(set(edges)) == len(edges)
+    assert raised == 32
+
+
 def test_completed_certificate_passes_for_other_diagonal_choices():
     G1, _ = build_G1()
     for choices in ((1, 1, 1, 1, 1, 1), (2, 0, 1, 2, 0, 1)):
@@ -543,6 +568,18 @@ def test_crosscap_raises_genus_and_keeps_structure(g1p):
     assert is_local_coloring(G2, c2, 3)
     assert len(set(c2.assignment.values())) == 6
     assert find_crosscap_candidates(G2, c2)
+
+
+def test_crosscap_keeps_the_parity(g0p, g1p):
+    # up to 40 sites on each even map, and every site of G0' and G1'
+    even = [torus_grid(4, 4), torus_grid(4, 6), klein_bottle_grid(4), refine_3x3(*torus_grid(4, 4))]
+    surgeries = Counter()
+    for (G, c), limit in [(case, 40) for case in even] + [(g0p, None), (g1p, None)]:
+        parity = quad_parity(G)
+        for k in find_crosscap_candidates(G, c)[:limit]:
+            assert quad_parity(crosscap_hexagon(G, c, k)[0]) == parity
+            surgeries[parity] += 1
+    assert surgeries == {EVEN: 144, ODD: 16}
 
 
 def test_crosscap_rejects_bad_edge(g1p):

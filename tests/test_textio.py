@@ -1,13 +1,15 @@
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadloc.errors import InputError
+from quadloc.quadform import refine_3x3
 from quadloc.textio import parse_graph, write_graph
-from helpers import klein_bottle_grid, two_squares_sphere
+from helpers import cycle_graph, klein_bottle_grid, two_squares_sphere
 from oracles import parse_graph_by_lines
 
 
@@ -232,3 +234,20 @@ def test_parser_matches_the_oracle_with_and_without_comments(name):
     assert read_outcome(parse_graph, commented) == read_outcome(parse_graph, text)
     assert read_outcome(parse_graph, repeated) == (InputError, f"line {k + 2}: duplicate dart {dart}")
     assert read_outcome(parse_graph, "# c\n" + repeated) == (InputError, f"line {k + 3}: duplicate dart {dart}")
+
+
+def test_parse_peak_memory_stays_below_500_bytes_per_dart(g1p):
+    # the reader files each line's tokens, not the split line: C_2000 and
+    # level-2 G1' peaked at 627 and 565 bytes per dart when it kept the lines
+    rng = random.Random(35)
+    level2 = refine_3x3(*refine_3x3(*g1p))[0]
+    for G in (cycle_graph(2000), level2):
+        text = relabelled(write_graph(G), rng)
+        parse_graph(text)
+        tracemalloc.start()
+        try:
+            parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * G.n_darts, (G.n_darts, peak)
