@@ -272,12 +272,9 @@ def cmd_tri(args):
             trisub.link_winding(T, c, v)
         print("winding parity verified at every vertex")
         return EXIT_OK
-    require_positive_budget(args.budget, "--budget")
     G, c = _read_graph(args.graph)
-    rep = trisub.tq_lower_bound_check(G, c, args.budget)
+    rep = trisub.tq_lower_bound_check(G, c)
     print(rep.text(), end="")
-    if rep.search_status == BUDGET_EXCEEDED:
-        return EXIT_BUDGET
     return EXIT_OK if rep.lower_bound else EXIT_FAIL
 
 
@@ -390,7 +387,6 @@ def build_parser():
     sp.add_argument("graph")
     sp = ts.add_parser("tq-bound")
     sp.add_argument("graph")
-    sp.add_argument("--budget", type=int)
     t.set_defaults(func=cmd_tri)
     return p
 

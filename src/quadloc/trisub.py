@@ -2,7 +2,8 @@
 triangulations with locally 4-colorable structure.
 
 The face subdivision T(Q) adds a hub vertex inside each quadrilateral and
-joins it to the four boundary vertices.  Around a vertex of a local
+joins it to the four boundary vertices; for odd Q, :func:`tq_lower_bound_check`
+reads psi(T(Q)) >= 5 off the parity of Q.  Around a vertex of a local
 4-coloring, the link is a cycle on at most three colors; its winding number
 around the color triangle is congruent to the vertex degree mod 2.  That
 congruence propagates to the triangle-count identities checked by
@@ -16,13 +17,12 @@ from itertools import chain, combinations
 
 from .errors import InputError, InternalConsistencyError
 from .localcolor import (
-    NONE,
     Coloring,
     coloring_violation,
     is_local_coloring,
-    search_local_coloring,
+    require_positive_budget,
 )
-from .quadform import require_quadrangulation
+from .quadform import ODD, quad_parity, require_quadrangulation
 from .surface_map import (
     EmbeddedGraph,
     FaceListComplex,
@@ -200,14 +200,13 @@ def fisk_check(T: Triangulation, c: Coloring) -> FiskReport:
 
 @dataclass
 class TQBoundReport:
-    search_status: str
-    nodes: int
+    parity: str
     lower_bound: int | None
     upper_witness: bool
     psi_exact: int | None
 
     def text(self) -> str:
-        lines = [f"local 4-coloring search: {self.search_status} ({self.nodes} nodes)"]
+        lines = [f"quad parity: {self.parity}"]
         if self.lower_bound:
             lines.append(f"local chromatic number >= {self.lower_bound}")
         lines.append(f"hub-extension witness local-5: {self.upper_witness}")
@@ -218,20 +217,23 @@ class TQBoundReport:
 
 def tq_lower_bound_check(Q: EmbeddedGraph, c: Coloring | None = None,
                          budget: int | None = None) -> TQBoundReport:
-    """Face-subdivide Q and search exhaustively for a local 4-coloring.
+    """psi(T(Q)) >= 5 when Q is odd, read off ``quad_parity(Q)`` by no search.
 
-    NONE proves the local chromatic number of T(Q) is at least five; a
-    local 4-coloring of Q extended by a fresh hub color witnesses at most
-    five, pinning it exactly."""
-    T, origin = face_subdivision(Q)
-    out = search_local_coloring(T.graph, 4, T.graph.n_vertices, budget)
-    lower = 5 if out.status == NONE else None
+    A local 4-coloring of T(Q) is proper on Q.  Orient each edge toward its
+    larger color: the odd faces number ``quad_parity(Q)`` mod 2
+    (:func:`quadloc.quadform.odd_faces_parity`), and an odd face's colors
+    rise three times around it, so it shows four and its hub sees five.  An
+    even Q gives no bound.  A local 4-coloring ``c`` of Q, its hubs given a
+    fresh color, pins psi(T(Q)) = 5.  ``budget`` caps nothing; it is only
+    checked positive."""
+    require_positive_budget(budget)
+    parity = quad_parity(Q)
     witness = False
     if c is not None:
-        ext = extend_coloring_to_subdivision(Q, c, T, origin)
-        witness = is_local_coloring(T.graph, ext, 5)
-    exact = 5 if (lower == 5 and witness) else None
-    return TQBoundReport(out.status, out.nodes, lower, witness, exact)
+        T, origin = face_subdivision(Q)
+        witness = is_local_coloring(T.graph, extend_coloring_to_subdivision(Q, c, T, origin), 5)
+    lower = 5 if parity == ODD else None
+    return TQBoundReport(parity, lower, witness, lower if witness else None)
 
 
 # -- flip walk: triangulations with two adjacent odd vertices -----------------

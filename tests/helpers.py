@@ -69,9 +69,11 @@ def split_hexagons(G: EmbeddedGraph, choices) -> EmbeddedGraph:
     return rebuild(G, faces, new_ends=ends)
 
 
-def greedy_coloring(G: EmbeddedGraph) -> Coloring:
+def greedy_coloring(G: EmbeddedGraph, order=None) -> Coloring:
+    """Smallest free color at each vertex in turn, in ``order`` (default:
+    the map's vertex order): a proper coloring."""
     assignment = {}
-    for v in G.vertices:
+    for v in order or G.vertices:
         used = {assignment[w] for w in G.adjacency[v] if w in assignment}
         k = 1
         while k in used:

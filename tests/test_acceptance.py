@@ -38,6 +38,7 @@ from quadloc.quadform import (
     odd_faces_parity,
     phi3_certificate,
     quad_parity,
+    refine_3x3,
 )
 from quadloc.semifree import (
     CommutationGraph,
@@ -269,16 +270,26 @@ def test_criterion_11_semifree_property_suite():
                    f"({time.time()-t0:.0f}s total)")
 
 
-def test_criterion_12_tk4_needs_five_colors(k4p):
+def test_criterion_12_tk4_needs_five_colors(k4p, g0p, g1p):
     t0 = time.time()
     Q, c = k4p
     T, _ = face_subdivision(Q)
     ok = not brute_local_coloring_exists(T.graph.adjacency, 4, 7)
-    rep = tq_lower_bound_check(Q, c)
-    ok &= rep.search_status == NONE and rep.psi_exact == 5
-    report(12, ok, f"T(K4 projective): no local 4-coloring with m <= 7 (search and "
-                   f"independent enumeration agree); psi exactly 5 via the hub witness "
-                   f"({time.time()-t0:.1f}s)")
+    bases = {"K4'": k4p, "G0'": g0p, "G1'": g1p,
+             "G0'+1": build_high_genus_family("g0p", 1),
+             "G1'+1": build_high_genus_family("g1p", 1)}
+    largest = 0
+    for Q, c in bases.values():
+        for level in range(3):
+            rep = tq_lower_bound_check(Q, c)
+            ok &= rep.parity == ODD and rep.psi_exact == 5
+            largest = max(largest, Q.n_vertices + len(Q.faces))
+            if level < 2:
+                Q, c = refine_3x3(Q, c)
+    report(12, ok, f"T(K4 projective): no local 4-coloring with m <= 7 (independent "
+                   f"enumeration); T of {', '.join(bases)} at refine levels 0-2 (up to "
+                   f"{largest} vertices): odd parity gives psi >= 5, the hub witness "
+                   f"psi = 5 ({time.time()-t0:.1f}s)")
 
 
 def test_criterion_13_fisk_suite():

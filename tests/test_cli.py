@@ -239,17 +239,51 @@ def test_tri_commands(tmp_path):
     assert rc == 0 and "local chromatic number = 5" in out
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("tq-bound ran a search")
+
+
 @pytest.mark.parametrize("name", ["g0p", "g1p"])
-def test_tq_bound_proves_psi_five_on_the_paper_quadrangulations(name):
+def test_tq_bound_proves_psi_five_on_the_paper_quadrangulations(name, monkeypatch):
     """The abstract: face subdivisions of odd quadrangulations have local
     chromatic number equal to their chromatic number, so psi(T(G0')) =
-    psi(T(G1')) = 5 although psi(G0') = psi(G1') = 3.  The search proves
-    that T(Q) has no local 4-coloring, and the hub extension of the map's
-    local 3-coloring is a local 5-coloring."""
-    rc, out = invoke(["tri", "tq-bound", str(GOLDEN / f"{name}.txt")])
-    assert rc == 0 and out.endswith("local chromatic number >= 5\n"
-                                    "hub-extension witness local-5: True\n"
-                                    "local chromatic number = 5\n"), out
+    psi(T(G1')) = 5 although psi(G0') = psi(G1') = 3.  The parity of Q
+    proves that T(Q) has no local 4-coloring, with no search, and the hub
+    extension of the map's local 3-coloring is a local 5-coloring."""
+    from quadloc import cli, localcolor
+
+    for kernel in ("search_local_coloring", "local_chromatic_number", "_search"):
+        monkeypatch.setattr(localcolor, kernel, _no_search)
+        monkeypatch.setattr(cli, kernel, _no_search, raising=False)
+    assert invoke(["tri", "tq-bound", str(GOLDEN / f"{name}.txt")]) == (
+        0, "quad parity: odd\n"
+           "local chromatic number >= 5\n"
+           "hub-extension witness local-5: True\n"
+           "local chromatic number = 5\n")
+
+
+@pytest.mark.parametrize("base, level", [("g1p", 1), ("k4p", 2)])
+def test_tq_bound_on_refined_maps_is_fast(tmp_path, base, level):
+    """T(refine(G1')) has 699 vertices and T(refine^2(K4')) 487; each bound
+    is read off the parity of Q, not searched for."""
+    paths = [str(tmp_path / f"L{k}.txt") for k in range(level + 1)]
+    assert invoke(["build", base, "--out", paths[0]])[0] == 0
+    for k in range(1, level + 1):
+        assert invoke(["surgery", "refine3", paths[k - 1], "--out", paths[k]])[0] == 0
+    t0 = time.perf_counter()
+    rc, out = invoke(["tri", "tq-bound", paths[level]])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and out.endswith("local chromatic number = 5\n") and elapsed < 1.0, elapsed
+
+
+def test_tq_bound_on_an_even_map_gives_no_bound(tmp_path):
+    from helpers import two_squares_sphere
+    from quadloc.textio import write_graph
+
+    g = tmp_path / "sphere.txt"
+    g.write_text(write_graph(*two_squares_sphere()))
+    assert invoke(["tri", "tq-bound", str(g)]) == (
+        1, "quad parity: even\nhub-extension witness local-5: True\n")
 
 
 def test_malformed_input_is_exit_two(tmp_path):
@@ -305,7 +339,6 @@ K4P = str(GOLDEN / "k4p.txt")
     ["search", "local-coloring", "3", "4", K4P, "--budget", HUGE],
     ["verify", "local-coloring", HUGE, K4P],
     ["psi", K4P, "--budget", HUGE],
-    ["tri", "tq-bound", K4P, "--budget", HUGE],
     ["group", "reduce", "--word", "1.2 3.4", "--m", HUGE],
     ["group", "is-identity", "--word", "1.2 3.4", "--m", HUGE],
     ["group", "walk-label", "1,2,3", "--m", HUGE],
@@ -431,7 +464,6 @@ def test_nonpositive_budget_is_exit_two(tmp_path, budget):
     invoke(["build", "k4p", "--out", g])
     assert_input_error(["search", "local-coloring", "3", "3", g, "--budget", budget])
     assert_input_error(["psi", g, "--budget", budget])
-    assert_input_error(["tri", "tq-bound", g, "--budget", budget])
     assert invoke_err(["psi", g, "--budget", budget]) == \
         (2, f"error: --budget must be positive, got {budget}\n")
 
@@ -499,7 +531,7 @@ def test_parser_is_built_once_and_dispatches_every_command(monkeypatch):
         (["psi", "g", "--budget", "5"], cli.cmd_psi),
         (["group", "table", "1"], cli.cmd_group),
         (["surgery", "refine3", "g"], cli.cmd_surgery),
-        (["tri", "tq-bound", "g", "--budget", "5"], cli.cmd_tri),
+        (["tri", "tq-bound", "g"], cli.cmd_tri),
     ]
     for argv, func in cases + cases:
         assert parser.parse_args(argv).func is func
@@ -644,13 +676,22 @@ def g1p_refined_twice(tmp_path_factory):
     (["psi", "{}", "--budget", "100000"],
      "r=1 NONE nodes=1\nr=2 NONE nodes=1379\nr=3 BUDGET-EXCEEDED nodes=100001\n"
      "budget exceeded: psi >= 3\n"),
-    (["tri", "tq-bound", "{}", "--budget", "5000"],
-     "local 4-coloring search: BUDGET-EXCEEDED (5001 nodes)\n"
-     "hub-extension witness local-5: True\n"),
-], ids=["search", "psi", "tq-bound"])
+], ids=["search", "psi"])
 def test_searches_on_large_graphs_reach_the_budget(g1p_refined_twice, argv, stdout):
     argv = [a.format(g1p_refined_twice) for a in argv]
     assert invoke_all(argv) == (3, stdout, "")
+
+
+def test_tq_bound_on_a_large_graph_needs_no_budget(g1p_refined_twice):
+    """T of G1' refined twice has 6,315 vertices; the parity bound and the
+    hub witness decide it in well under a second, and ``--budget`` is no
+    longer an option of ``tri tq-bound``."""
+    t0 = time.perf_counter()
+    rc, out, err = invoke_all(["tri", "tq-bound", g1p_refined_twice])
+    elapsed = time.perf_counter() - t0
+    assert (rc, err) == (0, "") and out.endswith("local chromatic number = 5\n")
+    assert elapsed < 1.0, elapsed
+    assert_input_error(["tri", "tq-bound", g1p_refined_twice, "--budget", "5000"])
 
 
 @pytest.mark.parametrize("argv", [["search", "local-coloring", "2", "3"], ["psi"]])

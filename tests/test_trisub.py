@@ -1,13 +1,30 @@
+import random
+
 import pytest
 
 from quadloc import trisub
+from quadloc.constructions import (
+    build_G0_prime,
+    build_G1_prime,
+    build_high_genus_family,
+    build_K4_projective,
+)
 from quadloc.errors import InputError
 from quadloc.localcolor import (
     FOUND,
     NONE,
     Coloring,
+    find_four_chromatic_face,
     is_local_coloring,
     search_local_coloring,
+)
+from quadloc.quadform import (
+    EVEN,
+    ODD,
+    color_order_orientation,
+    odd_faces_parity,
+    quad_parity,
+    refine_3x3,
 )
 from quadloc.surface_map import FaceListComplex, assemble_embedding, classify_surface
 from quadloc.trisub import (
@@ -22,7 +39,7 @@ from quadloc.trisub import (
     tq_lower_bound_check,
     vertex_link,
 )
-from helpers import bipyramid_over_c5, greedy_coloring, two_squares_sphere
+from helpers import bipyramid_over_c5, greedy_coloring, klein_bottle_grid, two_squares_sphere
 from oracles import brute_local_coloring_exists
 
 
@@ -55,7 +72,7 @@ def test_tq_bound_on_k4_gives_exact_five(k4p):
     # independent oracle first: no local 4-coloring with up to 7 colors
     assert not brute_local_coloring_exists(T.graph.adjacency, 4, 7)
     rep = tq_lower_bound_check(G, c)
-    assert rep.search_status == NONE
+    assert rep.parity == ODD
     assert rep.lower_bound == 5 and rep.upper_witness and rep.psi_exact == 5
 
 
@@ -65,7 +82,51 @@ def test_octahedron_contrast_case():
     out = search_local_coloring(T.graph, 4, 6)
     assert out.status == FOUND  # evenness matters: the bound needs oddness
     rep = tq_lower_bound_check(G, c)
-    assert rep.lower_bound is None
+    assert rep.parity == EVEN and rep.lower_bound is None and rep.psi_exact is None
+
+
+@pytest.mark.parametrize("build, status", [
+    (build_K4_projective, NONE),
+    (build_G0_prime, NONE),
+    (build_G1_prime, NONE),
+    (lambda: build_high_genus_family("g0p", 1), NONE),
+    (lambda: build_high_genus_family("g1p", 1), NONE),
+    (lambda: refine_3x3(*build_K4_projective()), NONE),
+    (two_squares_sphere, FOUND),
+    (lambda: klein_bottle_grid(4), FOUND),
+], ids=["k4p", "g0p", "g1p", "g0p+1", "g1p+1", "k4p refined", "two squares", "klein bottle 4"])
+def test_search_agrees_with_the_parity_bound(build, status):
+    """The exhaustive search, with no budget and m = |V(T)|, is the oracle
+    for the parity proof: T(Q) has a local 4-coloring exactly when Q is
+    even, on these maps."""
+    Q, c = build()
+    T, _ = face_subdivision(Q)
+    assert search_local_coloring(T.graph, 4, T.graph.n_vertices).status == status
+    rep = tq_lower_bound_check(Q, c)
+    assert rep.parity == (ODD if status == NONE else EVEN)
+    assert rep.lower_bound == (5 if status == NONE else None)
+
+
+def test_every_proper_coloring_of_an_odd_map_shows_a_four_colored_face(k4p, g0p, g1p):
+    """Steps 1-2 of the parity proof, on 200 seeded greedy colorings per map,
+    each in a random vertex order: orienting every edge toward its larger
+    color leaves an odd number of odd faces on an odd map and an even number
+    on an even one, and an odd map always has a face with four colors."""
+    rng = random.Random(17)
+    k4p1 = refine_3x3(*k4p)
+    odd = [k4p, k4p1, refine_3x3(*k4p1), g0p, refine_3x3(*g0p), g1p, refine_3x3(*g1p),
+           build_high_genus_family("g1p", 3)]
+    even = [klein_bottle_grid(4), two_squares_sphere()]
+    for maps, parity in ((odd, ODD), (even, EVEN)):
+        for G, _ in maps:
+            assert quad_parity(G) == parity
+            order = list(G.vertices)
+            for _ in range(200):
+                rng.shuffle(order)
+                c = greedy_coloring(G, order)
+                assert odd_faces_parity(G, color_order_orientation(G, c))[0] == parity
+                if parity == ODD:
+                    assert find_four_chromatic_face(G, c) is not None
 
 
 def test_link_winding_on_octahedron():
